@@ -14,7 +14,7 @@
 //! splits its input into contiguous per-thread blocks and spawns scoped
 //! threads. Results are concatenated in input order, so `map(...)
 //! .collect()` is deterministic and independent of thread count — a
-//! property the deterministic-MC and levelized-SSTA paths rely on.
+//! property the deterministic Monte Carlo loop and the corner sweep rely on.
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
@@ -82,25 +82,6 @@ impl ThreadPoolBuilder {
         CONFIGURED_THREADS.store(self.num_threads, Ordering::Relaxed);
         Ok(())
     }
-}
-
-/// Half-open `(start, end)` bounds of the chunks [`ParallelSliceMut::
-/// par_chunks_mut`] hands out for a slice of length `len`: the exact
-/// partition `chunks_mut(chunk_size)` produces — full chunks of
-/// `chunk_size` with a shorter tail. Write-plan introspection
-/// (`sgs-core::plan`) uses this to describe chunked kernels with the same
-/// arithmetic the shim executes, so the static race checker certifies the
-/// partition that actually runs.
-pub fn chunk_bounds(len: usize, chunk_size: usize) -> Vec<(usize, usize)> {
-    assert!(chunk_size > 0, "chunk_bounds: chunk_size must be > 0");
-    let mut bounds = Vec::with_capacity(len.div_ceil(chunk_size));
-    let mut start = 0;
-    while start < len {
-        let end = (start + chunk_size).min(len);
-        bounds.push((start, end));
-        start = end;
-    }
-    bounds
 }
 
 /// Run two closures, potentially in parallel, returning both results.
@@ -389,6 +370,31 @@ mod tests {
         assert_eq!(data, (0..100u64).collect::<Vec<_>>());
     }
 
+    /// The chunks `par_chunks_mut` hands out have exactly the bounds of
+    /// `chunks_mut`, the short tail chunk included.
+    #[test]
+    fn chunk_bounds_matches_chunks_mut() {
+        for &(len, cs) in &[
+            (0usize, 7usize),
+            (1, 7),
+            (7, 7),
+            (100, 7),
+            (1024, 1024),
+            (2049, 1024),
+        ] {
+            let mut data: Vec<usize> = (0..len).collect();
+            let expect: Vec<(usize, usize)> = data
+                .chunks_mut(cs)
+                .map(|c| (c[0], c[0] + c.len()))
+                .collect();
+            let got: Vec<(usize, usize)> = data
+                .par_chunks_mut(cs)
+                .map(|c| (c[0], c[0] + c.len()))
+                .collect();
+            assert_eq!(got, expect, "len={len} cs={cs}");
+        }
+    }
+
     #[test]
     fn join_returns_both() {
         let (a, b) = join(|| 2 + 2, || "ok");
@@ -425,30 +431,6 @@ mod tests {
         assert_eq!(out[0], 0);
         assert_eq!(out[15], 1);
         assert_eq!(out[29], 2);
-    }
-
-    #[test]
-    fn chunk_bounds_matches_chunks_mut() {
-        for &(len, cs) in &[
-            (0usize, 7usize),
-            (1, 7),
-            (7, 7),
-            (100, 7),
-            (1024, 1024),
-            (2049, 1024),
-        ] {
-            let mut data = vec![0u8; len];
-            let expect: Vec<(usize, usize)> = {
-                let mut v = Vec::new();
-                let mut start = 0;
-                for c in data.chunks_mut(cs) {
-                    v.push((start, start + c.len()));
-                    start += c.len();
-                }
-                v
-            };
-            assert_eq!(chunk_bounds(len, cs), expect, "len={len} cs={cs}");
-        }
     }
 
     #[test]

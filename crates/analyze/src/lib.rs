@@ -1,7 +1,7 @@
 //! Pre-solve static analyzer for statistical gate sizing (`sgs-analyze`).
 //!
 //! Before the NLP solver of [`sgs_core`] takes a single iteration, this
-//! crate proves — or refutes — four families of properties about a
+//! crate proves — or refutes — three families of properties about a
 //! sizing task, reporting structured [`Diagnostic`]s:
 //!
 //! 1. **Structural lints** ([`stage1`]): combinational cycles (with a
@@ -19,14 +19,6 @@
 //!    sparsity patterns *declared* by [`sgs_core::SizingProblem`] are
 //!    cross-checked against the nonzeros actually discovered by
 //!    finite-difference probing at deterministic sample points.
-//! 4. **Parallel determinism** ([`stage4`]): the write plans declared by
-//!    every parallel kernel via [`sgs_core::WritePlan`] — grouped NLP
-//!    assembly, levelized SSTA sweep, Monte Carlo sample partition — are
-//!    proven *disjoint* (no index written by two units) and *covering*
-//!    (every output index written exactly once), and their cross-unit
-//!    reductions are linted against the bit-commutative merge whitelist.
-//!    Under the `shadow-write` feature the same codes also surface
-//!    runtime shadow-ledger violations ([`stage4::shadow_diagnostics`]).
 //!
 //! The analyzer is surfaced three ways: the `analyze_blif` binary in
 //! `sgs-bench`, the `--analyze[=deny]` pre-solve gate of `size_blif`
@@ -57,12 +49,6 @@
 //! | `SGS-D003` | Error | actual Hessian nonzero missing from declared pattern |
 //! | `SGS-D004` | Warning | declared Hessian entry identically zero at all probes |
 //! | `SGS-D005` | Info | derivative verification skipped (problem above `max_derivative_vars`) |
-//! | `SGS-P001` | Error | index written by two parallel units (cross-unit overlap) |
-//! | `SGS-P002` | Error | declared output index never written (coverage gap) |
-//! | `SGS-P003` | Error | one unit writes an index twice (intra-unit double write) |
-//! | `SGS-P004` | Error | write interval outside the declared array bounds |
-//! | `SGS-P005` | Error | parallel reduction not on the bit-commutative merge whitelist |
-//! | `SGS-P006` | Error | shadow-write ledger recorded a runtime overlap or unwritten index |
 //!
 //! Severity policy: **Error** means *provably broken* — the finding
 //! holds at every point of the size box (a cycle, an undriven net, a
@@ -78,7 +64,6 @@ use std::fmt;
 pub mod stage1;
 pub mod stage2;
 pub mod stage3;
-pub mod stage4;
 
 pub use stage2::IntervalSsta;
 
@@ -287,11 +272,6 @@ pub struct AnalyzerOptions {
     pub intervals: bool,
     /// Run stage 3 (derivative-structure probing).
     pub derivatives: bool,
-    /// Run stage 4 (parallel write-plan race analysis).
-    pub plans: bool,
-    /// Sample count used to instantiate the Monte Carlo partition plan
-    /// certified by stage 4 (matches the benchmark binaries' default).
-    pub mc_plan_samples: usize,
     /// Number of deterministic sample points for stage 3.
     pub probe_points: usize,
     /// Skip stage 3 — with an `SGS-D005` note — when the NLP has more
@@ -315,8 +295,6 @@ impl Default for AnalyzerOptions {
             structural: true,
             intervals: true,
             derivatives: true,
-            plans: true,
-            mc_plan_samples: 20_000,
             probe_points: 3,
             max_derivative_vars: 1500,
         }
@@ -371,10 +349,6 @@ pub fn analyze(
         } else {
             report.extend(stage3::verify_derivatives(&problem, opts));
         }
-    }
-    if opts.plans {
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::AnalyzePlans);
-        report.extend(stage4::verify_plans(circuit, &problem, opts));
     }
     record_findings(&report);
     report

@@ -1,15 +1,19 @@
-//! Mutation battery for the stage-4 certifier: every `corrupt_overlap_*`
-//! hook on the real kernels plants a race in the *declared* plan, and the
-//! static checker must catch each one with the right P-code — while the
-//! uncorrupted kernels certify clean on real circuits (zero false
-//! Errors). The JSONL emitted for P-diagnostics must round-trip through
-//! the `sgs-trace` validator like every other code family.
+//! Mutation battery for the derivative stage: dropping any single
+//! declared Jacobian or Hessian entry of the real assembly kernels
+//! (through the `corrupt_drop_*` hooks) must be caught with the right
+//! D-code, while the uncorrupted kernels certify clean in a full
+//! analyzer run on a real circuit. Entries the uncorrupted run reports as
+//! identically zero at every probe (`SGS-D001` / `SGS-D004`) are left out
+//! of the sweep: probing cannot tell a dropped zero from a declared one.
+//! So are triplets sharing their position with another declared triplet
+//! (their values are summed): dropping one leaves the pattern intact, and
+//! the stage checks the pattern, not the values.
 
-use sgs_analyze::stage4::check_plan;
-use sgs_analyze::{analyze, AnalyzerOptions, Report};
-use sgs_core::{DelaySpec, Objective, SizingProblem, WritePlan};
+use sgs_analyze::stage3::verify_derivatives;
+use sgs_analyze::{analyze, AnalyzerOptions, Diagnostic, Severity};
+use sgs_core::{DelaySpec, Objective, SizingProblem};
 use sgs_netlist::{generate, Library};
-use sgs_ssta::{LevelSweeper, McPartition};
+use sgs_nlp::NlpProblem;
 
 fn lib() -> Library {
     Library::paper_default()
@@ -17,114 +21,85 @@ fn lib() -> Library {
 
 fn problem() -> SizingProblem {
     SizingProblem::build(
-        &generate::ripple_carry_adder(8),
+        &generate::tree7(),
         &lib(),
-        Objective::Area,
-        DelaySpec::MaxMean(40.0),
+        Objective::MeanPlusKSigma(3.0),
+        DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 12.0 },
     )
 }
 
-fn codes(diags: &[sgs_analyze::Diagnostic]) -> Vec<&'static str> {
-    diags.iter().map(|d| d.code).collect()
+fn caught(diags: &[Diagnostic], code: &str) -> bool {
+    diags
+        .iter()
+        .any(|d| d.code == code && d.severity == Severity::Error)
+}
+
+/// Entry indices the uncorrupted run reports under `code`.
+fn zero_entries(code: &str) -> Vec<usize> {
+    verify_derivatives(&problem(), &AnalyzerOptions::default())
+        .iter()
+        .filter(|d| d.code == code)
+        .map(|d| {
+            let (_, v) = d.data.iter().find(|(k, _)| *k == "entry").unwrap();
+            v.parse().unwrap()
+        })
+        .collect()
+}
+
+/// The entries the sweep drops: every declared triplet that is neither
+/// identically zero nor sharing its position (asserted to be some).
+fn swept(structure: &[(usize, usize)], zero_code: &str) -> Vec<usize> {
+    let n = structure.len();
+    let zero = zero_entries(zero_code);
+    let shared = |k: usize| structure.iter().filter(|&&e| e == structure[k]).count() > 1;
+    let ks: Vec<usize> = (0..n)
+        .filter(|&k| !zero.contains(&k) && !shared(k))
+        .collect();
+    assert!(!ks.is_empty(), "none of {n} entries swept");
+    ks
 }
 
 #[test]
-fn corrupt_jacobian_group_is_caught_as_p001() {
-    let mut p = problem();
-    p.corrupt_overlap_jacobian_group(0);
-    let d = check_plan(&p.write_plan());
-    assert_eq!(codes(&d), vec!["SGS-P001"]);
-    assert!(d[0].location.contains("jacobian_vals"));
-    assert!(d[0].message.contains("group 0") && d[0].message.contains("group 1"));
+fn every_dropped_jacobian_entry_is_caught_as_d002() {
+    let structure = problem().jacobian_structure();
+    let n = structure.len();
+    for k in swept(&structure, "SGS-D001") {
+        let mut p = problem();
+        p.corrupt_drop_jacobian_entry(k);
+        let d = verify_derivatives(&p, &AnalyzerOptions::default());
+        assert!(caught(&d, "SGS-D002"), "entry {k} of {n}: {d:?}");
+    }
 }
 
 #[test]
-fn corrupt_hessian_group_is_caught_as_p001() {
-    let mut p = problem();
-    p.corrupt_overlap_hessian_group(0);
-    let d = check_plan(&p.write_plan());
-    assert_eq!(codes(&d), vec!["SGS-P001"]);
-    assert!(d[0].location.contains("hessian_vals"));
-}
-
-#[test]
-fn corrupt_last_group_is_caught_as_p004() {
-    // The last group's end+1 claim reaches past the array instead of
-    // into a neighbour: out of bounds rather than overlap.
-    let mut p = problem();
-    let last = p.write_plan().arrays[1].units.len() - 1;
-    p.corrupt_overlap_jacobian_group(last);
-    let d = check_plan(&p.write_plan());
-    assert_eq!(codes(&d), vec!["SGS-P004"]);
-}
-
-#[test]
-fn corrupt_sweep_gate_is_caught_as_p001() {
-    let c = generate::ripple_carry_adder(16);
-    let mut sweeper = LevelSweeper::new(&c);
-    sweeper.corrupt_overlap_gate(c.num_gates() / 2);
-    let d = check_plan(&sweeper.write_plan());
-    assert_eq!(codes(&d), vec!["SGS-P001"]);
-    assert!(d[0].message.contains("phantom duplicate"));
-}
-
-#[test]
-fn corrupt_mc_chunk_is_caught_as_p001_interior_p004_last() {
-    let mut mc = McPartition::new(4096, true);
-    assert!(mc.chunk_bounds().len() >= 2);
-    mc.corrupt_overlap_chunk(0);
-    assert_eq!(codes(&check_plan(&mc.write_plan())), vec!["SGS-P001"]);
-
-    let mut mc = McPartition::new(4096, true);
-    let last = mc.chunk_bounds().len() - 1;
-    mc.corrupt_overlap_chunk(last);
-    assert_eq!(codes(&check_plan(&mc.write_plan())), vec!["SGS-P004"]);
-}
-
-#[test]
-fn corrupt_float_merge_is_caught_as_p005() {
-    let mut mc = McPartition::new(2048, true);
-    mc.corrupt_float_merge();
-    let d = check_plan(&mc.write_plan());
-    assert_eq!(codes(&d), vec!["SGS-P005"]);
-    assert!(d[0].location.contains("mc_criticality_merge"));
+fn every_dropped_hessian_entry_is_caught_as_d003() {
+    let structure = problem().hessian_structure();
+    let n = structure.len();
+    for k in swept(&structure, "SGS-D004") {
+        let mut p = problem();
+        p.corrupt_drop_hessian_entry(k);
+        let d = verify_derivatives(&p, &AnalyzerOptions::default());
+        assert!(caught(&d, "SGS-D003"), "entry {k} of {n}: {d:?}");
+    }
 }
 
 #[test]
 fn uncorrupted_kernels_certify_clean_end_to_end() {
-    // Full analyzer run with stage 4 enabled: the real plans of a real
-    // circuit must produce zero P-class findings.
     let c = generate::ripple_carry_adder(16);
-    let opts = AnalyzerOptions {
-        derivatives: false, // probing is slow and irrelevant here
-        ..AnalyzerOptions::default()
-    };
     let report = analyze(
         &c,
         &lib(),
         &Objective::MeanPlusKSigma(3.0),
-        &DelaySpec::None,
-        &opts,
+        &DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 60.0 },
+        &AnalyzerOptions::default(),
     );
-    assert!(
-        !report
-            .diagnostics
-            .iter()
-            .any(|d| d.code.starts_with("SGS-P")),
-        "false positive: {report}"
-    );
-}
-
-#[test]
-fn stage4_diagnostics_round_trip_as_jsonl() {
-    let mut p = problem();
-    p.corrupt_overlap_jacobian_group(0);
-    let mut mc = McPartition::new(4096, true);
-    mc.corrupt_float_merge();
-    let mut report = Report::default();
-    report.diagnostics.extend(check_plan(&p.write_plan()));
-    report.diagnostics.extend(check_plan(&mc.write_plan()));
-    assert_eq!(report.num_errors(), 2);
-    let summary = sgs_trace::json::validate_jsonl(&report.to_jsonl()).unwrap();
-    assert_eq!(summary.count("diagnostic"), 2);
+    assert!(report.is_clean(), "{report}");
+    for d in &report.diagnostics {
+        if d.code.starts_with("SGS-D") {
+            assert!(
+                d.code == "SGS-D001" || d.code == "SGS-D004",
+                "derivative finding on uncorrupted kernels: {d:?}"
+            );
+        }
+    }
 }

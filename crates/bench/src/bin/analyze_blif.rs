@@ -7,14 +7,13 @@
 //!              [--metrics FILE] [--metrics-prom FILE]
 //! ```
 //!
-//! Runs the four-stage `sgs-analyze` pipeline (structural netlist lints,
-//! interval-arithmetic safety proofs, derivative-sparsity verification,
-//! parallel write-plan race analysis) over each argument without a
-//! single solver iteration. Arguments that name an existing file are
+//! Runs the three-stage `sgs-analyze` pipeline (structural netlist lints,
+//! interval-arithmetic safety proofs, derivative-sparsity verification)
+//! over each argument without a single solver iteration. Arguments that name an existing file are
 //! parsed as BLIF; otherwise they select a generated circuit (`tree7`,
 //! `fig2`, `apex1`, `apex2`, `k2`, `adder<N>`, `chain<N>`,
 //! `nandtree<N>`). `--suite` appends the paper's circuits (`tree7`,
-//! `fig2` and the Table 1 stand-ins). `--stages 1,2,4` selects a subset
+//! `fig2` and the Table 1 stand-ins). `--stages 1,3` selects a subset
 //! of stages (default: all). With `--json` every diagnostic is printed
 //! as one JSONL object (sgs-trace conventions) followed by an
 //! `analyze_report` summary line per circuit.
@@ -32,7 +31,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: analyze_blif [<netlist.blif> | tree7|fig2|apex1|apex2|k2|adder<N>|chain<N>|nandtree<N>]... \
          [--suite] [--json] [--objective mu|mu+1s|mu+3s|area|sigma] [--deadline D] \
-         [--stages 1,2,3,4] [--no-derivatives] [--raw-variance] [--metrics FILE] \
+         [--stages 1,2,3] [--no-derivatives] [--raw-variance] [--metrics FILE] \
          [--metrics-prom FILE]"
     );
     ExitCode::from(2)
@@ -129,13 +128,11 @@ fn main() -> ExitCode {
                 opts.structural = false;
                 opts.intervals = false;
                 opts.derivatives = false;
-                opts.plans = false;
                 for stage in list.split(',') {
                     match stage.trim() {
                         "1" => opts.structural = true,
                         "2" => opts.intervals = true,
                         "3" => opts.derivatives = true,
-                        "4" => opts.plans = true,
                         _ => return usage(),
                     }
                 }

@@ -44,7 +44,6 @@
 
 pub mod discrete;
 pub mod greedy;
-pub mod plan;
 pub mod problem;
 pub mod reduced;
 pub mod resolve;
@@ -52,9 +51,6 @@ pub mod sizer;
 pub mod spec;
 pub mod sweep;
 
-pub use plan::{
-    merge_whitelisted, ArrayPlan, KernelPlan, MergeKind, ReductionDecl, WritePlan, WriteUnit,
-};
 pub use problem::SizingProblem;
 pub use resolve::{ResolveOutcome, Resolver, WhatIfReport};
 pub use sizer::{Preflight, SizeError, Sizer, SizingResult, SolverChoice};

@@ -32,23 +32,16 @@
 //! grouped so one [`clark::max_grad`] / [`clark::max_hess`] call (the
 //! dominant cost: Φ/φ evaluations) serves both the mu and the var slot of
 //! a pair. Per-constraint offsets into the Jacobian/Hessian value arrays
-//! are also precomputed, so every group owns a disjoint, contiguous slice
-//! of `vals`; on large formulations the groups are filled in parallel with
-//! rayon — race-free by construction, bit-identical to the sequential
-//! sweep because each group writes the same pure function of `x` to the
-//! same positions regardless of schedule.
+//! are also precomputed, so every group fills its own contiguous slice of
+//! `vals` in one sequential sweep.
 
 use crate::spec::{DelaySpec, Objective};
-use rayon::prelude::*;
 use sgs_netlist::{Circuit, Library, Signal};
 use sgs_nlp::NlpProblem;
 use sgs_ssta::DelayModel;
 use sgs_statmath::clark::{self, ClarkGrad, ClarkHess};
 
 const INF: f64 = f64::INFINITY;
-/// Minimum constraint count before constraint/derivative assembly fans
-/// out across threads; below this the sequential sweep wins.
-const PAR_CON_THRESHOLD: usize = 512;
 /// Lower bound applied to variance variables (keeps `sqrt` smooth).
 const VAR_LB: f64 = 1e-12;
 /// Floor inside `sqrt` when evaluating sigma terms.
@@ -160,10 +153,6 @@ pub struct SizingProblem {
     /// Prefix offsets of each constraint's Hessian-value block, excluding
     /// the objective block at the front (`len = cons.len() + 1`).
     hess_off: Vec<usize>,
-    /// Minimum constraint count before assembly fans out over threads
-    /// (defaults to [`PAR_CON_THRESHOLD`]; see
-    /// [`SizingProblem::set_par_threshold`]).
-    par_threshold: usize,
     /// Gate each constraint belongs to (`None` for the output max chain
     /// and delay caps) — diagnostic metadata for the static analyzer.
     con_gate: Vec<Option<usize>>,
@@ -174,13 +163,6 @@ pub struct SizingProblem {
     jac_drop: Option<usize>,
     /// As `jac_drop`, for the Hessian declaration.
     hess_drop: Option<usize>,
-    /// Fault injection for the analyzer's stage-4 mutation battery: index
-    /// of an evaluation group whose declared Jacobian write set falsely
-    /// claims one entry past its slice (see
-    /// [`SizingProblem::corrupt_overlap_jacobian_group`]).
-    jac_overlap: Option<usize>,
-    /// As `jac_overlap`, for the Hessian write plan.
-    hess_overlap: Option<usize>,
 }
 
 impl SizingProblem {
@@ -408,12 +390,9 @@ impl SizingProblem {
             groups,
             jac_off,
             hess_off,
-            par_threshold: PAR_CON_THRESHOLD,
             con_gate,
             jac_drop: None,
             hess_drop: None,
-            jac_overlap: None,
-            hess_overlap: None,
         }
     }
 
@@ -477,65 +456,6 @@ impl SizingProblem {
         self.hess_drop = Some(k);
     }
 
-    /// Fault injection for the stage-4 mutation battery: evaluation group
-    /// `g`'s *declared* write plan (and its shadow-write stamps under
-    /// `--features shadow-write`) additionally claims the first Jacobian
-    /// entry of the following group — a planted race the certifier must
-    /// catch. The actual fill is untouched: planted races corrupt the
-    /// declaration, because safe Rust's `split_at_mut` partition makes a
-    /// real overlapping write unrepresentable. Never use outside tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is not a valid group index.
-    #[doc(hidden)]
-    pub fn corrupt_overlap_jacobian_group(&mut self, g: usize) {
-        assert!(g < self.groups.len(), "group {g} out of range");
-        self.jac_overlap = Some(g);
-    }
-
-    /// As [`SizingProblem::corrupt_overlap_jacobian_group`], for the
-    /// Hessian write plan. Never use outside tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is not a valid group index.
-    #[doc(hidden)]
-    pub fn corrupt_overlap_hessian_group(&mut self, g: usize) {
-        assert!(g < self.groups.len(), "group {g} out of range");
-        self.hess_overlap = Some(g);
-    }
-
-    /// Evaluation groups `(first_con, count)` for the write-plan layer.
-    pub(crate) fn plan_groups(&self) -> &[(usize, usize)] {
-        &self.groups
-    }
-
-    /// Jacobian-value prefix offsets for the write-plan layer.
-    pub(crate) fn plan_jac_off(&self) -> &[usize] {
-        &self.jac_off
-    }
-
-    /// Hessian-value prefix offsets for the write-plan layer.
-    pub(crate) fn plan_hess_off(&self) -> &[usize] {
-        &self.hess_off
-    }
-
-    /// Objective Hessian-block length for the write-plan layer.
-    pub(crate) fn plan_obj_hess_len(&self) -> usize {
-        self.obj_hess_len()
-    }
-
-    /// The planted Jacobian-overlap group, if any.
-    pub(crate) fn plan_corrupt_jac_overlap(&self) -> Option<usize> {
-        self.jac_overlap
-    }
-
-    /// The planted Hessian-overlap group, if any.
-    pub(crate) fn plan_corrupt_hess_overlap(&self) -> Option<usize> {
-        self.hess_overlap
-    }
-
     /// Rewrites the deadline scalar `D` of every delay-cap constraint in
     /// place, returning how many caps were updated (`0` means the
     /// formulation has no delay constraint and nothing changed).
@@ -586,16 +506,6 @@ impl SizingProblem {
             Objective::MeanPlusKSigma(cur) => *cur = k,
             other => panic!("set_objective_k needs a mu + k sigma objective, got {other}"),
         }
-    }
-
-    /// Overrides the constraint count at which constraint/derivative
-    /// assembly switches to the parallel (grouped disjoint-slice) path.
-    /// Both paths compute bit-identical values; this knob exists so tests
-    /// can force either path regardless of formulation size (`0` forces
-    /// parallel whenever a thread pool is available, `usize::MAX` forces
-    /// the sequential sweep).
-    pub fn set_par_threshold(&mut self, threshold: usize) {
-        self.par_threshold = threshold;
     }
 
     /// Variable index of gate `g`'s speed factor.
@@ -694,11 +604,6 @@ impl SizingProblem {
         x[self.i_v_tmax].max(SQRT_FLOOR).sqrt()
     }
 
-    /// Whether constraint/derivative assembly should fan out over groups.
-    fn par_assembly(&self) -> bool {
-        self.cons.len() >= self.par_threshold && rayon::current_num_threads() > 1
-    }
-
     /// One shared Clark gradient per group whose leader is a max
     /// constraint (a pair shares its leader's operands by construction).
     fn group_grad(&self, start: usize, x: &[f64]) -> Option<ClarkGrad> {
@@ -747,7 +652,7 @@ impl SizingProblem {
         }
     }
 
-    /// Jacobian values of one group into its disjoint slice of `vals`.
+    /// Jacobian values of one group into its slice of `vals`.
     fn jacobian_group(&self, x: &[f64], start: usize, len: usize, out: &mut [f64]) {
         let shared = self.group_grad(start, x);
         let mut k_out = 0usize;
@@ -809,8 +714,7 @@ impl SizingProblem {
         debug_assert_eq!(k_out, out.len());
     }
 
-    /// Lagrangian-Hessian values of one group into its disjoint slice of
-    /// `vals` (objective block excluded — the caller handles it).
+    /// Lagrangian-Hessian values of one group into its slice of `vals` (objective block excluded — the caller handles it).
     fn hessian_group(&self, x: &[f64], lambda: &[f64], start: usize, len: usize, out: &mut [f64]) {
         // One shared second-derivative evaluation per max pair.
         let shared = match &self.cons[start] {
@@ -860,57 +764,12 @@ impl SizingProblem {
         ) as usize
     }
 
-    /// Stamps the shadow-write ledger with the exact slice each assembly
-    /// unit receives and fully writes (the group fills are
-    /// `debug_assert`ed to cover their slices), plus any planted
-    /// `corrupt_overlap_*` claim. Checking-mode only.
-    #[cfg(feature = "shadow-write")]
-    fn stamp_groups(
-        &self,
-        kernel: &'static str,
-        len: usize,
-        base: usize,
-        off: &[usize],
-        overlap: Option<usize>,
-    ) {
-        let shadow = sgs_trace::shadow::begin(kernel, len);
-        if base > 0 {
-            // Objective block, written sequentially by the dispatcher.
-            shadow.stamp_range(u32::MAX, 0, base);
-        }
-        for (g, &(start, glen)) in self.groups.iter().enumerate() {
-            let mut end = base + off[start + glen];
-            if overlap == Some(g) {
-                end += 1;
-            }
-            shadow.stamp_range(g as u32, base + off[start], end);
-        }
-    }
-
     /// Uncorrupted Jacobian fill (the whole declared entry set).
     fn jacobian_values_inner(&self, x: &[f64], vals: &mut [f64]) {
         debug_assert_eq!(vals.len(), *self.jac_off.last().unwrap());
-        #[cfg(feature = "shadow-write")]
-        self.stamp_groups(
-            "assembly_jacobian",
-            vals.len(),
-            0,
-            &self.jac_off,
-            self.jac_overlap,
-        );
-        if self.par_assembly() {
-            split_groups(
-                &self.groups,
-                |start, len| self.jac_off[start + len] - self.jac_off[start],
-                vals,
-            )
-            .into_par_iter()
-            .for_each(|(start, len, out)| self.jacobian_group(x, start, len, out));
-        } else {
-            for &(start, len) in &self.groups {
-                let out = &mut vals[self.jac_off[start]..self.jac_off[start + len]];
-                self.jacobian_group(x, start, len, out);
-            }
+        for &(start, len) in &self.groups {
+            let out = &mut vals[self.jac_off[start]..self.jac_off[start + len]];
+            self.jacobian_group(x, start, len, out);
         }
     }
 
@@ -919,14 +778,6 @@ impl SizingProblem {
         debug_assert_eq!(
             vals.len(),
             self.obj_hess_len() + *self.hess_off.last().unwrap()
-        );
-        #[cfg(feature = "shadow-write")]
-        self.stamp_groups(
-            "assembly_hessian",
-            vals.len(),
-            self.obj_hess_len(),
-            &self.hess_off,
-            self.hess_overlap,
         );
         let (obj, rest) = vals.split_at_mut(self.obj_hess_len());
         match self.objective {
@@ -944,19 +795,9 @@ impl SizingProblem {
             }
             _ => {}
         }
-        if self.par_assembly() {
-            split_groups(
-                &self.groups,
-                |start, len| self.hess_off[start + len] - self.hess_off[start],
-                rest,
-            )
-            .into_par_iter()
-            .for_each(|(start, len, out)| self.hessian_group(x, lambda, start, len, out));
-        } else {
-            for &(start, len) in &self.groups {
-                let out = &mut rest[self.hess_off[start]..self.hess_off[start + len]];
-                self.hessian_group(x, lambda, start, len, out);
-            }
+        for &(start, len) in &self.groups {
+            let out = &mut rest[self.hess_off[start]..self.hess_off[start + len]];
+            self.hessian_group(x, lambda, start, len, out);
         }
     }
 }
@@ -1105,24 +946,6 @@ fn index_cons(cons: &[Con]) -> (Vec<(usize, usize)>, Vec<usize>, Vec<usize>) {
     (groups, jac_off, hess_off)
 }
 
-/// Splits `vals` into one disjoint mutable slice per group (`width` maps
-/// `(first_con, count)` to the group's entry count). The slices partition
-/// `vals` in group order, which is what makes the parallel fill race-free.
-fn split_groups<'v>(
-    groups: &[(usize, usize)],
-    width: impl Fn(usize, usize) -> usize,
-    mut vals: &'v mut [f64],
-) -> Vec<(usize, usize, &'v mut [f64])> {
-    let mut parts = Vec::with_capacity(groups.len());
-    for &(start, len) in groups {
-        let (head, tail) = std::mem::take(&mut vals).split_at_mut(width(start, len));
-        parts.push((start, len, head));
-        vals = tail;
-    }
-    debug_assert!(vals.is_empty());
-    parts
-}
-
 impl NlpProblem for SizingProblem {
     fn num_vars(&self) -> usize {
         self.num_vars
@@ -1173,21 +996,8 @@ impl NlpProblem for SizingProblem {
     }
 
     fn constraints(&self, x: &[f64], c: &mut [f64]) {
-        #[cfg(feature = "shadow-write")]
-        {
-            let shadow = sgs_trace::shadow::begin("assembly_constraints", c.len());
-            for (g, &(start, len)) in self.groups.iter().enumerate() {
-                shadow.stamp_range(g as u32, start, start + len);
-            }
-        }
-        if self.par_assembly() {
-            split_groups(&self.groups, |_, len| len, c)
-                .into_par_iter()
-                .for_each(|(start, len, out)| self.constraints_group(x, start, len, out));
-        } else {
-            for &(start, len) in &self.groups {
-                self.constraints_group(x, start, len, &mut c[start..start + len]);
-            }
+        for &(start, len) in &self.groups {
+            self.constraints_group(x, start, len, &mut c[start..start + len]);
         }
     }
 

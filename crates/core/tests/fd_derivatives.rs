@@ -10,10 +10,9 @@
 //!    gradient along a pseudo-random direction `v` — cheap enough to run
 //!    at the larger sizes.
 //!
-//! Every check runs through BOTH constraint-assembly paths — sequential
-//! (`set_par_threshold(usize::MAX)`) and grouped-parallel
-//! (`set_par_threshold(0)` with a 2-thread pool) — and the two paths are
-//! additionally asserted bit-identical, not just FD-consistent.
+//! Every checked problem exercises both evaluation paths of the grouped
+//! assembly: a `max_mu`/`max_var` pair sharing one Clark evaluation, and a
+//! singleton constraint evaluated on its own.
 
 use sgs_core::{DelaySpec, Objective, SizingProblem};
 use sgs_netlist::generate::{self, RandomDagSpec};
@@ -34,15 +33,6 @@ fn dag(cells: usize, inputs: usize, depth: usize, seed: u64) -> Circuit {
         seed,
         ..Default::default()
     })
-}
-
-/// Forces a 2-thread pool so the grouped-parallel assembly path genuinely
-/// fans out even on a single-core host (first caller wins; idempotent).
-fn force_two_threads() {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build_global()
-        .ok();
 }
 
 /// splitmix64: deterministic stream for evaluation points and directions.
@@ -146,15 +136,22 @@ fn directional_errors(
     (worst_j, worst_h)
 }
 
-/// Builds the problem with the requested assembly path forced.
-fn build(circuit: &Circuit, obj: Objective, spec: DelaySpec, parallel: bool) -> SizingProblem {
-    let mut p = SizingProblem::build(circuit, &lib(), obj, spec);
-    if parallel {
-        force_two_threads();
-        p.set_par_threshold(0);
-    } else {
-        p.set_par_threshold(usize::MAX);
-    }
+/// Builds the problem and asserts it has both kinds of evaluation group:
+/// a shared-Clark `max_mu`/`max_var` pair and a singleton constraint.
+fn build(circuit: &Circuit, obj: Objective, spec: DelaySpec) -> SizingProblem {
+    let p = SizingProblem::build(circuit, &lib(), obj, spec);
+    let kinds: Vec<&str> = (0..p.num_constraints())
+        .map(|ci| p.constraint_kind(ci))
+        .collect();
+    let paired = kinds
+        .windows(2)
+        .any(|w| w[0] == "max_mu" && w[1] == "max_var");
+    let single = kinds.iter().any(|k| !k.starts_with("max_"));
+    assert!(
+        paired && single,
+        "{}: group kinds {kinds:?}",
+        circuit.name()
+    );
     p
 }
 
@@ -175,16 +172,11 @@ fn dense_fd_check_small_circuits_both_paths() {
     for (cells, inputs, depth, seed) in [(5, 2, 2, 11), (9, 3, 3, 23), (16, 4, 4, 37)] {
         let c = dag(cells, inputs, depth, seed);
         for (obj, spec) in objectives() {
-            for parallel in [false, true] {
-                let p = build(&c, obj.clone(), spec.clone(), parallel);
-                let x = interior_point(&p, seed);
-                let lambda = multipliers(p.num_constraints(), seed);
-                let r = check_derivatives(&p, &x, &lambda, 1e-6);
-                assert!(
-                    r.within(5e-6),
-                    "{cells} cells, {obj:?}/{spec:?}, parallel={parallel}: {r:?}"
-                );
-            }
+            let p = build(&c, obj.clone(), spec.clone());
+            let x = interior_point(&p, seed);
+            let lambda = multipliers(p.num_constraints(), seed);
+            let r = check_derivatives(&p, &x, &lambda, 1e-6);
+            assert!(r.within(5e-6), "{cells} cells, {obj:?}/{spec:?}: {r:?}");
         }
     }
 }
@@ -199,65 +191,65 @@ fn directional_fd_check_up_to_fifty_gates_both_paths() {
     ] {
         let c = dag(cells, inputs, depth, seed);
         for (obj, spec) in objectives() {
-            for parallel in [false, true] {
-                let p = build(&c, obj.clone(), spec.clone(), parallel);
-                let x = interior_point(&p, seed);
-                let lambda = multipliers(p.num_constraints(), seed);
-                let v = direction(p.num_vars(), seed);
-                let (ej, eh) = directional_errors(&p, &x, &lambda, &v, 1e-6);
-                assert!(
-                    ej < 5e-6 && eh < 5e-6,
-                    "{cells} cells, {obj:?}/{spec:?}, parallel={parallel}: jac {ej:.2e} hess {eh:.2e}"
-                );
-            }
+            let p = build(&c, obj.clone(), spec.clone());
+            let x = interior_point(&p, seed);
+            let lambda = multipliers(p.num_constraints(), seed);
+            let v = direction(p.num_vars(), seed);
+            let (ej, eh) = directional_errors(&p, &x, &lambda, &v, 1e-6);
+            assert!(
+                ej < 5e-6 && eh < 5e-6,
+                "{cells} cells, {obj:?}/{spec:?}: jac {ej:.2e} hess {eh:.2e}"
+            );
         }
     }
 }
 
-#[test]
-fn serial_and_parallel_assembly_bit_identical() {
-    force_two_threads();
-    let c = dag(50, 8, 7, 505);
-    for (obj, spec) in objectives() {
-        let ser = build(&c, obj.clone(), spec.clone(), false);
-        let par = build(&c, obj.clone(), spec.clone(), true);
-        let x = interior_point(&ser, 505);
-
-        assert_eq!(
-            ser.objective(&x).to_bits(),
-            par.objective(&x).to_bits(),
-            "{obj:?}: objective"
-        );
-        let mut gs = vec![0.0; ser.num_vars()];
-        let mut gp = vec![0.0; par.num_vars()];
-        ser.gradient(&x, &mut gs);
-        par.gradient(&x, &mut gp);
-        assert_eq!(bits(&gs), bits(&gp), "{obj:?}: gradient");
-
-        let m = ser.num_constraints();
-        let mut cs = vec![0.0; m];
-        let mut cp = vec![0.0; m];
-        ser.constraints(&x, &mut cs);
-        par.constraints(&x, &mut cp);
-        assert_eq!(bits(&cs), bits(&cp), "{obj:?}: constraints");
-
-        assert_eq!(ser.jacobian_structure(), par.jacobian_structure());
-        let mut js = vec![0.0; ser.jacobian_structure().len()];
-        let mut jp = vec![0.0; js.len()];
-        ser.jacobian_values(&x, &mut js);
-        par.jacobian_values(&x, &mut jp);
-        assert_eq!(bits(&js), bits(&jp), "{obj:?}: jacobian");
-
-        let lambda = multipliers(m, 505);
-        assert_eq!(ser.hessian_structure(), par.hessian_structure());
-        let mut hs = vec![0.0; ser.hessian_structure().len()];
-        let mut hp = vec![0.0; hs.len()];
-        ser.hessian_values(&x, 0.7, &lambda, &mut hs);
-        par.hessian_values(&x, 0.7, &lambda, &mut hp);
-        assert_eq!(bits(&hs), bits(&hp), "{obj:?}: hessian");
-    }
+/// Values of every assembly entry point at one point, as bit patterns.
+fn assemble(p: &SizingProblem, x: &[f64], lambda: &[f64]) -> Vec<Vec<u64>> {
+    let mut g = vec![0.0; p.num_vars()];
+    p.gradient(x, &mut g);
+    let mut c = vec![0.0; p.num_constraints()];
+    p.constraints(x, &mut c);
+    let mut j = vec![0.0; p.jacobian_structure().len()];
+    p.jacobian_values(x, &mut j);
+    let mut h = vec![0.0; p.hessian_structure().len()];
+    p.hessian_values(x, 0.7, lambda, &mut h);
+    [vec![p.objective(x)], g, c, j, h]
+        .iter()
+        .map(|v| v.iter().map(|a| a.to_bits()).collect())
+        .collect()
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|v| v.to_bits()).collect()
+/// The assembly keeps no mutable state of its own: one problem evaluated
+/// from several threads at once (as the corner sweep's parallel solves do)
+/// yields the serial values bit for bit.
+#[test]
+fn serial_and_parallel_assembly_bit_identical() {
+    let c = dag(50, 8, 7, 505);
+    for (obj, spec) in objectives() {
+        let p = build(&c, obj.clone(), spec.clone());
+        let x = interior_point(&p, 505);
+        let lambda = multipliers(p.num_constraints(), 505);
+        let serial = assemble(&p, &x, &lambda);
+        let parallel: Vec<Vec<Vec<u64>>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| assemble(&p, &x, &lambda)))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (t, got) in parallel.iter().enumerate() {
+            for (part, (a, b)) in [
+                "objective",
+                "gradient",
+                "constraints",
+                "jacobian",
+                "hessian",
+            ]
+            .iter()
+            .zip(serial.iter().zip(got))
+            {
+                assert_eq!(a, b, "{obj:?}: {part} differs on thread {t}");
+            }
+        }
+    }
 }

@@ -128,10 +128,6 @@ metric_enum! {
         AnalyzeErrors => "analyze_errors",
         /// Warning-severity diagnostics reported by the analyzer.
         AnalyzeWarnings => "analyze_warnings",
-        /// Parallel write plans certified by analyzer stage 4.
-        AnalyzePlans => "analyze_plans_checked",
-        /// Parallel units examined across all certified write plans.
-        AnalyzePlanUnits => "analyze_plan_units_checked",
         /// Frontier points traced by `SweepEngine` sweeps (feasible or
         /// not, including cache-served repeats).
         SweepPoints => "sweep_points",
@@ -247,8 +243,6 @@ metric_enum! {
         AnalyzeIntervals => "analyze_intervals",
         /// Analyzer stage 3: derivative-structure verification.
         AnalyzeDerivatives => "analyze_derivatives",
-        /// Analyzer stage 4: parallel write-plan race analysis.
-        AnalyzePlans => "analyze_plans",
         /// Output emission: tables, reports, snapshot files (binary-level).
         Emit => "emit",
         /// One whole `SweepEngine` frontier/k/corner sweep.
@@ -278,10 +272,9 @@ impl Phase {
             | Phase::GreedyFallback
             | Phase::Report => Some(Phase::Solve),
             Phase::InnerTr => Some(Phase::Auglag),
-            Phase::AnalyzeLints
-            | Phase::AnalyzeIntervals
-            | Phase::AnalyzeDerivatives
-            | Phase::AnalyzePlans => Some(Phase::Analyze),
+            Phase::AnalyzeLints | Phase::AnalyzeIntervals | Phase::AnalyzeDerivatives => {
+                Some(Phase::Analyze)
+            }
         }
     }
 }

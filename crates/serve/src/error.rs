@@ -4,7 +4,7 @@
 //! carrying a top-level `"event":"error"` tag (the same convention as
 //! `sgs-trace` JSONL records, so error bodies round-trip through
 //! [`sgs_trace::json::validate_jsonl`]), the HTTP status, a **stable**
-//! short code from the table in `DESIGN.md` §17, and a human-readable
+//! short code from the table in `DESIGN.md` §16, and a human-readable
 //! message. Codes are part of the protocol contract — the battery in
 //! `tests/protocol.rs` pins them.
 

@@ -1,26 +1,9 @@
 //! Forward statistical (and deterministic) static timing analysis.
-//!
-//! # Parallel evaluation
-//!
-//! Arrival propagation is inherently sequential along paths but parallel
-//! across a topological level: every gate at level `L` depends only on
-//! arrivals at levels `< L`. [`ssta_levelized`] exploits this through the
-//! structure-of-arrays sweep in [`crate::soa`]: each level's fan-in
-//! moments are gathered into contiguous arrays and folded by the batched
-//! Clark kernel, with wide levels split across rayon threads. Because
-//! each gate's arrival is the same pure function of its fan-in arrivals
-//! either way, the levelized path is bit-identical to the sequential left
-//! fold. [`ssta`] auto-dispatches: circuits below [`PAR_GATE_THRESHOLD`]
-//! gates (or single-threaded runs) keep the cheap sequential path.
 
 use crate::delay::DelayModel;
-use crate::soa::{ArrivalRead, ArrivalSoa, LevelSweeper};
+use crate::soa::{ArrivalRead, ArrivalSoa};
 use sgs_netlist::{Circuit, GateId, Library, Signal};
 use sgs_statmath::{clark, Normal};
-
-/// Minimum gate count before [`ssta`] considers the level-parallel path:
-/// below this, per-level thread dispatch costs more than it saves.
-pub const PAR_GATE_THRESHOLD: usize = 2048;
 
 /// Result of a statistical timing analysis.
 #[derive(Debug, Clone)]
@@ -81,10 +64,6 @@ pub fn ssta_with_model(circuit: &Circuit, model: &DelayModel, s: &[f64]) -> Ssta
 
 /// [`ssta_with_model`] with explicit primary-input arrival distributions.
 ///
-/// Dispatches to the level-parallel propagation for large circuits when
-/// more than one rayon thread is available; the result is bit-identical
-/// between both paths.
-///
 /// # Panics
 ///
 /// Panics if `s.len() != circuit.num_gates()` or the arrival slice length
@@ -105,12 +84,7 @@ pub fn ssta_with_model_and_arrivals(
     }
     sgs_metrics::incr(sgs_metrics::Counter::SstaFullPasses);
     let _timer = sgs_metrics::time_hist(sgs_metrics::HistId::SstaFullSeconds);
-    let arrivals = if circuit.num_gates() >= PAR_GATE_THRESHOLD && rayon::current_num_threads() > 1
-    {
-        arrivals_levelized(circuit, model, s, input_arrivals)
-    } else {
-        arrivals_sequential(circuit, model, s, input_arrivals)
-    };
+    let arrivals = arrivals_sequential(circuit, model, s, input_arrivals);
     report_from_arrivals(circuit, arrivals)
 }
 
@@ -142,20 +116,6 @@ pub fn ssta_traced(
     report
 }
 
-/// Statistical STA forced onto the level-parallel propagation path,
-/// regardless of circuit size or thread count. Exposed so determinism
-/// tests and benchmarks can compare it directly against [`ssta`].
-///
-/// # Panics
-///
-/// Panics if `s.len() != circuit.num_gates()`.
-pub fn ssta_levelized(circuit: &Circuit, lib: &Library, s: &[f64]) -> SstaReport {
-    assert_eq!(s.len(), circuit.num_gates(), "speed vector length mismatch");
-    let model = DelayModel::new(circuit, lib);
-    let arrivals = arrivals_levelized(circuit, &model, s, None);
-    report_from_arrivals(circuit, arrivals)
-}
-
 /// Arrival of `sig` given already-computed gate arrivals (in either
 /// storage layout — see [`ArrivalRead`]).
 #[inline]
@@ -172,7 +132,7 @@ pub(crate) fn arrival_of<A: ArrivalRead + ?Sized>(
 
 /// Latest arrival of one gate: stochastic max over fan-in arrivals (left
 /// fold, paper Eq. 18b) plus the gate delay (paper Eq. 4). The single
-/// pure function both propagation orders evaluate.
+/// pure function the full pass and the incremental engine evaluate.
 #[inline]
 pub(crate) fn gate_arrival<A: ArrivalRead + ?Sized>(
     circuit: &Circuit,
@@ -204,24 +164,6 @@ pub(crate) fn arrivals_sequential(
         let a = gate_arrival(circuit, model, s, &arrivals, input_arrivals, idx);
         arrivals.push(a);
     }
-    arrivals
-}
-
-/// Level-batched propagation: gates grouped by topological level; each
-/// level's fan-in moments are gathered into contiguous arrays and folded
-/// by [`clark::max_batch`], with wide levels chunked across rayon
-/// threads (see [`LevelSweeper`]). Reads and writes never overlap within
-/// a level and the per-lane arithmetic is the scalar kernel's, so the
-/// schedule cannot affect the result.
-fn arrivals_levelized(
-    circuit: &Circuit,
-    model: &DelayModel,
-    s: &[f64],
-    input_arrivals: Option<&[Normal]>,
-) -> ArrivalSoa {
-    let mut sweeper = LevelSweeper::new(circuit);
-    let mut arrivals = ArrivalSoa::zeroed(circuit.num_gates());
-    sweeper.sweep(circuit, model, s, input_arrivals, &mut arrivals);
     arrivals
 }
 

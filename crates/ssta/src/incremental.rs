@@ -18,10 +18,8 @@
 //!
 //! # Bit-identity contract
 //!
-//! Dirty gates are drained level by level through the shared
-//! [`LevelSchedule`] — the same counting-sort schedule the levelized
-//! sweep executes, so the stage-4 determinism certifier covers both
-//! consumers by certifying one schedule. Fan-ins sit at strictly lower
+//! Dirty gates are drained level by level through the counting-sort
+//! [`LevelSchedule`]. Fan-ins sit at strictly lower
 //! levels, so every dirty fan-in settles before its reader, and each
 //! recomputation calls the *same* pure [`gate_arrival`] left fold the full
 //! analysis uses — identical operands in identical order give identical
@@ -186,8 +184,7 @@ impl<'a> IncrementalSsta<'a> {
         }
     }
 
-    /// The level schedule ordering this engine's dirty drain (the same
-    /// schedule instance family the levelized sweep executes).
+    /// The level schedule ordering this engine's dirty drain.
     pub fn schedule(&self) -> &LevelSchedule {
         &self.schedule
     }
@@ -331,7 +328,7 @@ impl<'a> IncrementalSsta<'a> {
     }
 
     /// Current per-gate arrival moments (indexed by gate id), in the
-    /// structure-of-arrays layout shared with the analysis sweeps.
+    /// structure-of-arrays layout shared with the full pass.
     pub fn arrivals(&self) -> &ArrivalSoa {
         &self.arrivals
     }

@@ -1,19 +1,13 @@
-//! The shared counting-sort level schedule.
+//! The counting-sort level schedule.
 //!
-//! Both consumers of topological levels — the level-batched SoA sweep
-//! ([`crate::soa::LevelSweeper`]) and the incremental engine's dirty-cone
-//! drain ([`crate::incremental::IncrementalSsta`]) — used to build their
-//! own ordering over `Circuit::levels()`. This module extracts the
-//! counting-sort CSR construction into one [`LevelSchedule`] so there is
-//! exactly one level-schedule implementation for the stage-4 determinism
-//! certifier (`sgs-analyze`) to certify: the schedule's per-level gate
-//! sets are the write partition of the levelized sweep, and proving them
-//! disjoint + covering proves it for every consumer at once.
+//! The incremental engine's dirty-cone drain
+//! ([`crate::incremental::IncrementalSsta`]) visits gates level by level;
+//! [`LevelSchedule`] groups `Circuit::levels()` into one CSR order for it.
 //!
 //! The construction is a stable counting sort: gates are bucketed by
 //! level and, within a level, kept in ascending gate-id order (ids are
 //! visited in order). Both properties are load-bearing — level order is
-//! the dependency order of the sweep, and ascending ids within a level
+//! the dependency order of the drain, and ascending ids within a level
 //! fix the fold order the bit-identity contract pins.
 
 use sgs_netlist::Circuit;

@@ -22,8 +22,8 @@
 //!   tightness, validated against Monte Carlo;
 //! * [`incremental`] — dirty-cone re-propagation after size changes,
 //!   bit-identical to a from-scratch run (the what-if query engine);
-//! * [`soa`] — structure-of-arrays arrival storage and the level-batched
-//!   Clark-max sweep shared by the full, parallel and incremental paths;
+//! * [`soa`] — structure-of-arrays arrival storage shared by the full
+//!   and incremental paths;
 //! * [`wire`] — per-edge statistical wire delays, the paper's general
 //!   delay model of Fig. 1 / Eq. 2.
 //!
@@ -53,13 +53,13 @@ pub mod soa;
 pub mod wire;
 
 pub use analysis::{
-    ssta, ssta_levelized, ssta_traced, ssta_with_model, ssta_with_model_and_arrivals,
-    sta_deterministic, sta_deterministic_with_model, SstaReport,
+    ssta, ssta_traced, ssta_with_model, ssta_with_model_and_arrivals, sta_deterministic,
+    sta_deterministic_with_model, SstaReport,
 };
 pub use delay::DelayModel;
 pub use incremental::{IncrementalSsta, UpdateStats};
 pub use levels::LevelSchedule;
 pub use monte_carlo::{
-    monte_carlo, monte_carlo_traced, monte_carlo_with_model, McOptions, McPartition, McReport,
+    monte_carlo, monte_carlo_traced, monte_carlo_with_model, McOptions, McReport,
 };
-pub use soa::{ArrivalRead, ArrivalSoa, LevelSweeper, LEVEL_CHUNK};
+pub use soa::{ArrivalRead, ArrivalSoa};

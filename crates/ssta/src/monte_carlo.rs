@@ -25,91 +25,7 @@ use sgs_statmath::{mc, Normal};
 
 /// Trials per parallel work unit. Large enough to amortize per-chunk
 /// scratch allocation and thread dispatch, small enough to load-balance.
-/// Public so the write-plan introspection layer describes the exact
-/// `par_chunks_mut` partition the sample loop executes.
-pub const CHUNK: usize = 1024;
-
-/// Write-plan description of one Monte Carlo run's parallel partition.
-///
-/// The sample loop itself owns no long-lived state to introspect — it
-/// partitions the sample buffer with `par_chunks_mut(CHUNK)` on the fly —
-/// so this small descriptor reconstructs that partition (via
-/// [`rayon::chunk_bounds`], the same arithmetic the shim executes) for
-/// the stage-4 certifier, together with the run's parallel reductions:
-/// the exact-`u64` criticality merge and the sequential trial-order
-/// moment fold.
-#[derive(Debug, Clone)]
-pub struct McPartition {
-    samples: usize,
-    criticality: bool,
-    corrupt_overlap: Option<usize>,
-    corrupt_float_merge: bool,
-}
-
-impl McPartition {
-    /// Partition descriptor for a run of `samples` trials; `criticality`
-    /// adds the per-gate tally reduction to the declared merges.
-    pub fn new(samples: usize, criticality: bool) -> Self {
-        McPartition {
-            samples,
-            criticality,
-            corrupt_overlap: None,
-            corrupt_float_merge: false,
-        }
-    }
-
-    /// Partition descriptor matching a run under `opts`.
-    pub fn for_options(opts: &McOptions) -> Self {
-        Self::new(opts.samples, opts.criticality)
-    }
-
-    /// Number of trials partitioned.
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// Whether the criticality tally reduction is declared.
-    pub fn criticality(&self) -> bool {
-        self.criticality
-    }
-
-    /// Half-open `(start, end)` sample ranges of the parallel chunks —
-    /// the exact partition `par_chunks_mut(CHUNK)` hands out.
-    pub fn chunk_bounds(&self) -> Vec<(usize, usize)> {
-        rayon::chunk_bounds(self.samples, CHUNK)
-    }
-
-    /// Fault-injection hook for the stage-4 mutation battery: chunk `ci`
-    /// additionally claims its neighbour's first sample in the declared
-    /// write plan. Test-only.
-    #[doc(hidden)]
-    pub fn corrupt_overlap_chunk(&mut self, ci: usize) {
-        assert!(
-            ci < self.chunk_bounds().len(),
-            "corrupt chunk index in range"
-        );
-        self.corrupt_overlap = Some(ci);
-    }
-
-    /// Fault-injection hook: declare the criticality merge as a float
-    /// accumulation, which the reduction whitelist must reject. Test-only.
-    #[doc(hidden)]
-    pub fn corrupt_float_merge(&mut self) {
-        self.corrupt_float_merge = true;
-    }
-
-    /// The planted [`McPartition::corrupt_overlap_chunk`] index, if any.
-    #[doc(hidden)]
-    pub fn corrupt_overlap(&self) -> Option<usize> {
-        self.corrupt_overlap
-    }
-
-    /// Whether [`McPartition::corrupt_float_merge`] was planted.
-    #[doc(hidden)]
-    pub fn float_merge_corrupted(&self) -> bool {
-        self.corrupt_float_merge
-    }
-}
+const CHUNK: usize = 1024;
 
 /// Options for [`monte_carlo`].
 #[derive(Debug, Clone)]
@@ -361,20 +277,12 @@ pub fn monte_carlo_with_model(
         dists: &dists,
         opts,
     };
-    #[cfg(feature = "shadow-write")]
-    let shadow = sgs_trace::shadow::begin("mc_samples", opts.samples);
 
     let chunk_counts: Vec<Vec<u64>> = if use_parallel {
-        #[cfg(feature = "shadow-write")]
-        let shadow = &shadow;
         samples
             .par_chunks_mut(CHUNK)
             .enumerate()
             .map(|(ci, out)| {
-                #[cfg(feature = "shadow-write")]
-                for k in 0..out.len() {
-                    shadow.stamp(ci as u32, ci * CHUNK + k);
-                }
                 let mut crit_count = vec![0u64; crit_len];
                 let mut scratch = Scratch::new(n, opts.criticality);
                 run_chunk(&ctx, ci * CHUNK, out, &mut crit_count, &mut scratch);
@@ -385,16 +293,10 @@ pub fn monte_carlo_with_model(
         let mut scratch = Scratch::new(n, opts.criticality);
         let mut crit_count = vec![0u64; crit_len];
         for (ci, out) in samples.chunks_mut(CHUNK).enumerate() {
-            #[cfg(feature = "shadow-write")]
-            for k in 0..out.len() {
-                shadow.stamp(ci as u32, ci * CHUNK + k);
-            }
             run_chunk(&ctx, ci * CHUNK, out, &mut crit_count, &mut scratch);
         }
         vec![crit_count]
     };
-    #[cfg(feature = "shadow-write")]
-    drop(shadow);
 
     // Merge per-chunk criticality tallies; u64 addition is exact and
     // order-independent, so the merge is deterministic.

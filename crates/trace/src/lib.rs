@@ -37,7 +37,6 @@ pub mod chrome;
 pub mod json;
 pub mod request;
 pub mod ring;
-pub mod shadow;
 
 pub use request::{RequestContext, RequestTrace};
 pub use ring::RingSink;

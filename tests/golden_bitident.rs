@@ -1,7 +1,7 @@
 //! Bit-identity golden tests for the metered solve path.
 //!
 //! The allocation-free hot paths (workspace-reused inner iterations,
-//! preallocated CSR assembly, the SoA levelized sweep and the batched
+//! preallocated CSR assembly, the SoA arrival storage and the batched
 //! Clark kernel) are refactors, not re-derivations: they must reproduce
 //! the pre-refactor solver *bit for bit*. These tests pin the full
 //! iterate vector, the objective, the `Tmax` moments and the Clark
@@ -20,6 +20,12 @@ use sgs_core::{DelaySpec, Objective, Sizer};
 use sgs_netlist::{blif, generate, Circuit, Library};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Mutex;
+
+/// Serializes the solves: `clark_var_clamps` is a delta of a
+/// process-wide counter, so a solve running concurrently in a sibling
+/// test would be counted too.
+static SOLVE: Mutex<()> = Mutex::new(());
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -37,6 +43,7 @@ fn rdag40() -> Circuit {
 
 /// Renders one solve as `key value` lines with exact-round-trip decimals.
 fn render(circuit: &Circuit, deadline: f64) -> String {
+    let _solo = SOLVE.lock().unwrap_or_else(|e| e.into_inner());
     let r = Sizer::new(circuit, &lib())
         .objective(Objective::Area)
         .delay_spec(DelaySpec::MaxMeanPlusKSigma {
@@ -113,26 +120,31 @@ fn bitident_rdag40_area_d20() {
     check_golden("bitident_rdag40.txt", &render(&c, 20.0));
 }
 
-/// Sequential and forced-parallel constraint assembly must agree bit for
-/// bit on the solved iterates (thread-count invariance of the solve).
+/// The NLP assembly keeps no mutable state of its own, so the rdag40
+/// solve (pinned to its golden by `bitident_rdag40_area_d20`) is
+/// reproduced bit for bit when several solves of it run on their own
+/// threads at once, as the corner sweep and the serve daemon run them. The clamp tally is left out: it is a delta of a
+/// process-wide counter, which concurrent solves share by design.
 #[test]
 fn bitident_assembly_par_threshold_invariant() {
-    use sgs_core::SizingProblem;
-    use sgs_nlp::auglag;
-
     let c = rdag40();
-    let spec = DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 20.0 };
-    let solve_with = |threshold: usize| {
-        let mut p = SizingProblem::build(&c, &lib(), Objective::Area, spec.clone());
-        p.set_par_threshold(threshold);
-        let x0 = p.initial_point(&vec![1.0; c.num_gates()]);
-        let r = auglag::solve(&p, &x0, &auglag::AugLagOptions::default());
-        (r.x, r.f)
+    let answer = || {
+        let r = Sizer::new(&c, &lib())
+            .objective(Objective::Area)
+            .delay_spec(DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 20.0 })
+            .solve()
+            .expect("solve succeeds");
+        let mut bits = vec![r.objective, r.delay.mean(), r.delay.var()];
+        bits.extend(&r.s);
+        bits.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
     };
-    let (x_seq, f_seq) = solve_with(usize::MAX);
-    let (x_par, f_par) = solve_with(0);
-    assert_eq!(f_seq.to_bits(), f_par.to_bits(), "objective differs");
-    for (i, (a, b)) in x_seq.iter().zip(&x_par).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "iterate {i} differs");
+    let _solo = SOLVE.lock().unwrap_or_else(|e| e.into_inner());
+    let serial = answer();
+    let parallel: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..3).map(|_| s.spawn(answer)).collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for (t, got) in parallel.iter().enumerate() {
+        assert_eq!(&serial, got, "solve on thread {t} differs");
     }
 }

@@ -1,13 +1,21 @@
-//! Integration: the parallel evaluation engine is an implementation
-//! detail. Monte Carlo, levelized SSTA and the NLP assembly paths must
-//! produce results bit-identical to their sequential counterparts and
-//! invariant to the configured thread count — parallelism may only change
-//! wall-clock time, never a single bit of output.
+//! Integration: the two parallel kernels — the Monte Carlo sample loop
+//! and the per-corner sessions of `SweepEngine::corner_frontier` — are
+//! an implementation detail. Their results must be bit-identical to the
+//! single-threaded run at every configured thread count: parallelism may
+//! only change wall-clock time, never a single bit of output.
+//!
+//! The thread count is process-global (`build_global`) and libtest runs
+//! the tests of this file concurrently, so every test takes
+//! [`THREADS`] for its whole sweep: no sibling can change the count
+//! between setting it and the evaluation that must observe it.
 
-use sgs_core::{DelaySpec, Objective, SizingProblem};
-use sgs_netlist::{generate, Circuit, Library};
-use sgs_nlp::NlpProblem;
-use sgs_ssta::{monte_carlo, ssta, ssta_levelized, McOptions};
+use sgs_core::{Corner, FrontierPoint, SweepConfig, SweepEngine};
+use sgs_netlist::{generate, Library};
+use sgs_ssta::{monte_carlo, McOptions};
+use std::sync::Mutex;
+
+/// Serializes every test that changes the global thread count.
+static THREADS: Mutex<()> = Mutex::new(());
 
 fn lib() -> Library {
     Library::paper_default()
@@ -18,22 +26,26 @@ fn speeds(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 + 0.05 * (i % 37) as f64).collect()
 }
 
-fn random_dag() -> Circuit {
-    generate::random_dag(&sgs_netlist::generate::RandomDagSpec {
-        name: "par".into(),
-        cells: 60,
-        inputs: 10,
-        depth: 8,
-        seed: 42,
-        ..Default::default()
-    })
-}
-
-fn force_threads(n: usize) {
+/// Runs `f` once per thread count, holding [`THREADS`] for the whole
+/// sweep, and restores the environment default afterwards.
+fn at_thread_counts<R>(counts: &[usize], mut f: impl FnMut(usize) -> R) -> Vec<R> {
+    let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let out = counts
+        .iter()
+        .map(|&n| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build_global()
+                .ok();
+            assert_eq!(rayon::current_num_threads(), n, "thread count not applied");
+            f(n)
+        })
+        .collect();
     rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
+        .num_threads(0)
         .build_global()
         .ok();
+    out
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -44,6 +56,7 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 fn parallel_mc_bit_identical_and_thread_invariant() {
     let c = generate::ripple_carry_adder(12);
     let s = speeds(c.num_gates());
+    // 30,000 samples leave a partial tail chunk after the full ones.
     let mk = |parallel| McOptions {
         samples: 30_000,
         seed: 77,
@@ -53,8 +66,7 @@ fn parallel_mc_bit_identical_and_thread_invariant() {
     let base = monte_carlo(&c, &lib(), &s, &mk(false));
     // The parallel path must reproduce the sequential run exactly at any
     // thread count: `delay` moments, every sample, every criticality.
-    for threads in [1usize, 2, 4, 8] {
-        force_threads(threads);
+    at_thread_counts(&[1, 2, 4, 8], |threads| {
         let par = monte_carlo(&c, &lib(), &s, &mk(true));
         assert_eq!(
             par.delay.mean().to_bits(),
@@ -76,91 +88,67 @@ fn parallel_mc_bit_identical_and_thread_invariant() {
             bits(&base.criticality),
             "criticality differs at {threads}"
         );
-    }
-}
-
-#[test]
-fn levelized_ssta_matches_sequential() {
-    for c in [
-        generate::tree7(),
-        generate::ripple_carry_adder(8),
-        random_dag(),
-    ] {
-        let s = speeds(c.num_gates());
-        let seq = ssta(&c, &lib(), &s);
-        let lev = ssta_levelized(&c, &lib(), &s);
-        assert!(
-            (seq.delay.mean() - lev.delay.mean()).abs() < 1e-12,
-            "{}: mean {} vs {}",
-            c.name(),
-            seq.delay.mean(),
-            lev.delay.mean()
-        );
-        assert!(
-            (seq.delay.var() - lev.delay.var()).abs() < 1e-12,
-            "{}: var differs",
-            c.name()
-        );
-        for (a, b) in seq.arrivals.iter().zip(&lev.arrivals) {
-            assert!(
-                (a.mean() - b.mean()).abs() < 1e-12,
-                "{}: arrival mean",
-                c.name()
-            );
-            assert!(
-                (a.var() - b.var()).abs() < 1e-12,
-                "{}: arrival var",
-                c.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn nlp_assembly_thread_invariant() {
-    // Large enough that the grouped assembly crosses the parallel
-    // threshold (>= 512 constraints) once more than one thread is
-    // configured.
-    let c = generate::random_dag(&sgs_netlist::generate::RandomDagSpec {
-        name: "nlp-par".into(),
-        cells: 150,
-        inputs: 16,
-        depth: 10,
-        seed: 7,
-        ..Default::default()
     });
-    let p = SizingProblem::build(
-        &c,
-        &lib(),
-        Objective::MeanPlusKSigma(3.0),
-        DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 60.0 },
-    );
-    assert!(
-        p.num_constraints() >= 512,
-        "want the parallel path: {}",
-        p.num_constraints()
-    );
-    let x = p.initial_point(&speeds(c.num_gates()));
-    let lambda: Vec<f64> = (0..p.num_constraints())
-        .map(|i| 0.4 * ((i as f64 * 0.7).sin()))
-        .collect();
+}
 
-    let eval = |threads: usize| {
-        force_threads(threads);
-        let mut con = vec![0.0; p.num_constraints()];
-        let mut jac = vec![0.0; p.jacobian_structure().len()];
-        let mut hes = vec![0.0; p.hessian_structure().len()];
-        p.constraints(&x, &mut con);
-        p.jacobian_values(&x, &mut jac);
-        p.hessian_values(&x, 1.0, &lambda, &mut hes);
-        (bits(&con), bits(&jac), bits(&hes))
-    };
+/// Every solver-determined field of a frontier point, as bits. Wall time
+/// and the process-wide Clark clamp tally (which concurrent corners
+/// share) are excluded.
+fn point_bits(p: &FrontierPoint) -> Vec<u64> {
+    let mut v = vec![
+        p.deadline.to_bits(),
+        p.feasible as u64,
+        p.refined as u64,
+        p.cache_hit as u64,
+        p.warm_start_hit as u64,
+        p.mu.to_bits(),
+        p.sigma.to_bits(),
+        p.area.to_bits(),
+        p.objective.to_bits(),
+        p.outer_iterations as u64,
+        p.inner_iterations as u64,
+        p.evals.constraints as u64,
+        p.evals.jacobian as u64,
+        p.evals.hessian as u64,
+    ];
+    v.extend(bits(&p.s));
+    v
+}
 
-    let base = eval(1); // sequential sweep
-    for threads in [2usize, 4, 8] {
-        let par = eval(threads);
-        assert_eq!(par.0, base.0, "constraints differ at {threads} threads");
-        assert_eq!(par.1, base.1, "jacobian differs at {threads} threads");
-        assert_eq!(par.2, base.2, "hessian differs at {threads} threads");
+#[test]
+fn corner_frontier_bit_identical_across_thread_counts() {
+    let c = generate::tree7();
+    let l = lib();
+    let corners = [
+        Corner::nominal(),
+        Corner::scaled("slow", 1.15, 1.10),
+        Corner::scaled("fast", 0.90, 0.95),
+    ];
+    let engine = SweepEngine::new(&c, &l).config(SweepConfig {
+        points: 5,
+        refine_max: 0,
+        ..SweepConfig::default()
+    });
+    let runs = at_thread_counts(&[1, 2, 4, 8], |_| {
+        let cf = engine.corner_frontier(&corners).unwrap();
+        let per_corner: Vec<Vec<Vec<u64>>> = cf
+            .corners
+            .iter()
+            .map(|t| t.frontier.points.iter().map(point_bits).collect())
+            .collect();
+        let merged: Vec<Vec<u64>> = cf.merged.points.iter().map(point_bits).collect();
+        (per_corner, merged)
+    });
+    let (base, rest) = runs.split_first().unwrap();
+    assert!(base.1.iter().any(|p| p[1] == 1), "no feasible merged point");
+    for (run, threads) in rest.iter().zip([2, 4, 8]) {
+        assert_eq!(
+            run.0, base.0,
+            "corner frontiers differ at {threads} threads"
+        );
+        assert_eq!(
+            run.1, base.1,
+            "merged frontier differs at {threads} threads"
+        );
     }
 }
