@@ -1,53 +1,69 @@
 //! Micro-benchmarks for the statistical-max kernel — the operation the
 //! whole method leans on (every SSTA arrival and every NLP constraint
-//! evaluation calls it). Compares plain moments, moments + gradient,
-//! moments + Hessian, and the hyper-dual reference path.
+//! evaluation calls it). Compares plain moments, moments + gradient and
+//! moments + Hessian in the central and the tail region of `alpha`, and,
+//! on the central case, the hyper-dual reference path and Monte Carlo.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sgs_statmath::clark::{self, DEFAULT_EPS};
 use sgs_statmath::{mc, Normal};
 
+/// Operand pairs `(mu_a, var_a, mu_b, var_b)` by the region of `alpha =
+/// (mu_a - mu_b) / theta` they exercise: a near-tie in the central series,
+/// and dominated operands in the continued-fraction tail, where more than
+/// half the maxes of an unsized circuit fall.
+const CASES: [(&str, [f64; 4]); 3] = [
+    ("central", [5.0, 2.0, 4.5, 1.5]),   // alpha ~ 0.27
+    ("alpha_6", [15.7, 2.0, 4.5, 1.5]),  // alpha ~ 5.99
+    ("alpha_12", [27.0, 2.0, 4.5, 1.5]), // alpha ~ 12.03
+];
+
 fn bench_clark(c: &mut Criterion) {
     let mut g = c.benchmark_group("clark_max");
-    let args = (5.0f64, 2.0f64, 4.5f64, 1.5f64);
-
-    g.bench_function("moments", |b| {
-        b.iter(|| {
-            clark::max(
-                Normal::from_mean_var(black_box(args.0), black_box(args.1)),
-                Normal::from_mean_var(black_box(args.2), black_box(args.3)),
-            )
-        })
-    });
-    g.bench_function("gradient", |b| {
-        b.iter(|| {
-            clark::max_grad(
-                black_box(args.0),
-                black_box(args.1),
-                black_box(args.2),
-                black_box(args.3),
-                DEFAULT_EPS,
-            )
-        })
-    });
-    g.bench_function("hessian_closed_form", |b| {
-        b.iter(|| {
-            clark::max_hess(
-                black_box(args.0),
-                black_box(args.1),
-                black_box(args.2),
-                black_box(args.3),
-                DEFAULT_EPS,
-            )
-        })
-    });
+    for (case, args) in CASES {
+        g.bench_with_input(BenchmarkId::new("moments", case), &args, |b, args| {
+            b.iter(|| {
+                clark::max(
+                    Normal::from_mean_var(black_box(args[0]), black_box(args[1])),
+                    Normal::from_mean_var(black_box(args[2]), black_box(args[3])),
+                )
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("gradient", case), &args, |b, args| {
+            b.iter(|| {
+                clark::max_grad(
+                    black_box(args[0]),
+                    black_box(args[1]),
+                    black_box(args[2]),
+                    black_box(args[3]),
+                    DEFAULT_EPS,
+                )
+            })
+        });
+        g.bench_with_input(
+            BenchmarkId::new("hessian_closed_form", case),
+            &args,
+            |b, args| {
+                b.iter(|| {
+                    clark::max_hess(
+                        black_box(args[0]),
+                        black_box(args[1]),
+                        black_box(args[2]),
+                        black_box(args[3]),
+                        DEFAULT_EPS,
+                    )
+                })
+            },
+        );
+    }
+    let args = CASES[0].1;
     g.bench_function("hessian_hyper_dual", |b| {
         b.iter(|| {
             clark::max_hess_dual(
-                black_box(args.0),
-                black_box(args.1),
-                black_box(args.2),
-                black_box(args.3),
+                black_box(args[0]),
+                black_box(args[1]),
+                black_box(args[2]),
+                black_box(args[3]),
                 DEFAULT_EPS,
             )
         })
@@ -57,8 +73,8 @@ fn bench_clark(c: &mut Criterion) {
     g.bench_function("monte_carlo_10k", |b| {
         b.iter(|| {
             mc::max_moments(
-                Normal::from_mean_var(args.0, args.1),
-                Normal::from_mean_var(args.2, args.3),
+                Normal::from_mean_var(args[0], args[1]),
+                Normal::from_mean_var(args[2], args[3]),
                 10_000,
                 42,
             )

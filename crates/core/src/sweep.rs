@@ -805,6 +805,16 @@ fn merge_worst_corner(traces: &[CornerTrace]) -> Frontier {
 mod tests {
     use super::*;
     use sgs_netlist::generate;
+    use std::sync::Mutex;
+
+    /// Serializes the `SweepEngine` tests: `sweep_emits_point_and_warm_metrics`
+    /// reads the process-wide metrics registry, so a sweep running
+    /// concurrently in a sibling test would be counted too.
+    static SWEEP: Mutex<()> = Mutex::new(());
+
+    fn solo() -> std::sync::MutexGuard<'static, ()> {
+        SWEEP.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn lib() -> Library {
         Library::paper_default()
@@ -812,6 +822,7 @@ mod tests {
 
     #[test]
     fn deadline_frontier_is_dominant_with_one_transition() {
+        let _solo = solo();
         let c = generate::tree7();
         let l = lib();
         let f = SweepEngine::new(&c, &l)
@@ -835,6 +846,7 @@ mod tests {
 
     #[test]
     fn repeated_deadline_is_served_from_cache_bit_identically() {
+        let _solo = solo();
         let c = generate::tree7();
         let l = lib();
         let engine = SweepEngine::new(&c, &l);
@@ -855,6 +867,7 @@ mod tests {
 
     #[test]
     fn k_sweep_value_is_non_decreasing_and_warm() {
+        let _solo = solo();
         let c = generate::tree7();
         let l = lib();
         let points = SweepEngine::new(&c, &l)
@@ -877,6 +890,7 @@ mod tests {
 
     #[test]
     fn corner_frontier_merges_to_the_worst_corner() {
+        let _solo = solo();
         let c = generate::tree7();
         let l = lib();
         let corners = [
@@ -931,6 +945,7 @@ mod tests {
 
     #[test]
     fn sweep_emits_point_and_warm_metrics() {
+        let _solo = solo();
         sgs_metrics::reset();
         sgs_metrics::enable();
         let c = generate::tree7();

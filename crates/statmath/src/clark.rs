@@ -25,6 +25,7 @@
 
 use crate::dual::{Dual2, Real};
 use crate::normal::Normal;
+use crate::special::normal_pdf_cdf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default variance-smoothing floor added inside `theta^2`.
@@ -53,19 +54,31 @@ pub fn var_clamp_count() -> u64 {
     VAR_CLAMP_COUNT.load(Ordering::Relaxed)
 }
 
-/// `var.max(0.0)` that counts actual clamps. Matches `f64::max` exactly,
-/// including the NaN-to-floor mapping (which is not counted: it is a
-/// divergence, not a clamp).
-fn clamp_var(var: f64) -> f64 {
+/// `var.max(0.0)`, and whether that was a clamp. Matches `f64::max`
+/// exactly, including the NaN-to-floor mapping (which is not a clamp: it is
+/// a divergence).
+#[inline]
+fn clamped(var: f64) -> (f64, bool) {
     if var >= 0.0 {
-        var
+        (var, false)
     } else {
-        if var < 0.0 {
-            VAR_CLAMP_COUNT.fetch_add(1, Ordering::Relaxed);
-            sgs_metrics::incr(sgs_metrics::Counter::ClarkVarClamps);
-        }
-        0.0
+        (0.0, var < 0.0)
     }
+}
+
+/// Publishes `n` clamps to the process-wide counter and the registry.
+fn count_clamps(n: u64) {
+    VAR_CLAMP_COUNT.fetch_add(n, Ordering::Relaxed);
+    sgs_metrics::add(sgs_metrics::Counter::ClarkVarClamps, n);
+}
+
+/// [`clamped`] that counts the clamp.
+fn clamp_var(var: f64) -> f64 {
+    let (var, clamp) = clamped(var);
+    if clamp {
+        count_clamps(1);
+    }
+    var
 }
 
 /// Index of `mu_a` in gradient/Hessian arrays.
@@ -106,9 +119,24 @@ pub fn max(a: Normal, b: Normal) -> Normal {
     max_eps(a, b, DEFAULT_EPS)
 }
 
+/// [`moments_generic::<f64>`] with one fused `phi`/`Phi` evaluation in
+/// place of three: bit for bit the same `(mu_c, var_c)`, because the fused
+/// values are bitwise the separate ones and the formula text is the same.
+#[inline]
+fn moments(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> (f64, f64) {
+    let theta2 = var_a + var_b + eps * eps;
+    let theta = theta2.sqrt();
+    let alpha = (mu_a - mu_b) / theta;
+    let (phi, cdf_p, cdf_m) = normal_pdf_cdf(alpha);
+    let mu_c = mu_a * cdf_p + mu_b * cdf_m + theta * phi;
+    let e2 =
+        (var_a + mu_a * mu_a) * cdf_p + (var_b + mu_b * mu_b) * cdf_m + (mu_a + mu_b) * theta * phi;
+    (mu_c, e2 - mu_c * mu_c)
+}
+
 /// [`max`] with an explicit smoothing floor.
 pub fn max_eps(a: Normal, b: Normal, eps: f64) -> Normal {
-    let (mu, var) = moments_generic(a.mean(), a.var(), b.mean(), b.var(), eps);
+    let (mu, var) = moments(a.mean(), a.var(), b.mean(), b.var(), eps);
     // Tiny negative variance can appear from rounding when one operand
     // dominates; clamp to zero (counted, see `var_clamp_count`).
     Normal::from_mean_var(mu, clamp_var(var))
@@ -192,8 +220,9 @@ struct Frame {
 fn frame(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> Frame {
     let theta = (var_a + var_b + eps * eps).sqrt();
     let alpha = (mu_a - mu_b) / theta;
-    let phi = crate::special::normal_pdf(alpha);
-    let cdf_p = crate::special::normal_cdf(alpha);
+    let (phi, cdf_p, _) = normal_pdf_cdf(alpha);
+    // The complement, not the fused Phi(-alpha): the derivative formulas
+    // were pinned (golden transcripts) with `1 - Phi(alpha)`.
     let cdf_m = 1.0 - cdf_p;
     let mu_c = mu_a * cdf_p + mu_b * cdf_m + theta * phi;
     let e2 =
@@ -639,54 +668,17 @@ mod tests {
     }
 }
 
-/// Lanes processed per unrolled step of the batched kernels. Four lanes
-/// keep the transcendental evaluations (`exp` inside the pdf, the cdf
-/// series) adjacent so the out-of-order core overlaps their latency, while
-/// the per-lane arithmetic stays scalar — and therefore bit-identical to
-/// the one-pair functions.
-const BATCH_LANES: usize = 4;
-
-/// One lane of the batched moment kernel: exactly the operations of
-/// [`moments_generic::<f64>`] given the precomputed frame values, plus the
-/// counted clamp of [`max_eps`]. Returns `(mu_c, var_c, clamped)`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn batch_moments_lane(
-    mu_a: f64,
-    var_a: f64,
-    mu_b: f64,
-    var_b: f64,
-    theta: f64,
-    phi: f64,
-    cdf_p: f64,
-    cdf_m: f64,
-) -> (f64, f64, bool) {
-    let mu_c = mu_a * cdf_p + mu_b * cdf_m + theta * phi;
-    let e2 =
-        (var_a + mu_a * mu_a) * cdf_p + (var_b + mu_b * mu_b) * cdf_m + (mu_a + mu_b) * theta * phi;
-    let var = e2 - mu_c * mu_c;
-    if var >= 0.0 {
-        (mu_c, var, false)
-    } else {
-        // NaN falls here too but is a divergence, not a clamp — mirror
-        // `clamp_var` exactly, including what gets counted.
-        (mu_c, 0.0, var < 0.0)
-    }
-}
-
 /// Batched Clark maximum over structure-of-arrays operands: lane `i`
 /// computes `max(N(mu_a[i], var_a[i]), N(mu_b[i], var_b[i]))` into
 /// `(out_mu[i], out_var[i])`.
 ///
-/// Every lane is **bit-identical** to [`max_eps`] on the same operands —
-/// same operation order, same smoothing floor, same counted variance
-/// clamp — for any batch size and any position within the batch. The
-/// speedup comes purely from schedule: operands stream from contiguous
-/// arrays, the main loop is unrolled [`BATCH_LANES`] wide, and the
-/// expensive `erf`/`exp`-class evaluations (pdf, both cdf orientations)
-/// are hoisted into their own per-lane passes so their latencies overlap.
-/// Clamp firings are accumulated locally and published to the process-wide
-/// counter (see [`var_clamp_count`]) with a single atomic add per call.
+/// Every lane is **bit-identical** to [`max_eps`] on the same operands,
+/// for any batch size and any position within the batch: both run the same
+/// scalar moment routine (one fused `phi`/`Phi` evaluation per lane), with
+/// the same smoothing floor and the same counted variance clamp. Operands
+/// stream from contiguous arrays, and clamp firings are accumulated
+/// locally and published to the process-wide counter (see
+/// [`var_clamp_count`]) with a single atomic add per call.
 ///
 /// # Panics
 ///
@@ -706,196 +698,16 @@ pub fn max_batch(
     assert_eq!(var_b.len(), n, "batch length mismatch");
     assert_eq!(out_mu.len(), n, "batch length mismatch");
     assert_eq!(out_var.len(), n, "batch length mismatch");
-    let eps2 = eps * eps;
-    let mut clamped = 0u64;
-
-    let mut i = 0;
-    while i + BATCH_LANES <= n {
-        let mut theta = [0.0; BATCH_LANES];
-        let mut alpha = [0.0; BATCH_LANES];
-        let mut phi = [0.0; BATCH_LANES];
-        let mut cdf_p = [0.0; BATCH_LANES];
-        let mut cdf_m = [0.0; BATCH_LANES];
-        for l in 0..BATCH_LANES {
-            let t = (var_a[i + l] + var_b[i + l] + eps2).sqrt();
-            theta[l] = t;
-            alpha[l] = (mu_a[i + l] - mu_b[i + l]) / t;
-        }
-        for l in 0..BATCH_LANES {
-            phi[l] = crate::special::normal_pdf(alpha[l]);
-        }
-        for l in 0..BATCH_LANES {
-            cdf_p[l] = crate::special::normal_cdf(alpha[l]);
-        }
-        for l in 0..BATCH_LANES {
-            cdf_m[l] = crate::special::normal_cdf(-alpha[l]);
-        }
-        for l in 0..BATCH_LANES {
-            let (mu, var, c) = batch_moments_lane(
-                mu_a[i + l],
-                var_a[i + l],
-                mu_b[i + l],
-                var_b[i + l],
-                theta[l],
-                phi[l],
-                cdf_p[l],
-                cdf_m[l],
-            );
-            out_mu[i + l] = mu;
-            out_var[i + l] = var;
-            clamped += u64::from(c);
-        }
-        i += BATCH_LANES;
-    }
-    while i < n {
-        let theta = (var_a[i] + var_b[i] + eps2).sqrt();
-        let alpha = (mu_a[i] - mu_b[i]) / theta;
-        let phi = crate::special::normal_pdf(alpha);
-        let cdf_p = crate::special::normal_cdf(alpha);
-        let cdf_m = crate::special::normal_cdf(-alpha);
-        let (mu, var, c) = batch_moments_lane(
-            mu_a[i], var_a[i], mu_b[i], var_b[i], theta, phi, cdf_p, cdf_m,
-        );
+    let mut clamps = 0u64;
+    for i in 0..n {
+        let (mu, var) = moments(mu_a[i], var_a[i], mu_b[i], var_b[i], eps);
+        let (var, clamp) = clamped(var);
         out_mu[i] = mu;
         out_var[i] = var;
-        clamped += u64::from(c);
-        i += 1;
+        clamps += u64::from(clamp);
     }
-    if clamped > 0 {
-        VAR_CLAMP_COUNT.fetch_add(clamped, Ordering::Relaxed);
-        sgs_metrics::add(sgs_metrics::Counter::ClarkVarClamps, clamped);
-    }
-}
-
-/// One lane of the batched gradient kernel: exactly [`max_grad`] given the
-/// precomputed frame values (which use the `1 - Phi(alpha)` complement,
-/// like [`frame`]). Returns the gradient struct plus the clamp flag.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn batch_grad_lane(
-    mu_a: f64,
-    var_a: f64,
-    mu_b: f64,
-    var_b: f64,
-    theta: f64,
-    alpha: f64,
-    phi: f64,
-    cdf_p: f64,
-) -> (ClarkGrad, bool) {
-    let cdf_m = 1.0 - cdf_p;
-    let mu_c = mu_a * cdf_p + mu_b * cdf_m + theta * phi;
-    let e2 =
-        (var_a + mu_a * mu_a) * cdf_p + (var_b + mu_b * mu_b) * cdf_m + (mu_a + mu_b) * theta * phi;
-    let w = var_a - var_b;
-    let s = mu_a + mu_b;
-
-    let dmu = [cdf_p, phi / (2.0 * theta), cdf_m, phi / (2.0 * theta)];
-    let k_a = theta + w / theta;
-    let k_b = theta - w / theta;
-    let m = s / (2.0 * theta) - w * alpha / (2.0 * theta * theta);
-    let de2 = [
-        2.0 * mu_a * cdf_p + phi * k_a,
-        cdf_p + phi * m,
-        2.0 * mu_b * cdf_m + phi * k_b,
-        cdf_m + phi * m,
-    ];
-    let mut dvar = [0.0; 4];
-    for i in 0..4 {
-        dvar[i] = de2[i] - 2.0 * mu_c * dmu[i];
-    }
-    let var = e2 - mu_c * mu_c;
-    let (var, clamp) = if var >= 0.0 {
-        (var, false)
-    } else {
-        (0.0, var < 0.0)
-    };
-    (
-        ClarkGrad {
-            mu: mu_c,
-            var,
-            dmu,
-            dvar,
-        },
-        clamp,
-    )
-}
-
-/// Batched [`max_grad`]: lane `i` evaluates the Clark moments **and exact
-/// first derivatives** for the operand quadruple `(mu_a[i], var_a[i],
-/// mu_b[i], var_b[i])` into `out[i]`.
-///
-/// Bit-identical to calling [`max_grad`] per lane (which computes the
-/// complementary cdf as `1 - Phi(alpha)`, unlike the moment-only path);
-/// the transcendental evaluations are hoisted and the loop unrolled as in
-/// [`max_batch`], and variance clamps are counted with one atomic add.
-///
-/// # Panics
-///
-/// Panics if the five slices do not all have the same length.
-pub fn max_grad_batch(
-    mu_a: &[f64],
-    var_a: &[f64],
-    mu_b: &[f64],
-    var_b: &[f64],
-    eps: f64,
-    out: &mut [ClarkGrad],
-) {
-    let n = mu_a.len();
-    assert_eq!(var_a.len(), n, "batch length mismatch");
-    assert_eq!(mu_b.len(), n, "batch length mismatch");
-    assert_eq!(var_b.len(), n, "batch length mismatch");
-    assert_eq!(out.len(), n, "batch length mismatch");
-    let eps2 = eps * eps;
-    let mut clamped = 0u64;
-
-    let mut i = 0;
-    while i + BATCH_LANES <= n {
-        let mut theta = [0.0; BATCH_LANES];
-        let mut alpha = [0.0; BATCH_LANES];
-        let mut phi = [0.0; BATCH_LANES];
-        let mut cdf_p = [0.0; BATCH_LANES];
-        for l in 0..BATCH_LANES {
-            let t = (var_a[i + l] + var_b[i + l] + eps2).sqrt();
-            theta[l] = t;
-            alpha[l] = (mu_a[i + l] - mu_b[i + l]) / t;
-        }
-        for l in 0..BATCH_LANES {
-            phi[l] = crate::special::normal_pdf(alpha[l]);
-        }
-        for l in 0..BATCH_LANES {
-            cdf_p[l] = crate::special::normal_cdf(alpha[l]);
-        }
-        for l in 0..BATCH_LANES {
-            let (g, c) = batch_grad_lane(
-                mu_a[i + l],
-                var_a[i + l],
-                mu_b[i + l],
-                var_b[i + l],
-                theta[l],
-                alpha[l],
-                phi[l],
-                cdf_p[l],
-            );
-            out[i + l] = g;
-            clamped += u64::from(c);
-        }
-        i += BATCH_LANES;
-    }
-    while i < n {
-        let theta = (var_a[i] + var_b[i] + eps2).sqrt();
-        let alpha = (mu_a[i] - mu_b[i]) / theta;
-        let phi = crate::special::normal_pdf(alpha);
-        let cdf_p = crate::special::normal_cdf(alpha);
-        let (g, c) = batch_grad_lane(
-            mu_a[i], var_a[i], mu_b[i], var_b[i], theta, alpha, phi, cdf_p,
-        );
-        out[i] = g;
-        clamped += u64::from(c);
-        i += 1;
-    }
-    if clamped > 0 {
-        VAR_CLAMP_COUNT.fetch_add(clamped, Ordering::Relaxed);
-        sgs_metrics::add(sgs_metrics::Counter::ClarkVarClamps, clamped);
+    if clamps > 0 {
+        count_clamps(clamps);
     }
 }
 
@@ -940,27 +752,6 @@ mod batch_tests {
                 );
                 assert_eq!(om[i].to_bits(), want.mean().to_bits(), "mu lane {i} of {n}");
                 assert_eq!(ov[i].to_bits(), want.var().to_bits(), "var lane {i} of {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn grads_bitwise_match_scalar_at_every_length() {
-        for n in [1, 3, 4, 6, 8, 11, 32] {
-            let (ma, va, mb, vb) = operands(n);
-            let mut out = vec![
-                ClarkGrad {
-                    mu: 0.0,
-                    var: 0.0,
-                    dmu: [0.0; 4],
-                    dvar: [0.0; 4],
-                };
-                n
-            ];
-            max_grad_batch(&ma, &va, &mb, &vb, DEFAULT_EPS, &mut out);
-            for i in 0..n {
-                let want = max_grad(ma[i], va[i], mb[i], vb[i], DEFAULT_EPS);
-                assert_eq!(out[i], want, "lane {i} of {n}");
             }
         }
     }
@@ -1032,8 +823,7 @@ pub fn max_correlated(a: Normal, b: Normal, rho: f64) -> Normal {
     let theta2 = (a.var() + b.var() - 2.0 * rho * sa * sb).max(0.0) + DEFAULT_EPS * DEFAULT_EPS;
     let theta = theta2.sqrt();
     let alpha = (a.mean() - b.mean()) / theta;
-    let phi = crate::special::normal_pdf(alpha);
-    let cdf_p = crate::special::normal_cdf(alpha);
+    let (phi, cdf_p, _) = normal_pdf_cdf(alpha);
     let cdf_m = 1.0 - cdf_p;
     let mu = a.mean() * cdf_p + b.mean() * cdf_m + theta * phi;
     let e2 = (a.var() + a.mean() * a.mean()) * cdf_p

@@ -113,6 +113,29 @@ proptest! {
         }
     }
 
+    // `max_eps` runs one fused phi/Phi evaluation; `moments_generic` is
+    // the textual formula with three separate ones. Same bits, with alpha
+    // drawn from the central series (|alpha| < 4), every depth band of the
+    // continued-fraction tail, the region past 38.6 where phi underflows,
+    // and far beyond.
+    #[test]
+    fn max_eps_is_bitwise_the_generic_formula(
+        ma in -50.0..200.0f64,
+        va in prop_oneof![0.0..25.0f64, 1e-14..1e-9f64],
+        vb in prop_oneof![0.0..25.0f64, 1e-14..1e-9f64],
+        alpha in prop_oneof![-4.0..4.0f64, -45.0..45.0f64, -1e4..1e4f64],
+    ) {
+        let mb = ma - alpha * (va + vb + DEFAULT_EPS * DEFAULT_EPS).sqrt();
+        let got = clark::max_eps(
+            Normal::from_mean_var(ma, va),
+            Normal::from_mean_var(mb, vb),
+            DEFAULT_EPS,
+        );
+        let (mu, var) = clark::moments_generic(ma, va, mb, vb, DEFAULT_EPS);
+        prop_assert_eq!(got.mean().to_bits(), mu.to_bits(), "mu at alpha {}", alpha);
+        prop_assert_eq!(got.var().to_bits(), var.max(0.0).to_bits(), "var at alpha {}", alpha);
+    }
+
     #[test]
     fn fold_is_order_insensitive_in_mean_upper_bound(
         ops in prop::collection::vec(operand(), 1..6),
