@@ -11,11 +11,14 @@ use sgs_statmath::{mc, Normal};
 /// Operand pairs `(mu_a, var_a, mu_b, var_b)` by the region of `alpha =
 /// (mu_a - mu_b) / theta` they exercise: a near-tie in the central series,
 /// and dominated operands in the continued-fraction tail, where more than
-/// half the maxes of an unsized circuit fall.
-const CASES: [(&str, [f64; 4]); 3] = [
+/// half the maxes of an unsized circuit fall. From `|alpha|` of about 8.3
+/// on, `clark::max` can certify that the dominant operand comes through
+/// unchanged and skip the tail (`alpha_12`, `alpha_20`); `alpha_6` cannot.
+const CASES: [(&str, [f64; 4]); 4] = [
     ("central", [5.0, 2.0, 4.5, 1.5]),   // alpha ~ 0.27
     ("alpha_6", [15.7, 2.0, 4.5, 1.5]),  // alpha ~ 5.99
     ("alpha_12", [27.0, 2.0, 4.5, 1.5]), // alpha ~ 12.03
+    ("alpha_20", [20.0, 1.0, 0.0, 0.0]), // alpha ~ 20.0
 ];
 
 fn bench_clark(c: &mut Criterion) {

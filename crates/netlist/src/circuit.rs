@@ -116,6 +116,9 @@ pub struct Circuit {
     input_names: Vec<String>,
     gates: Vec<Gate>,
     outputs: Vec<GateId>,
+    /// `output_mask[g]` is whether gate `g` appears in `outputs`, so
+    /// [`Circuit::is_output`] is one load instead of a scan of the list.
+    output_mask: Vec<bool>,
 }
 
 impl Circuit {
@@ -159,11 +162,19 @@ impl Circuit {
     }
 
     /// Whether `id` drives a primary output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
     pub fn is_output(&self, id: GateId) -> bool {
-        self.outputs.contains(&id)
+        self.output_mask[id.0]
     }
 
-    /// For each gate, the list of gates it drives (fan-out), computed fresh.
+    /// For each gate, the list of gates it drives (fan-out), computed fresh
+    /// with one `Vec` per gate. Each list is in ascending reader id, and a
+    /// gate that reads one signal on several pins appears once per pin.
+    /// Repeated queries should use `sgs_ssta::DelayModel::fanouts`, which
+    /// holds the same lists, in the same order, in two flat arrays.
     pub fn fanouts(&self) -> Vec<Vec<GateId>> {
         let mut out = vec![Vec::new(); self.gates.len()];
         for (i, g) in self.gates.iter().enumerate() {
@@ -251,13 +262,18 @@ impl Circuit {
         gates: Vec<Gate>,
         outputs: Vec<GateId>,
     ) -> Result<Self, NetlistError> {
-        let c = Circuit {
+        let mut c = Circuit {
             name,
             input_names,
             gates,
             outputs,
+            output_mask: Vec::new(),
         };
         c.validate()?;
+        c.output_mask = vec![false; c.gates.len()];
+        for &o in &c.outputs {
+            c.output_mask[o.0] = true;
+        }
         Ok(c)
     }
 }

@@ -1,17 +1,25 @@
 //! The sizable-gate delay model evaluated for concrete speed factors.
 
-use sgs_netlist::{Circuit, GateId, Library};
+use sgs_netlist::{Circuit, Gate, GateId, Library, Signal};
 use sgs_statmath::Normal;
 
 /// Precomputed per-circuit delay-model data: fan-out lists, static loads and
 /// per-gate electrical parameters, so repeated delay evaluation (sizing
 /// inner loops, Monte Carlo) costs no graph traversal.
+///
+/// Building one is linear in the circuit size: the fan-out lists are laid
+/// out in CSR form (two flat arrays, no per-gate allocation), each in the
+/// order of [`Circuit::fanouts`], so load sums add the same terms in the
+/// same order.
 #[derive(Debug, Clone)]
 pub struct DelayModel {
     t_int: Vec<f64>,
     c_in: Vec<f64>,
     static_load: Vec<f64>,
-    fanouts: Vec<Vec<GateId>>,
+    /// CSR starts into `fanout_ids`, one per gate plus the end sentinel:
+    /// gate `g` drives `fanout_ids[fanout_ptr[g]..fanout_ptr[g + 1]]`.
+    fanout_ptr: Vec<usize>,
+    fanout_ids: Vec<GateId>,
     c: f64,
     sigma_factor: f64,
     s_limit: f64,
@@ -22,7 +30,7 @@ impl DelayModel {
     /// Builds the model for a circuit under a library.
     pub fn new(circuit: &Circuit, lib: &Library) -> Self {
         let n = circuit.num_gates();
-        let fanouts = circuit.fanouts();
+        let (fanout_ptr, fanout_ids) = fanout_csr(circuit);
         let mut t_int = Vec::with_capacity(n);
         let mut c_in = Vec::with_capacity(n);
         let mut static_load = Vec::with_capacity(n);
@@ -40,7 +48,8 @@ impl DelayModel {
             t_int,
             c_in,
             static_load,
-            fanouts,
+            fanout_ptr,
+            fanout_ids,
             c: lib.c,
             sigma_factor: lib.sigma_factor,
             s_limit: lib.s_limit,
@@ -84,9 +93,11 @@ impl DelayModel {
         self.static_load[g.index()]
     }
 
-    /// Gates driven by `g`.
+    /// Gates driven by `g`: bitwise the list `Circuit::fanouts()[g]`
+    /// (ascending reader id, one entry per reading pin).
+    #[inline]
     pub fn fanouts(&self, g: GateId) -> &[GateId] {
-        &self.fanouts[g.index()]
+        &self.fanout_ids[self.fanout_ptr[g.index()]..self.fanout_ptr[g.index() + 1]]
     }
 
     /// Total capacitive load seen by gate `g` under speed factors `s`:
@@ -98,7 +109,7 @@ impl DelayModel {
     pub fn load_cap(&self, g: GateId, s: &[f64]) -> f64 {
         assert_eq!(s.len(), self.num_gates, "speed vector length mismatch");
         let mut cap = self.static_load[g.index()];
-        for &j in &self.fanouts[g.index()] {
+        for &j in self.fanouts(g) {
             cap += self.c_in[j.index()] * s[j.index()];
         }
         cap
@@ -125,6 +136,37 @@ impl DelayModel {
         assert_eq!(s.len(), self.num_gates, "speed vector length mismatch");
         s.iter().sum()
     }
+}
+
+/// The fan-out lists of `circuit` in CSR form `(ptr, ids)`: a counting
+/// pass sizes each list, then readers are placed in ascending gate id and
+/// pin order — the order [`Circuit::fanouts`] pushes them in.
+fn fanout_csr(circuit: &Circuit) -> (Vec<usize>, Vec<GateId>) {
+    fn sources(gate: &Gate) -> impl Iterator<Item = usize> + '_ {
+        gate.inputs.iter().filter_map(|&sig| match sig {
+            Signal::Gate(src) => Some(src.index()),
+            Signal::Pi(_) => None,
+        })
+    }
+    let n = circuit.num_gates();
+    let mut ptr = vec![0usize; n + 1];
+    for (_, gate) in circuit.gates() {
+        for src in sources(gate) {
+            ptr[src + 1] += 1;
+        }
+    }
+    for g in 0..n {
+        ptr[g + 1] += ptr[g];
+    }
+    let mut next = ptr[..n].to_vec();
+    let mut ids = vec![GateId(0); ptr[n]];
+    for (id, gate) in circuit.gates() {
+        for src in sources(gate) {
+            ids[next[src]] = id;
+            next[src] += 1;
+        }
+    }
+    (ptr, ids)
 }
 
 #[cfg(test)]

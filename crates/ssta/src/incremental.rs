@@ -80,7 +80,6 @@ pub struct UpdateStats {
 pub struct IncrementalSsta<'a> {
     circuit: &'a Circuit,
     model: DelayModel,
-    fanouts: Vec<Vec<GateId>>,
     input_arrivals: Option<Vec<Normal>>,
     s: Vec<f64>,
     /// Per-gate arrival moments in the shared structure-of-arrays layout.
@@ -169,7 +168,6 @@ impl<'a> IncrementalSsta<'a> {
         IncrementalSsta {
             circuit,
             model,
-            fanouts: circuit.fanouts(),
             input_arrivals: input_arrivals.map(<[Normal]>::to_vec),
             s: s.to_vec(),
             arrivals,
@@ -260,7 +258,7 @@ impl<'a> IncrementalSsta<'a> {
                 }
                 self.arrivals.set(idx, a);
                 first_changed_out = first_changed_out.min(self.out_pos[idx]);
-                for &f in &self.fanouts[idx] {
+                for &f in self.model.fanouts(GateId(idx)) {
                     let fi = f.index();
                     if !self.dirty[fi] {
                         self.dirty[fi] = true;

@@ -25,7 +25,7 @@
 
 use crate::dual::{Dual2, Real};
 use crate::normal::Normal;
-use crate::special::normal_pdf_cdf;
+use crate::special::{normal_cdf_pair, normal_pdf, normal_pdf_cdf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default variance-smoothing floor added inside `theta^2`.
@@ -122,16 +122,95 @@ pub fn max(a: Normal, b: Normal) -> Normal {
 /// [`moments_generic::<f64>`] with one fused `phi`/`Phi` evaluation in
 /// place of three: bit for bit the same `(mu_c, var_c)`, because the fused
 /// values are bitwise the separate ones and the formula text is the same.
+/// When one operand dominates, [`dominated`] certifies the result without
+/// evaluating `Phi` at all.
 #[inline]
 fn moments(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> (f64, f64) {
     let theta2 = var_a + var_b + eps * eps;
     let theta = theta2.sqrt();
     let alpha = (mu_a - mu_b) / theta;
-    let (phi, cdf_p, cdf_m) = normal_pdf_cdf(alpha);
+    let phi = normal_pdf(alpha);
+    if alpha.abs() >= DOMINANT_ALPHA {
+        if let Some(m) = dominated(mu_a, var_a, mu_b, var_b, theta, alpha, phi) {
+            return m;
+        }
+    }
+    let (cdf_p, cdf_m) = normal_cdf_pair(alpha, phi);
     let mu_c = mu_a * cdf_p + mu_b * cdf_m + theta * phi;
     let e2 =
         (var_a + mu_a * mu_a) * cdf_p + (var_b + mu_b * mu_b) * cdf_m + (mu_a + mu_b) * theta * phi;
     (mu_c, e2 - mu_c * mu_c)
+}
+
+/// Below this `|alpha|`, `phi(alpha) / |alpha| >= 2^-54` (they cross at
+/// about 8.294), so the first condition of [`dominated`] cannot hold and
+/// [`moments`] does not try it. Its proof needs the tail branch of `Phi`,
+/// which starts at `|alpha| = 4`; above that, only speed depends on this
+/// value.
+const DOMINANT_ALPHA: f64 = 8.25;
+
+/// A quarter of the spacing of doubles in the binade of `|x|`: for any
+/// `|t|` below it, `x + t` rounds to `x` (a quarter, not a half, because
+/// the spacing halves below a power of two). Zero for zero, subnormal,
+/// tiny (`|x| < 2^-968`) and non-finite `x`, so that no addend passes.
+#[inline]
+fn quarter_ulp(x: f64) -> f64 {
+    let biased_exp = (x.to_bits() >> 52) & 0x7ff;
+    // The spacing is 2^(e - 52) for the unbiased exponent e, so its quarter
+    // is the power of two with biased exponent `biased_exp - 54`.
+    if biased_exp > 54 && biased_exp < 0x7ff {
+        f64::from_bits((biased_exp - 54) << 52)
+    } else {
+        0.0
+    }
+}
+
+/// The moments of [`moments`]' formula when one operand `D` dominates so
+/// strongly that the formula returns `(mu_D, fl(fl(var_D + mu_D mu_D) -
+/// mu_D mu_D))`: that pair when it is certain, bit for bit, and `None`
+/// otherwise. `phi` is `phi(alpha)` and `|alpha| >= 4`.
+///
+/// For `|alpha| >= 4` the formula reads `Phi(+-alpha)` as `1 - q` and `q`,
+/// with `q` the continued-fraction tail value, and `q <= q_max =
+/// fl(phi / |alpha|)` (see `special::tail_q`). Let `S` be the other
+/// operand. The certificate is:
+///
+/// 1. `q_max < 2^-54`, so `fl(1 - q) = 1` and `D`'s terms enter the sums
+///    unscaled: `mu_D` and `E_D = fl(var_D + mu_D mu_D)`.
+/// 2. Each other addend is below [`quarter_ulp`] of the running sum, so
+///    adding it leaves the sum unchanged. In `mu_c` these are `fl(mu_S q)
+///    <= fl(|mu_S| q_max)` and `fl(theta phi)`; in `E[C^2]` they are
+///    `fl(E_S q) <= fl(|E_S| q_max)` and `fl(fl(fl(mu_a + mu_b) theta)
+///    phi)`, each computed as the formula computes it.
+///
+/// Then `mu_c = mu_D` and `E[C^2] = E_D` exactly, whichever operand is
+/// `D` (floating-point addition commutes), and `var_c` is the formula's
+/// last line. A NaN anywhere fails a comparison and returns `None`.
+#[inline]
+fn dominated(
+    mu_a: f64,
+    var_a: f64,
+    mu_b: f64,
+    var_b: f64,
+    theta: f64,
+    alpha: f64,
+    phi: f64,
+) -> Option<(f64, f64)> {
+    debug_assert!(alpha.abs() >= 4.0, "the certificate needs the tail branch");
+    let q_max = phi / alpha.abs();
+    let (mu_d, var_d, mu_s, var_s) = if alpha > 0.0 {
+        (mu_a, var_a, mu_b, var_b)
+    } else {
+        (mu_b, var_b, mu_a, var_a)
+    };
+    let e_d = var_d + mu_d * mu_d;
+    let (room_mu, room_e2) = (quarter_ulp(mu_d), quarter_ulp(e_d));
+    let certain = q_max < f64::EPSILON / 4.0
+        && mu_s.abs() * q_max < room_mu
+        && (theta * phi).abs() < room_mu
+        && (var_s + mu_s * mu_s).abs() * q_max < room_e2
+        && ((mu_a + mu_b) * theta * phi).abs() < room_e2;
+    certain.then_some((mu_d, e_d - mu_d * mu_d))
 }
 
 /// [`max`] with an explicit smoothing floor.
@@ -791,6 +870,206 @@ mod batch_tests {
             &mut om,
             &mut ov,
         );
+    }
+}
+
+#[cfg(test)]
+mod dominated_tests {
+    use super::*;
+
+    /// [`dominated`] on raw operands, behind the prefix and the gate of
+    /// [`moments`].
+    fn try_dominated(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64) -> Option<(f64, f64)> {
+        let theta = (var_a + var_b + DEFAULT_EPS * DEFAULT_EPS).sqrt();
+        let alpha = (mu_a - mu_b) / theta;
+        if alpha.abs() >= DOMINANT_ALPHA {
+            dominated(mu_a, var_a, mu_b, var_b, theta, alpha, normal_pdf(alpha))
+        } else {
+            None
+        }
+    }
+
+    fn assert_matches_generic(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64) {
+        let got = moments(mu_a, var_a, mu_b, var_b, DEFAULT_EPS);
+        let want = moments_generic(mu_a, var_a, mu_b, var_b, DEFAULT_EPS);
+        let at = format!("({mu_a:e}, {var_a:e}, {mu_b:e}, {var_b:e})");
+        assert_eq!(got.0.to_bits(), want.0.to_bits(), "mu at {at}");
+        assert_eq!(got.1.to_bits(), want.1.to_bits(), "var at {at}");
+    }
+
+    /// Arrival-like operand pairs at `alpha ~ a`: a non-dominant arrival
+    /// `N(mu, sigma_s^2)` and a dominant one `N(mu + a theta, sigma_d^2)`,
+    /// in both orientations. The shapes span early and late arrivals, and
+    /// sigmas from a tenth of a percent to a quarter of the mean (gate
+    /// delays carry `sigma = 0.25 mu`; arrivals are sums and maxes of them).
+    fn arrival_pairs(a: f64) -> impl Iterator<Item = [f64; 4]> {
+        let shapes = [
+            (0.9, 0.2, 0.05),
+            (1.3, 0.3, 0.1),
+            (4.7, 0.5, 0.9),
+            (12.5, 1.6, 1.2),
+            (37.0, 2.0, 3.5),
+            (180.0, 9.0, 4.0),
+            (2.0, 1e-3, 1e-6),
+        ];
+        shapes.into_iter().flat_map(move |(mu, sigma_s, sigma_d)| {
+            let (var_s, var_d) = (sigma_s * sigma_s, sigma_d * sigma_d);
+            let mu_d = mu + a * (var_d + var_s + DEFAULT_EPS * DEFAULT_EPS).sqrt();
+            [[mu_d, var_d, mu, var_s], [mu, var_s, mu_d, var_d]]
+        })
+    }
+
+    #[test]
+    fn dense_grid_is_bitwise_the_generic_formula_and_the_shortcut_fires() {
+        let (mut far, mut far_hits, mut near_hits) = (0usize, 0usize, 0usize);
+        let n = 20_000;
+        for i in 0..=n {
+            let a = DOMINANT_ALPHA + (45.0 - DOMINANT_ALPHA) * f64::from(i) / f64::from(n);
+            for [ma, va, mb, vb] in arrival_pairs(a) {
+                assert_matches_generic(ma, va, mb, vb);
+                let alpha = (ma - mb) / (va + vb + DEFAULT_EPS * DEFAULT_EPS).sqrt();
+                let hit = try_dominated(ma, va, mb, vb).is_some();
+                if alpha.abs() >= 10.0 {
+                    far += 1;
+                    far_hits += usize::from(hit);
+                } else {
+                    near_hits += usize::from(hit);
+                }
+            }
+        }
+        assert!(
+            far_hits * 10 >= far * 9,
+            "shortcut fired on {far_hits} of {far} points at |alpha| >= 10"
+        );
+        assert!(near_hits > 0, "shortcut never fired below |alpha| = 10");
+    }
+
+    #[test]
+    fn threshold_neighbourhood_is_bitwise_the_generic_formula() {
+        // theta = 1 exactly and mu_b = 0, so alpha is mu_a to the ulp.
+        let walk = |x: f64| {
+            let up = std::iter::successors(Some(x), |v| Some(v.next_up())).take(64);
+            let down = std::iter::successors(Some(x.next_down()), |v| Some(v.next_down()));
+            up.chain(down.take(64))
+        };
+        // The gate, and the crossing of phi(alpha) / alpha with 2^-54.
+        for edge in [DOMINANT_ALPHA, 8.294_030_762_685_44] {
+            for x in walk(edge) {
+                assert_matches_generic(x, 0.5, 0.0, 0.5);
+                assert_matches_generic(0.0, 0.5, x, 0.5);
+                // Larger means: alpha moves by 64 (base 1e3) or 512 (base
+                // 5e3) of its ulps per step of mu_a.
+                for base in [1e3, 5e3] {
+                    let ma = base + x;
+                    for k in 0..32 {
+                        let ma = f64::from_bits(ma.to_bits() + k);
+                        assert_matches_generic(ma, 0.5, base, 0.5);
+                        assert_matches_generic(base, 0.5, ma, 0.5);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gate_loses_no_certificate() {
+        // Below DOMINANT_ALPHA the first condition of `dominated` fails, so
+        // skipping the certificate there changes nothing; just above the
+        // crossing it holds.
+        let n = 100_000;
+        for i in 0..n {
+            let x = 4.0 + (DOMINANT_ALPHA - 4.0) * f64::from(i) / f64::from(n);
+            assert!(normal_pdf(x) / x >= f64::EPSILON / 4.0, "at {x}");
+        }
+        let below = DOMINANT_ALPHA.next_down();
+        assert!(normal_pdf(below) / below >= f64::EPSILON / 4.0);
+        assert!(normal_pdf(8.3) / 8.3 < f64::EPSILON / 4.0);
+    }
+
+    /// Operands, found by random search, where some addend does move the
+    /// result off the dominant operand, so the certificate must refuse.
+    /// Each needs a particular check: `theta phi` (the mean rounds up to
+    /// 512), `mu_S q` or `E_S q` (the mean rounds to -256), and `E_S q` or
+    /// the `(mu_a + mu_b) theta phi` term (the variance goes negative).
+    const MOVED_BY_AN_ADDEND: [[f64; 4]; 3] = [
+        [
+            511.999_999_999_999_94,
+            2_636.784_483_067_839_6,
+            -253.445_784_850_950_28,
+            5_808.915_061_785_125_5,
+        ],
+        [
+            -255.999_999_999_999_97,
+            70.930_133_450_341_27,
+            -366.948_683_948_050_9,
+            106.951_067_219_704_8,
+        ],
+        [-2.966_632_483_014_525_4, 0.217_548_049_873_620_4, 1.0, 0.0],
+    ];
+
+    #[test]
+    fn certificate_refuses_when_an_addend_moves_the_result() {
+        for [ma, va, mb, vb] in MOVED_BY_AN_ADDEND {
+            for (ma, va, mb, vb) in [(ma, va, mb, vb), (mb, vb, ma, va)] {
+                let (mu_d, var_d) = if ma > mb { (ma, va) } else { (mb, vb) };
+                let naive = (mu_d, (var_d + mu_d * mu_d) - mu_d * mu_d);
+                let want = moments_generic(ma, va, mb, vb, DEFAULT_EPS);
+                assert!(
+                    want.0 != naive.0 || want.1 != naive.1,
+                    "{ma} {va} {mb} {vb}: no addend moves the result"
+                );
+                assert_eq!(try_dominated(ma, va, mb, vb), None);
+                assert_matches_generic(ma, va, mb, vb);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_subnormal_and_infinite_dominant_means_fail_the_certificate() {
+        let tiny = f64::from_bits(1); // the smallest subnormal
+        for mu_d in [0.0, -0.0, tiny, -tiny, f64::MIN_POSITIVE] {
+            // alpha = mu_d / theta would be tiny; use a negative
+            // non-dominant mean far below to reach the tail.
+            assert_eq!(try_dominated(mu_d, 1e-6, -1e3, 1e-6), None, "mu_d {mu_d:e}");
+            assert_eq!(try_dominated(-1e3, 1e-6, mu_d, 1e-6), None, "mu_d {mu_d:e}");
+            assert_matches_generic(mu_d, 1e-6, -1e3, 1e-6);
+            assert_matches_generic(-1e3, 1e-6, mu_d, 1e-6);
+        }
+        assert_eq!(try_dominated(f64::INFINITY, 1.0, 0.0, 1.0), None);
+        assert_eq!(try_dominated(f64::NAN, 1.0, 0.0, 1.0), None);
+        // A plain dominant operand passes.
+        assert_eq!(
+            try_dominated(100.0, 1.0, 1.0, 1.0),
+            Some((100.0, (1.0 + 100.0 * 100.0) - 100.0 * 100.0))
+        );
+    }
+
+    #[test]
+    fn quarter_ulp_edges() {
+        assert_eq!(quarter_ulp(1.0), f64::EPSILON / 4.0);
+        assert_eq!(quarter_ulp(-1.5), f64::EPSILON / 4.0);
+        assert_eq!(quarter_ulp(8.0), 2.0 * f64::EPSILON);
+        for x in [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(quarter_ulp(x), 0.0, "{x:e}");
+        }
+        // Anything below the quarter leaves x unchanged, either side of a
+        // power of two, at the top of the range too.
+        for x in [1.0, 3.0, 1024.0, 1e300, f64::MAX, 2f64.powi(-900)] {
+            let t = quarter_ulp(x).next_down();
+            for x in [x, -x] {
+                assert_eq!(x + t, x, "{x:e} + {t:e}");
+                assert_eq!(x - t, x, "{x:e} - {t:e}");
+            }
+        }
+        // ... and the bound is tight at a power of two from below.
+        assert_ne!(1.0 - 2.0 * quarter_ulp(1.0), 1.0);
     }
 }
 

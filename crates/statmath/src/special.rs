@@ -8,8 +8,10 @@
 //! formulas and their derivatives require.
 //!
 //! The Clark kernels take `phi(x)`, `Phi(x)` and `Phi(-x)` together from one
-//! `exp` and one series or continued-fraction pass (`normal_pdf_cdf`);
-//! [`normal_cdf`] is the middle component of that evaluation.
+//! `exp` and one series or continued-fraction pass (`normal_pdf_cdf`, or
+//! `normal_pdf` and then `normal_cdf_pair` for a caller that may not need
+//! the distribution); [`normal_cdf`] is the middle component of that
+//! evaluation.
 
 /// `1 / sqrt(2 * pi)`.
 pub const FRAC_1_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
@@ -86,18 +88,31 @@ pub fn normal_cdf(x: f64) -> f64 {
 #[inline]
 pub(crate) fn normal_pdf_cdf(x: f64) -> (f64, f64, f64) {
     let pdf = normal_pdf(x);
+    let (cdf, cdf_neg) = normal_cdf_pair(x, pdf);
+    (pdf, cdf, cdf_neg)
+}
+
+/// `(Phi(x), Phi(-x))` given `pdf = phi(x)`: the last two components of
+/// [`normal_pdf_cdf`], for a caller that needs `phi(x)` before it knows
+/// whether it needs the distribution.
+///
+/// For `|x| >= 4` the pair is `(1 - q, q)` or `(q, 1 - q)` with `q` the
+/// tail value [`tail_q`] computes, and that `q` never exceeds the rounded
+/// Mills bound `phi(x) / |x|` (see [`tail_q`]).
+#[inline]
+pub(crate) fn normal_cdf_pair(x: f64, pdf: f64) -> (f64, f64) {
     if x.is_nan() {
-        return (pdf, f64::NAN, f64::NAN);
+        return (f64::NAN, f64::NAN);
     }
     // The continued fraction is essentially exact for |x| >= 4 and avoids
     // the cancellation the central series suffers on the negative side.
     if x >= TAIL_START {
         let q = tail_q(x, pdf);
-        return (pdf, 1.0 - q, q);
+        return (1.0 - q, q);
     }
     if x <= -TAIL_START {
         let q = tail_q(-x, pdf);
-        return (pdf, q, 1.0 - q);
+        return (q, 1.0 - q);
     }
     // Marsaglia (2004): Phi(x) = 1/2 + phi(x) * (x + x^3/3 + x^5/(3*5) + ...)
     let mut sum = x;
@@ -114,7 +129,7 @@ pub(crate) fn normal_pdf_cdf(x: f64) -> (f64, f64, f64) {
         }
     }
     let s = pdf * sum;
-    (pdf, 0.5 + s, 0.5 - s)
+    (0.5 + s, 0.5 - s)
 }
 
 /// Upper-tail probability `Q(x) = 1 - Phi(x)` for `x >= 4`, given
@@ -131,6 +146,10 @@ pub(crate) fn normal_pdf_cdf(x: f64) -> (f64, f64, f64) {
 /// cut fractions give the same `Q`, so does the reference; when they do
 /// not, the reference is evaluated. Both cut fractions run in one loop as
 /// two independent division chains, which costs little more than one.
+///
+/// Every denominator the fraction can end on is `x + k/f` with `k >= 1`
+/// and `f > 0`, so it is at least `x`; rounding is monotone, so the value
+/// returned never exceeds `fl(pdf / x)`, the rounded Mills bound.
 fn tail_q(x: f64, pdf: f64) -> f64 {
     debug_assert!(x >= TAIL_START);
     // Past x ~ 38.6 phi underflows to zero and so does Q, whatever the

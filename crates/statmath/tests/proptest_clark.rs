@@ -113,29 +113,6 @@ proptest! {
         }
     }
 
-    // `max_eps` runs one fused phi/Phi evaluation; `moments_generic` is
-    // the textual formula with three separate ones. Same bits, with alpha
-    // drawn from the central series (|alpha| < 4), every depth band of the
-    // continued-fraction tail, the region past 38.6 where phi underflows,
-    // and far beyond.
-    #[test]
-    fn max_eps_is_bitwise_the_generic_formula(
-        ma in -50.0..200.0f64,
-        va in prop_oneof![0.0..25.0f64, 1e-14..1e-9f64],
-        vb in prop_oneof![0.0..25.0f64, 1e-14..1e-9f64],
-        alpha in prop_oneof![-4.0..4.0f64, -45.0..45.0f64, -1e4..1e4f64],
-    ) {
-        let mb = ma - alpha * (va + vb + DEFAULT_EPS * DEFAULT_EPS).sqrt();
-        let got = clark::max_eps(
-            Normal::from_mean_var(ma, va),
-            Normal::from_mean_var(mb, vb),
-            DEFAULT_EPS,
-        );
-        let (mu, var) = clark::moments_generic(ma, va, mb, vb, DEFAULT_EPS);
-        prop_assert_eq!(got.mean().to_bits(), mu.to_bits(), "mu at alpha {}", alpha);
-        prop_assert_eq!(got.var().to_bits(), var.max(0.0).to_bits(), "var at alpha {}", alpha);
-    }
-
     #[test]
     fn fold_is_order_insensitive_in_mean_upper_bound(
         ops in prop::collection::vec(operand(), 1..6),
@@ -171,5 +148,106 @@ proptest! {
         let b = Normal::new(m + shift + 50.0 * s, s);
         let c = clark::max(a, b);
         prop_assert!(close(c.mean(), b.mean(), 1e-9));
+    }
+}
+
+/// `x` moved by `k` ulps (towards +inf for positive `k`).
+fn ulps(x: f64, k: i64) -> f64 {
+    let step = if k >= 0 { f64::next_up } else { f64::next_down };
+    (0..k.unsigned_abs()).fold(x, |v, _| step(v))
+}
+
+/// Where the dominated-operand shortcut of `clark::max_eps` starts to be
+/// tried (`|alpha| = 8.25`) and where its first condition, `phi(alpha) /
+/// |alpha| < 2^-54`, starts to hold.
+const SHORTCUT_EDGES: [f64; 2] = [8.25, 8.294_030_762_685_44];
+
+/// Means of the dominant operand: the sizing range, magnitudes up to 1e4,
+/// signed zeros, and exact powers of two and the doubles just below them
+/// (the spacing of doubles halves across a power of two, so a small addend
+/// can round such a mean to its neighbour).
+fn dominant_mean() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -50.0..200.0f64,
+        -1e4..1e4f64,
+        Just(0.0),
+        Just(-0.0),
+        (-20i32..14, any::<bool>(), any::<bool>()).prop_map(|(k, neg, below)| {
+            let p = if below {
+                2f64.powi(k).next_down()
+            } else {
+                2f64.powi(k)
+            };
+            if neg {
+                -p
+            } else {
+                p
+            }
+        }),
+    ]
+}
+
+/// Variances from the sizing range down to subnormal.
+fn variance() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0..25.0f64,
+        1e-14..1e-9f64,
+        Just(0.0),
+        (1u64..(1u64 << 52)).prop_map(f64::from_bits),
+        (-8i64..=8).prop_map(|k| ulps(f64::MIN_POSITIVE, k)),
+    ]
+}
+
+/// `alpha` over the central series (|alpha| < 4), every depth band of the
+/// continued-fraction tail, the region past 38.6 where phi underflows, far
+/// beyond, and within a few ulps of either shortcut edge.
+fn alpha() -> impl Strategy<Value = f64> {
+    let edge = |i: usize, neg: bool| {
+        (-6i64..=6).prop_map(move |k| {
+            let x = ulps(SHORTCUT_EDGES[i], k);
+            if neg {
+                -x
+            } else {
+                x
+            }
+        })
+    };
+    prop_oneof![
+        -4.0..4.0f64,
+        -45.0..45.0f64,
+        -1e4..1e4f64,
+        edge(0, false),
+        edge(0, true),
+        edge(1, false),
+        edge(1, true),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6000))]
+
+    // `max_eps` runs one fused phi/Phi evaluation and certifies dominated
+    // operands without the tail; `moments_generic` is the textual formula
+    // with three separate evaluations. Same bits, with `ma` the mean of
+    // the first operand (the dominant one when `alpha > 0`) and `swap`
+    // passing the operands in the other order.
+    #[test]
+    fn max_eps_is_bitwise_the_generic_formula(
+        ma in dominant_mean(),
+        va in variance(),
+        vb in variance(),
+        alpha in alpha(),
+        swap in any::<bool>(),
+    ) {
+        let mb = ma - alpha * (va + vb + DEFAULT_EPS * DEFAULT_EPS).sqrt();
+        let ((ma, va), (mb, vb)) = if swap { ((mb, vb), (ma, va)) } else { ((ma, va), (mb, vb)) };
+        let got = clark::max_eps(
+            Normal::from_mean_var(ma, va),
+            Normal::from_mean_var(mb, vb),
+            DEFAULT_EPS,
+        );
+        let (mu, var) = clark::moments_generic(ma, va, mb, vb, DEFAULT_EPS);
+        prop_assert_eq!(got.mean().to_bits(), mu.to_bits(), "mu at alpha {}", alpha);
+        prop_assert_eq!(got.var().to_bits(), var.max(0.0).to_bits(), "var at alpha {}", alpha);
     }
 }
