@@ -1,9 +1,8 @@
-//! Run-report renderer, cross-run regression comparator and snapshot
-//! linter for `--metrics=FILE` snapshots.
+//! Run-report renderer and snapshot linter for `--metrics=FILE`
+//! snapshots.
 //!
 //! ```text
 //! sgs_report render <metrics.json> [--trace run.jsonl]
-//! sgs_report compare <base.json> <new.json> [--threshold=N%] [--slack=S] [--budget metric=max]...
 //! sgs_report lint <metrics.json>...
 //! sgs_report timeline <run.jsonl> [--out FILE]
 //! sgs_report timeline-lint <chrome.json> [--min-coverage=F]
@@ -15,16 +14,6 @@
 //! aggregates the phase spans of a `--trace` JSONL file for
 //! cross-checking the in-process profile against the trace's view.
 //!
-//! `compare` diffs two snapshots metric by metric: deterministic metrics
-//! (iteration and evaluation counters, histogram counts) must match
-//! exactly, timing-like metrics (`*_seconds`, `alloc_*`) may grow up to
-//! the threshold. `--budget metric=max` additionally pins an absolute
-//! ceiling on a counter or gauge of the *new* run (repeatable) — the
-//! allocation gate uses it so the budget keeps holding even across
-//! baseline regenerations. Exit codes: `0` clean, `1` regression, `3`
-//! schema drift only (missing/extra metrics, version skew) — the CI
-//! perf-regression gate against `benchmarks/baselines/`.
-//!
 //! `lint` validates snapshot files structurally (schema version, bucket
 //! sums, quantile ordering, phase-parent closure) the way `trace_lint`
 //! validates JSONL traces.
@@ -35,15 +24,13 @@
 //! daemon's `GET /debug/traces/<id>` — and asserts every begin/end span
 //! pairs up, optionally enforcing a minimum request-span coverage.
 
-use sgs_metrics::{compare, CompareOptions, Snapshot};
+use sgs_metrics::Snapshot;
 use sgs_trace::chrome;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sgs_report render <metrics.json> [--trace run.jsonl]\n\
-         \x20      sgs_report compare <base.json> <new.json> [--threshold=N%] [--slack=S]\n\
-         \x20              [--budget metric=max]...\n\
          \x20      sgs_report lint <metrics.json>...\n\
          \x20      sgs_report timeline <run.jsonl> [--out FILE]\n\
          \x20      sgs_report timeline-lint <chrome.json> [--min-coverage=F]"
@@ -105,101 +92,6 @@ fn render(args: &[String]) -> ExitCode {
     };
     print!("{}", sgs_metrics::report::render(&snap, spans.as_ref()));
     ExitCode::SUCCESS
-}
-
-fn run_compare(args: &[String]) -> ExitCode {
-    let mut opts = CompareOptions::default();
-    let mut budgets: Vec<compare::Budget> = Vec::new();
-    let mut paths: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if let Some(b) = arg.strip_prefix("--budget=") {
-            match compare::parse_budget(b) {
-                Ok(v) => budgets.push(v),
-                Err(e) => {
-                    eprintln!("sgs_report: {e}");
-                    return usage();
-                }
-            }
-        } else if arg == "--budget" {
-            match it.next().map(|b| compare::parse_budget(b)) {
-                Some(Ok(v)) => budgets.push(v),
-                Some(Err(e)) => {
-                    eprintln!("sgs_report: {e}");
-                    return usage();
-                }
-                None => return usage(),
-            }
-        } else if let Some(t) = arg.strip_prefix("--threshold=") {
-            match compare::parse_threshold(t) {
-                Ok(v) => opts.threshold = v,
-                Err(e) => {
-                    eprintln!("sgs_report: {e}");
-                    return usage();
-                }
-            }
-        } else if arg == "--threshold" {
-            match it.next().map(|t| compare::parse_threshold(t)) {
-                Some(Ok(v)) => opts.threshold = v,
-                _ => return usage(),
-            }
-        } else if let Some(s) = arg.strip_prefix("--slack=") {
-            match s.parse() {
-                Ok(v) => opts.absolute_slack = v,
-                Err(_) => return usage(),
-            }
-        } else if arg.starts_with("--") {
-            eprintln!("sgs_report: unknown flag {arg}");
-            return usage();
-        } else {
-            paths.push(arg);
-        }
-    }
-    let [base_path, new_path] = paths.as_slice() else {
-        return usage();
-    };
-    let (base, new) = match (load(base_path), load(new_path)) {
-        (Ok(b), Ok(n)) => (b, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("sgs_report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut outcome = compare::compare(&base, &new, &opts);
-    compare::check_budgets(&new, &budgets, &mut outcome);
-    println!(
-        "comparing {base_path} ({}:{}) -> {new_path} ({}:{}), threshold {:.0}%, slack {}",
-        base.meta.bin,
-        base.meta.circuit,
-        new.meta.bin,
-        new.meta.circuit,
-        opts.threshold * 100.0,
-        opts.absolute_slack,
-    );
-    for line in &outcome.lines {
-        println!("{line}");
-    }
-    if !outcome.drift.is_empty() {
-        eprintln!("schema drift ({}):", outcome.drift.len());
-        for d in &outcome.drift {
-            eprintln!("  {d}");
-        }
-    }
-    if !outcome.regressions.is_empty() {
-        eprintln!("REGRESSIONS ({}):", outcome.regressions.len());
-        for r in &outcome.regressions {
-            eprintln!("  {r}");
-        }
-    } else if outcome.drift.is_empty() {
-        println!(
-            "OK: no regressions ({} improvement(s))",
-            outcome.improvements.len()
-        );
-    }
-    match u8::try_from(outcome.exit_code()) {
-        Ok(code) => ExitCode::from(code),
-        Err(_) => ExitCode::FAILURE,
-    }
 }
 
 fn lint(args: &[String]) -> ExitCode {
@@ -346,7 +238,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("render") => render(&args[1..]),
-        Some("compare") => run_compare(&args[1..]),
         Some("lint") => lint(&args[1..]),
         Some("timeline") => timeline(&args[1..]),
         Some("timeline-lint") => timeline_lint(&args[1..]),

@@ -5,7 +5,7 @@
 //!           [--deadline D [--confidence 0|1|3]] [--pin-mean D]
 //!           [--reduced] [--analyze[=deny]] [--out sized.blif.tsv]
 //!           [--trace run.jsonl] [--metrics run.json] [--metrics-prom run.prom]
-//!           [--threads N] [--trace-ring]
+//!           [--threads N]
 //! ```
 //!
 //! Reads a mapped combinational BLIF netlist (e.g. a real MCNC benchmark,
@@ -30,7 +30,7 @@ fn usage() -> ExitCode {
         "usage: size_blif <netlist.blif> [--objective mu|mu+1s|mu+3s|area|sigma] \
          [--deadline D [--confidence 0|1|3]] [--pin-mean D] [--reduced] \
          [--analyze[=deny]] [--out FILE] [--trace FILE] [--metrics FILE] \
-         [--metrics-prom FILE] [--threads N] [--trace-ring]"
+         [--metrics-prom FILE] [--threads N]"
     );
     ExitCode::from(2)
 }
@@ -56,7 +56,6 @@ fn main() -> ExitCode {
     let mut reduced = false;
     let mut analyze: Option<bool> = None;
     let mut out: Option<String> = None;
-    let mut trace_ring = false;
 
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
@@ -91,7 +90,6 @@ fn main() -> ExitCode {
             "--analyze" => analyze = Some(false),
             "--analyze=deny" => analyze = Some(true),
             "--out" => out = it.next().cloned(),
-            "--trace-ring" => trace_ring = true,
             _ => return usage(),
         }
     }
@@ -155,20 +153,7 @@ fn main() -> ExitCode {
     if let Some(sink) = trace.sink() {
         sizer = sizer.trace(sink);
     }
-    // `--trace-ring`: attach the daemon's ring sink to the solve, turning
-    // event recording on exactly as a traced sgs-serve request would —
-    // without changing what is computed or counted. The CI overhead
-    // budget gate runs this variant and holds its wall-clock to an
-    // absolute ceiling against the untraced baseline.
-    let ring = trace_ring.then(|| sgs_trace::RingSink::new(16));
-    if let Some(r) = &ring {
-        sizer = sizer.trace(r);
-    }
-    let solved = sizer.solve();
-    if let Some(r) = &ring {
-        println!("ring trace: {} sink events retained", r.events().len());
-    }
-    let result = match solved {
+    let result = match sizer.solve() {
         Ok(r) => r,
         Err(e) => {
             trace.report(

@@ -1,10 +1,8 @@
-//! Scenario sweep driver: area-vs-deadline Pareto frontiers, robustness
-//! (mu + k sigma) sweeps and multi-corner frontiers over warm-started
-//! `Resolver` sessions.
+//! Scenario sweep driver: area-vs-deadline Pareto frontiers over
+//! warm-started `Resolver` sessions.
 //!
 //! ```text
 //! sweep <netlist.blif|.v> [--points N] [--deadlines a,b,...] [--table FILE]
-//! sweep --bench [--points N] [--out PATH]
 //! sweep --lint FILE...
 //! ```
 //!
@@ -14,33 +12,21 @@
 //! significant digits (the golden-table format, `--table` writes it to a
 //! file).
 //!
-//! `--bench` traces the rdag40 frontier (the committed benchmark's
-//! generator twin), asserts the frontier contract in-run — point count,
-//! warm-interior fraction, dominance, a single infeasible-to-feasible
-//! transition, the bitwise evaluation tier (reported values bit-identical
-//! to a fresh SSTA at the accepted sizes) and sampled cold re-solve
-//! agreement — then adds a k-sweep and a three-corner sweep and writes
-//! `BENCH_sweep.json`: a schema-valid metrics snapshot (lint/compare
-//! accept it directly) extended with `frontier` / `k_sweep` / `corners`
-//! result blocks.
-//!
 //! `--lint` re-parses committed frontier tables and exits nonzero if any
 //! violates dominance (deadlines not ascending, or area increasing as the
 //! deadline relaxes) — the CI guard against committing a non-dominant
 //! frontier.
 
 use sgs_bench::BenchArgs;
-use sgs_core::{Corner, DelaySpec, Frontier, Objective, Sizer, SweepConfig, SweepEngine};
-use sgs_netlist::{blif, generate, Circuit, Library};
+use sgs_core::{Frontier, SweepConfig, SweepEngine};
+use sgs_netlist::{blif, Library};
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sweep <netlist.blif|.v> [--points N] [--deadlines a,b,...] [--table FILE] \
          [--trace FILE] [--metrics FILE] [--metrics-prom FILE]\n\
-         \x20      sweep --bench [--points N] [--out PATH] [--trace FILE] [--metrics FILE]\n\
          \x20      sweep --lint FILE..."
     );
     ExitCode::from(2)
@@ -66,16 +52,6 @@ fn render_table(name: &str, gates: usize, frontier: &Frontier) -> String {
         );
     }
     out
-}
-
-/// A finite float as JSON, `null` otherwise (infeasible points carry
-/// NaN values, which raw JSON cannot).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn parse_points(args: &mut Vec<String>) -> Result<Option<usize>, ()> {
@@ -175,228 +151,6 @@ fn session(mut args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The committed rdag40 benchmark's generator twin.
-fn rdag40() -> Circuit {
-    generate::random_dag(&generate::RandomDagSpec {
-        name: "rdag40".into(),
-        cells: 40,
-        inputs: 8,
-        depth: 8,
-        seed: 40,
-        ..Default::default()
-    })
-}
-
-/// Serialises one frontier as a JSON points array (two-space indent
-/// inside a named block).
-fn frontier_json(frontier: &Frontier) -> String {
-    let mut json = String::from("[\n");
-    for (i, p) in frontier.points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"deadline\": {}, \"feasible\": {}, \"refined\": {}, \
-             \"cache_hit\": {}, \"warm_start_hit\": {}, \"area\": {}, \"mu\": {}, \
-             \"sigma\": {}, \"outer_iterations\": {}, \"seconds\": {:.6}}}{}",
-            json_num(p.deadline),
-            p.feasible,
-            p.refined,
-            p.cache_hit,
-            p.warm_start_hit,
-            json_num(p.area),
-            json_num(p.mu),
-            json_num(p.sigma),
-            p.outer_iterations,
-            p.seconds,
-            if i + 1 < frontier.points.len() {
-                ","
-            } else {
-                ""
-            },
-        );
-    }
-    json.push_str("    ]");
-    json
-}
-
-fn bench(mut args: Vec<String>) -> ExitCode {
-    let points = match parse_points(&mut args) {
-        Ok(p) => p.unwrap_or(14),
-        Err(()) => return usage(),
-    };
-    let mut out_path = String::from("BENCH_sweep.json");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next().cloned() {
-                Some(p) => out_path = p,
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    // The bench artifact *is* a metrics snapshot, so the registry is on
-    // for this mode regardless of --metrics.
-    sgs_metrics::reset();
-    sgs_metrics::enable();
-    let start = Instant::now();
-    let circuit = rdag40();
-    let lib = Library::paper_default();
-    let config = SweepConfig {
-        points,
-        ..SweepConfig::default()
-    };
-    let engine = SweepEngine::new(&circuit, &lib).config(config.clone());
-
-    // --- Deadline frontier + the in-run frontier contract. ------------
-    let frontier = engine.deadline_frontier().expect("rdag40 sweep converges");
-    let feasible = frontier.feasible_count();
-    assert!(
-        feasible >= 12,
-        "rdag40 frontier must trace >= 12 feasible points, got {feasible}"
-    );
-    let warm = frontier.warm_interior_fraction();
-    assert!(
-        warm >= 0.75,
-        "need >= 75% of interior points warm-started, got {:.0}%",
-        warm * 100.0
-    );
-    frontier.check_dominance(1e-6).expect("frontier dominance");
-    assert!(
-        frontier.transitions() <= 1,
-        "more than one infeasible-to-feasible transition"
-    );
-    assert!(
-        frontier.points.iter().any(|p| !p.feasible),
-        "the below-minimum probe must be infeasible"
-    );
-    // Bitwise evaluation tier: every reported (mu, sigma, area) is
-    // bit-identical to a from-scratch SSTA + sum(s) at the point's sizes.
-    frontier
-        .verify_evaluation(&circuit, &lib)
-        .expect("warm frontier values bit-identical to fresh evaluation");
-    // Solver tier: independent cold solves at sampled specs agree on
-    // feasibility and area (different iterates of the same NLP — a small
-    // relative tolerance, not bit-equality, is the contract here).
-    let feasible_pts: Vec<_> = frontier.points.iter().filter(|p| p.feasible).collect();
-    for idx in [0, feasible_pts.len() / 2, feasible_pts.len() - 1] {
-        let p = feasible_pts[idx];
-        let cold = Sizer::new(&circuit, &lib)
-            .objective(Objective::Area)
-            .delay_spec(DelaySpec::MaxMean(p.deadline))
-            .solve()
-            .expect("cold re-solve feasible at a swept deadline");
-        let rel = (cold.area - p.area).abs() / (1.0 + p.area.abs());
-        assert!(
-            rel <= 5e-3,
-            "cold re-solve at deadline {} disagrees: warm area {}, cold {}",
-            p.deadline,
-            p.area,
-            cold.area
-        );
-    }
-    println!(
-        "rdag40 frontier: {} points ({} feasible, {} refined), warm interior {:.0}%",
-        frontier.points.len(),
-        feasible,
-        frontier.points.iter().filter(|p| p.refined).count(),
-        warm * 100.0,
-    );
-
-    // --- Robustness sweep. --------------------------------------------
-    let ks = [0.0, 1.0, 2.0, 3.0];
-    let k_points = engine.k_sweep(&ks).expect("rdag40 k-sweep converges");
-    for w in k_points.windows(2) {
-        assert!(
-            w[1].objective >= w[0].objective - 1e-6 * (1.0 + w[0].objective.abs()),
-            "V(k) must be non-decreasing"
-        );
-    }
-    println!(
-        "rdag40 k-sweep: {}",
-        k_points
-            .iter()
-            .map(|p| format!("V({})={:.3}", p.k, p.objective))
-            .collect::<Vec<_>>()
-            .join("  "),
-    );
-
-    // --- Multi-corner frontier. ---------------------------------------
-    let corners = [
-        Corner::nominal(),
-        Corner::scaled("slow", 1.15, 1.10),
-        Corner::scaled("fast", 0.90, 0.95),
-    ];
-    let corner_engine = SweepEngine::new(&circuit, &lib).config(SweepConfig {
-        points: (points / 2).max(6),
-        ..config
-    });
-    let cf = corner_engine
-        .corner_frontier(&corners)
-        .expect("rdag40 corner sweep converges");
-    cf.merged
-        .check_dominance(1e-6)
-        .expect("worst-corner frontier dominance");
-    println!(
-        "rdag40 corners: {} sessions, merged {} points ({} feasible)",
-        cf.corners.len(),
-        cf.merged.points.len(),
-        cf.merged.feasible_count(),
-    );
-
-    // --- BENCH_sweep.json: metrics snapshot + result blocks. ----------
-    sgs_metrics::set_gauge(
-        sgs_metrics::Gauge::RunSeconds,
-        start.elapsed().as_secs_f64(),
-    );
-    let snap = sgs_metrics::snapshot(sgs_metrics::Metadata {
-        bin: "sweep".to_string(),
-        circuit: "rdag40".to_string(),
-        git_sha: sgs_bench::git_sha(),
-        threads: rayon::current_num_threads(),
-        timestamp: sgs_bench::run_timestamp(),
-    });
-    let mut json = snap
-        .to_json()
-        .strip_suffix("\n}\n")
-        .expect("snapshot JSON ends with its root close")
-        .to_string();
-    json.push_str(",\n  \"frontier\": {\n    \"circuit\": \"rdag40\",\n    \"points\": ");
-    json.push_str(&frontier_json(&frontier));
-    json.push_str("\n  },\n  \"k_sweep\": [\n");
-    for (i, p) in k_points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"k\": {}, \"objective\": {}, \"mu\": {}, \"sigma\": {}, \
-             \"area\": {}, \"warm_start_hit\": {}}}{}",
-            json_num(p.k),
-            json_num(p.objective),
-            json_num(p.mu),
-            json_num(p.sigma),
-            json_num(p.area),
-            p.warm_start_hit,
-            if i + 1 < k_points.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n  \"corners\": [\n");
-    for (i, t) in cf.corners.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"t_int_scale\": {}, \"c_in_scale\": {}, \
-             \"feasible_points\": {}}}{}",
-            t.corner.name,
-            json_num(t.corner.t_int_scale),
-            json_num(t.corner.c_in_scale),
-            t.frontier.feasible_count(),
-            if i + 1 < cf.corners.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
-    println!("wrote {out_path}");
-    ExitCode::SUCCESS
-}
-
 /// Parses a rendered frontier table and checks dominance: deadlines
 /// strictly ascending, area non-increasing as the deadline relaxes.
 fn lint_table(path: &str, text: &str) -> Result<(), String> {
@@ -480,7 +234,6 @@ fn main() -> ExitCode {
         }
     };
     let code = match args.first().map(String::as_str) {
-        Some("--bench") => bench(args[1..].to_vec()),
         Some("--lint") => lint(&args[1..]),
         Some(_) => session(args),
         None => usage(),

@@ -1,11 +1,9 @@
 //! What-if query driver: scripted size perturbations answered by the
-//! incremental SSTA engine, with a full-recompute A/B mode and an
-//! incremental-vs-full benchmark.
+//! incremental SSTA engine, with a full-recompute A/B mode.
 //!
 //! ```text
 //! what_if <netlist.blif|.v> [--script FILE.json] [--queries N] [--seed S]
 //!         [--full] [--table FILE] [--trace FILE]
-//! what_if --bench [--queries N] [--out PATH] [--trace FILE]
 //! ```
 //!
 //! Session mode applies a sequence of speed-factor perturbation steps
@@ -20,16 +18,10 @@
 //!
 //! A JSON script is an array of steps; each step is one change object
 //! `{"gate": <id>, "size": <speed factor>}` or an array of them.
-//!
-//! `--bench` times incremental vs full answers for the same query
-//! sequences on the generated Table 1 suite (`apex2`, `apex1`, `k2`),
-//! asserts bit-identity in the same run, adds a warm-started
-//! deadline-re-solve demo, and writes `BENCH_incremental.json`.
 
 use sgs_bench::script::{generated_steps, parse_script};
 use sgs_bench::{BenchArgs, TraceArg};
-use sgs_core::{DelaySpec, Objective, Sizer};
-use sgs_netlist::{blif, generate, Circuit, GateId, Library};
+use sgs_netlist::{blif, Circuit, GateId, Library};
 use sgs_ssta::{ssta, IncrementalSsta};
 use sgs_trace::TraceEvent;
 use std::fmt::Write as _;
@@ -39,8 +31,7 @@ use std::time::Instant;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: what_if <netlist.blif|.v> [--script FILE.json] [--queries N] [--seed S] \
-         [--full] [--table FILE] [--trace FILE] [--metrics FILE] [--metrics-prom FILE]\n\
-         \x20      what_if --bench [--queries N] [--out PATH] [--trace FILE] [--metrics FILE]"
+         [--full] [--table FILE] [--trace FILE] [--metrics FILE] [--metrics-prom FILE]"
     );
     ExitCode::from(2)
 }
@@ -232,203 +223,6 @@ fn session(mut args: Vec<String>, trace: &TraceArg) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One circuit's incremental-vs-full A/B entry.
-struct BenchEntry {
-    circuit: String,
-    gates: usize,
-    queries: usize,
-    median_incremental_us: f64,
-    median_full_us: f64,
-    median_speedup: f64,
-    bit_identical: bool,
-    mean_gates_recomputed: f64,
-}
-
-fn bench_circuit(circuit: &Circuit, lib: &Library, queries: usize) -> BenchEntry {
-    let n = circuit.num_gates();
-    let s0: Vec<f64> = (0..n).map(|i| 1.0 + 0.05 * (i % 37) as f64).collect();
-    let steps = generated_steps(circuit, lib, queries, 0xC0FFEE ^ n as u64);
-    let inc = run_incremental(circuit, lib, &s0, &steps);
-    let full = run_full(circuit, lib, &s0, &steps);
-    let bit_identical = inc
-        .iter()
-        .zip(&full)
-        .all(|(a, b)| a.mu.to_bits() == b.mu.to_bits() && a.sigma.to_bits() == b.sigma.to_bits());
-    let med_inc = median(inc.iter().map(|a| a.seconds * 1e6).collect());
-    let med_full = median(full.iter().map(|a| a.seconds * 1e6).collect());
-    BenchEntry {
-        circuit: circuit.name().to_string(),
-        gates: n,
-        queries,
-        median_incremental_us: med_inc,
-        median_full_us: med_full,
-        median_speedup: med_full / med_inc,
-        bit_identical,
-        mean_gates_recomputed: inc.iter().map(|a| a.gates_recomputed as f64).sum::<f64>()
-            / queries as f64,
-    }
-}
-
-/// One warm deadline re-solve record for the bench report.
-struct ResolveRecord {
-    deadline: f64,
-    seconds: f64,
-    outer_iterations: usize,
-    warm_start_hit: bool,
-    gates_recomputed: usize,
-}
-
-fn bench(args: Vec<String>) -> ExitCode {
-    let mut queries = 200usize;
-    let mut out_path = String::from("BENCH_incremental.json");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--queries" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => queries = n,
-                None => return usage(),
-            },
-            "--out" => match it.next().cloned() {
-                Some(p) => out_path = p,
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let lib = Library::paper_default();
-    let suite = generate::benchmark_suite();
-    let largest = suite
-        .iter()
-        .map(Circuit::num_gates)
-        .max()
-        .expect("non-empty suite");
-
-    println!("incremental SSTA bench: {queries} single-gate queries per circuit");
-    let mut entries = Vec::new();
-    for c in &suite {
-        let e = bench_circuit(c, &lib, queries);
-        println!(
-            "{:<8} {:>5} gates  incremental {:>8.2} us  full {:>9.2} us  speedup {:>7.1}x  \
-             identical {}  mean cone {:.1} gates",
-            e.circuit,
-            e.gates,
-            e.median_incremental_us,
-            e.median_full_us,
-            e.median_speedup,
-            e.bit_identical,
-            e.mean_gates_recomputed,
-        );
-        assert!(e.bit_identical, "incremental answers must be bit-identical");
-        if e.gates == largest {
-            assert!(
-                e.median_speedup >= 5.0,
-                "largest benchmark must see >= 5x median speedup, got {:.1}x",
-                e.median_speedup
-            );
-        }
-        entries.push(e);
-    }
-
-    // Warm-started deadline sweep on a 40-cell DAG (the committed rdag40
-    // benchmark's generator twin): one cold solve, then tightening
-    // re-solves carrying (x, lambda, rho).
-    let rdag = generate::random_dag(&generate::RandomDagSpec {
-        name: "rdag40".into(),
-        cells: 40,
-        inputs: 8,
-        depth: 8,
-        seed: 40,
-        ..Default::default()
-    });
-    let baseline = ssta(&rdag, &lib, &vec![1.0; rdag.num_gates()]).delay.mean();
-    let mut resolver = Sizer::new(&rdag, &lib)
-        .objective(Objective::Area)
-        .delay_spec(DelaySpec::MaxMean(baseline * 0.95))
-        .resolver();
-    let t = Instant::now();
-    let cold = resolver.solve().expect("cold rdag40 solve converges");
-    let cold_seconds = t.elapsed().as_secs_f64();
-    let mut resolves = Vec::new();
-    for factor in [0.92, 0.89, 0.86] {
-        let d = baseline * factor;
-        let t = Instant::now();
-        let out = resolver.resolve_spec(d).expect("warm re-solve converges");
-        resolves.push(ResolveRecord {
-            deadline: d,
-            seconds: t.elapsed().as_secs_f64(),
-            outer_iterations: out.result.outer_iterations,
-            warm_start_hit: out.warm_start_hit,
-            gates_recomputed: out.gates_recomputed,
-        });
-    }
-    println!(
-        "rdag40 resolve: cold {:.2}s ({} outer), then {}",
-        cold_seconds,
-        cold.result.outer_iterations,
-        resolves
-            .iter()
-            .map(|r| format!(
-                "D={:.2} {:.2}s ({} outer, warm {})",
-                r.deadline, r.seconds, r.outer_iterations, r.warm_start_hit
-            ))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    assert!(
-        resolves.iter().all(|r| r.warm_start_hit),
-        "every re-solve must accept the warm start"
-    );
-
-    let mut json = String::from("{\n");
-    json.push_str(&sgs_bench::bench_metadata_json("what_if", "suite+rdag40"));
-    let _ = writeln!(json, "  \"queries\": {queries},");
-    json.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"circuit\": \"{}\", \"gates\": {}, \"queries\": {}, \
-             \"median_incremental_us\": {:.3}, \"median_full_us\": {:.3}, \
-             \"median_speedup\": {:.3}, \"bit_identical\": {}, \
-             \"mean_gates_recomputed\": {:.3}}}{}",
-            e.circuit,
-            e.gates,
-            e.queries,
-            e.median_incremental_us,
-            e.median_full_us,
-            e.median_speedup,
-            e.bit_identical,
-            e.mean_gates_recomputed,
-            if i + 1 < entries.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"resolve\": {{\"circuit\": \"rdag40\", \"gates\": {}, \
-         \"cold_seconds\": {:.3}, \"cold_outer_iterations\": {}, \"resolves\": [",
-        rdag.num_gates(),
-        cold_seconds,
-        cold.result.outer_iterations,
-    );
-    for (i, r) in resolves.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"deadline\": {:.4}, \"seconds\": {:.3}, \"outer_iterations\": {}, \
-             \"warm_start_hit\": {}, \"gates_recomputed\": {}}}{}",
-            r.deadline,
-            r.seconds,
-            r.outer_iterations,
-            r.warm_start_hit,
-            r.gates_recomputed,
-            if i + 1 < resolves.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ]}\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
-    println!("wrote {out_path}");
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let bench_args = match BenchArgs::extract("what_if", &mut args) {
@@ -438,13 +232,10 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let code = match args.first().map(String::as_str) {
-        Some("--bench") => bench(args[1..].to_vec()),
-        Some(_) => session(args, bench_args.trace()),
-        None => usage(),
-    };
-    // Circuit set depends on the mode (named netlist or the Table 1
-    // suite); the snapshot summarises the bin's whole run either way.
+    if args.is_empty() {
+        return usage();
+    }
+    let code = session(args, bench_args.trace());
     if let Err(e) = bench_args.finish("what_if") {
         eprintln!("{e}");
         return ExitCode::FAILURE;

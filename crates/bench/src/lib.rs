@@ -143,26 +143,9 @@ pub fn git_sha() -> String {
         .unwrap_or_else(|_| "unknown".to_string())
 }
 
-/// The shared metadata block every `BENCH_*.json` artifact embeds, so all
-/// benchmark outputs carry the same provenance fields as metrics
-/// snapshots: `"schema_version": 1,` followed by a `"metadata"` object
-/// with bin, circuit set, git sha, thread count and timestamp. Returned
-/// pre-indented two spaces with a trailing comma, ready to open a
-/// top-level JSON object with.
-pub fn bench_metadata_json(bin: &str, circuit: &str) -> String {
-    format!(
-        "  \"schema_version\": {},\n  \"metadata\": {{\"bin\": \"{bin}\", \"circuit\": \"{circuit}\", \
-         \"git_sha\": \"{}\", \"threads\": {}, \"timestamp\": \"{}\"}},\n",
-        sgs_metrics::SCHEMA_VERSION,
-        git_sha(),
-        rayon::current_num_threads(),
-        run_timestamp(),
-    )
-}
-
 /// Seconds since the Unix epoch as a decimal string, honouring
-/// `SOURCE_DATE_EPOCH` for reproducible runs. Metadata only — cross-run
-/// comparison ignores it.
+/// `SOURCE_DATE_EPOCH` for reproducible runs. Metadata only: no check
+/// reads it.
 pub fn run_timestamp() -> String {
     if let Ok(t) = std::env::var("SOURCE_DATE_EPOCH") {
         return t;

@@ -2,10 +2,10 @@
 //!
 //! A *script* is a sequence of perturbation steps; each step is a batch
 //! of `(gate, speed-factor)` changes applied together. The `what_if`
-//! binary replays scripts against the incremental SSTA engine, and the
-//! `serve_load` generator replays them against a running `sgs_serve`
-//! daemon — both share this module so a script file means exactly the
-//! same thing in either harness.
+//! binary replays scripts against the incremental SSTA engine, and
+//! `tests/what_if_incremental.rs` draws its query sequences from
+//! [`generated_steps`], so a generated session means the same thing in
+//! either place.
 //!
 //! The JSON form is an array of steps, each one change object
 //! `{"gate": <id>, "size": <speed factor>}` or an array of them.

@@ -475,6 +475,13 @@ impl<'a> Sizer<'a> {
         };
         let s = if pick_full { s_full } else { red.s };
         let objective = if pick_full { full_cand.0 } else { red_cand.0 };
+        // The residual of the candidate actually returned: the AL's when
+        // it wins, the reduced seed's own when the seed does.
+        let c_norm = if pick_full {
+            result.c_norm
+        } else {
+            red.violation
+        };
 
         let report = {
             let _sp = tracer.span("report");
@@ -488,7 +495,7 @@ impl<'a> Sizer<'a> {
             delay: report.delay,
             outer_iterations: result.outer_iterations,
             inner_iterations: result.inner_iterations,
-            c_norm: result.c_norm,
+            c_norm,
             seconds: start.elapsed().as_secs_f64(),
             evals: result.evals,
             clark_var_clamps: self.emit_clamp_delta(&tracer, clamps_before),
@@ -839,6 +846,23 @@ mod tests {
         assert!(
             restarts >= 2,
             "expected perturbed-restart records, got {restarts}"
+        );
+        // Every AL attempt diverged, so the answer is the reduced seed's,
+        // and so must be the residual reported with it.
+        let seed = Sizer::new(&c, &l)
+            .objective(Objective::Area)
+            .delay_spec(DelaySpec::MaxMean(6.5))
+            .solver(SolverChoice::ReducedSpace)
+            .solve()
+            .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&r.s), bits(&seed.s), "the seed's sizing is returned");
+        assert_eq!(
+            r.c_norm.to_bits(),
+            seed.c_norm.to_bits(),
+            "c_norm {:e} is not the returned seed's {:e}",
+            r.c_norm,
+            seed.c_norm
         );
     }
 

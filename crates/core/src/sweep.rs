@@ -24,8 +24,9 @@
 //!
 //! Every traced point carries provenance — warm/cold/cache, outer
 //! iterations, eval counts, Clark clamp counts, wall-clock seconds — and
-//! the whole walk is wrapped in the `sweep` / `sweep_point` metric phases
-//! so `BENCH_sweep.json` can break the cost down per point.
+//! the whole walk is wrapped in the `sweep` / `sweep_point` metric phases,
+//! so a `--metrics` snapshot breaks the cost down per point and
+//! `tests/sweep_contracts.rs` pins the counts of a whole rdag40 scenario.
 //!
 //! # Warm-vs-cold equivalence contract (two tiers)
 //!

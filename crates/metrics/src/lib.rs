@@ -20,8 +20,9 @@
 //!   ([`Counter`], [`Gauge`], [`HistId`], [`Phase`]) indexing fixed
 //!   `static` atomic arrays: recording is a relaxed `fetch_add`/CAS on
 //!   pre-existing storage. The fixed metric set is also what makes run
-//!   snapshots a *versioned schema* that `sgs_report compare` can diff
-//!   run-to-run.
+//!   snapshots a *versioned schema*: `sgs_report lint` checks a snapshot's
+//!   structure, and the golden transcripts (`tests/golden/bitident_*.txt`)
+//!   pin every deterministic value of the metered solves.
 //! - **No clock reads the library owns the meaning of.** Snapshot
 //!   metadata (git sha, thread count, circuit, timestamp) is passed in by
 //!   the binary; the library never calls `Date::now`-equivalents for
@@ -32,14 +33,12 @@
 //! which shares one `Mutex`).
 
 pub mod alloc;
-pub mod compare;
 pub mod hist;
 pub mod prom;
 pub mod report;
 pub mod snapshot;
 pub mod window;
 
-pub use compare::{compare, CompareOptions, CompareOutcome};
 pub use hist::{HistSnapshot, Histogram};
 pub use snapshot::{Metadata, PhaseSnap, Snapshot, SCHEMA_VERSION};
 

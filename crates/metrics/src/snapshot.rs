@@ -29,7 +29,7 @@ use sgs_trace::json::{parse_json, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Version tag of the snapshot (and unified `BENCH_*.json`) schema.
+/// Version tag of the snapshot schema.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Caller-supplied run identity attached to every snapshot.
@@ -109,7 +109,7 @@ fn push_f64_json(out: &mut String, v: f64) {
 
 impl Snapshot {
     /// Serialises the snapshot as a multi-line JSON document (stable key
-    /// order, friendly to committed baselines and text diffs).
+    /// order, friendly to text diffs).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
@@ -206,7 +206,7 @@ impl Snapshot {
     /// # Errors
     ///
     /// Returns a message naming the malformed or missing field. Unknown
-    /// schema versions parse (compare reports them as drift); unknown
+    /// schema versions parse (the [`Snapshot::lint`] gate rejects them); unknown
     /// *fields* are ignored, missing required fields error.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
         let v = parse_json(text)?;
@@ -285,6 +285,51 @@ impl Snapshot {
             .map(|p| p.seconds)
             .sum();
         Some(roots / total)
+    }
+
+    /// Every value a rerun of the same work reproduces bit for bit, one
+    /// `key value` line each:
+    ///
+    /// - counters, except the allocator's `alloc_*`;
+    /// - gauges, except wall-clock `*_seconds` ones;
+    /// - each histogram's observation count, plus every summary field of a
+    ///   histogram that does not measure seconds;
+    /// - each phase's span count.
+    ///
+    /// Floats print as `{:.17e}`, which round-trips an `f64` exactly, so
+    /// equal lines mean equal bits. The golden transcripts
+    /// pin these lines; a metric added or removed changes the line set.
+    #[must_use]
+    pub fn deterministic_lines(&self) -> String {
+        let timing = |name: &str| name.ends_with("_seconds");
+        let mut out = String::new();
+        for (k, v) in &self.counters {
+            if !k.starts_with("alloc_") {
+                let _ = writeln!(out, "counter.{k} {v}");
+            }
+        }
+        for (k, v) in self.gauges.iter().filter(|(k, _)| !timing(k)) {
+            let _ = writeln!(out, "gauge.{k} {v:.17e}");
+        }
+        for (k, h) in &self.hists {
+            let _ = writeln!(out, "hist.{k}.count {}", h.count);
+            if !timing(k) {
+                for (field, v) in [
+                    ("sum", h.sum),
+                    ("min", h.min),
+                    ("max", h.max),
+                    ("p50", h.p50),
+                    ("p90", h.p90),
+                    ("p99", h.p99),
+                ] {
+                    let _ = writeln!(out, "hist.{k}.{field} {v:.17e}");
+                }
+            }
+        }
+        for (k, p) in &self.phases {
+            let _ = writeln!(out, "phase.{k}.count {}", p.count);
+        }
+        out
     }
 
     /// Structural schema lint (the `sgs_report lint` gate): parses `text`
@@ -517,6 +562,82 @@ mod tests {
         assert!(Snapshot::lint(&bad.to_json())
             .unwrap_err()
             .contains("schema_version"));
+    }
+
+    /// `sample()` plus an allocation counter, the sweep's point counter and
+    /// latency, a solver residual and a non-timing histogram.
+    fn sample_with_sweep() -> Snapshot {
+        let mut s = sample();
+        s.counters.insert("alloc_calls".to_string(), 7);
+        s.counters.insert("sweep_points".to_string(), 14);
+        s.gauges.insert("nlp_last_c_norm".to_string(), 0.1);
+        let gates = Histogram::new();
+        gates.observe(5.0);
+        s.hists.insert(
+            "ssta_incremental_gates".to_string(),
+            gates.snapshot("ssta_incremental_gates"),
+        );
+        let point = Histogram::new();
+        point.observe(0.3);
+        s.hists.insert(
+            "sweep_point_seconds".to_string(),
+            point.snapshot("sweep_point_seconds"),
+        );
+        s
+    }
+
+    #[test]
+    fn deterministic_lines_leave_out_wall_clock_and_allocations() {
+        let lines = sample_with_sweep().deterministic_lines();
+        assert!(lines.contains("counter.nlp_solves 1\n"), "{lines}");
+        assert!(lines.contains("counter.sweep_points 14\n"));
+        assert!(lines.contains("gauge.nlp_last_c_norm 1.00000000000000006e-1\n"));
+        assert!(lines.contains("hist.nlp_outer_seconds.count 3\n"));
+        assert!(lines.contains("hist.ssta_incremental_gates.p50 5.00000000000000000e0\n"));
+        assert!(lines.contains("hist.sweep_point_seconds.count 1\n"));
+        assert!(lines.contains("phase.auglag.count 1\n"));
+        for timing in [
+            "alloc_calls",
+            "run_seconds",
+            "nlp_outer_seconds.p50",
+            "sweep_point_seconds.p50",
+            "seconds 1.",
+        ] {
+            assert!(!lines.contains(timing), "{timing} leaked into {lines}");
+        }
+    }
+
+    #[test]
+    fn deterministic_lines_ignore_metadata_and_timings() {
+        // A rerun with other timings, allocations and provenance renders
+        // the same lines.
+        let s = sample_with_sweep();
+        let mut rerun = s.clone();
+        *rerun.counters.get_mut("alloc_calls").unwrap() = 9;
+        *rerun.gauges.get_mut("run_seconds").unwrap() = 3.0;
+        rerun.phases.get_mut("solve").unwrap().seconds = 2.0;
+        rerun.meta.git_sha = "other".into();
+        rerun.meta.timestamp = "later".into();
+        rerun.meta.threads = 8;
+        assert_eq!(rerun.deterministic_lines(), s.deterministic_lines());
+    }
+
+    #[test]
+    fn deterministic_lines_show_any_strict_change() {
+        // One more sweep point, one more solve or a residual one ulp off
+        // each change the lines.
+        let s = sample_with_sweep();
+        let lines = s.deterministic_lines();
+        let mut drifted = s.clone();
+        *drifted.counters.get_mut("sweep_points").unwrap() += 1;
+        assert_ne!(drifted.deterministic_lines(), lines);
+        let mut drifted = s.clone();
+        *drifted.counters.get_mut("nlp_solves").unwrap() = 3;
+        assert_ne!(drifted.deterministic_lines(), lines);
+        let mut drifted = s;
+        let c_norm = drifted.gauges.get_mut("nlp_last_c_norm").unwrap();
+        *c_norm = f64::from_bits(c_norm.to_bits() + 1);
+        assert_ne!(drifted.deterministic_lines(), lines);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   `429` + `Retry-After`), connection-worker pool, routing, metrics
 //!   and tracing;
 //! * [`client`] — the minimal blocking client the tests and the
-//!   `serve_load` generator use.
+//!   benchmark harness use.
 //!
 //! # Example
 //!

@@ -719,21 +719,18 @@ fn sizing_request(
         other => unreachable!("sizing_request only sees sizing routes, got {other}"),
     };
 
-    let checkout = shared.store.checkout(&spec);
     let (reply_tx, reply_rx) = sync_channel(0);
+    // `submit` stamps the session-hit flag and the enqueue time.
     let job = Job {
         request_id: id,
         op,
-        session_hit: checkout.session_hit,
+        session_hit: false,
         reply: reply_tx,
         ctx: ctx.cloned(),
         queued_at: Instant::now(),
     };
+    let checkout = shared.store.submit(&spec, job)?;
     let session = format!("{:016x}", checkout.key);
-    checkout
-        .tx
-        .send(job)
-        .map_err(|_| ServeError::new(500, error::E_INTERNAL, "session worker is gone"))?;
     let reply = reply_rx
         .recv()
         .map_err(|_| ServeError::new(500, error::E_INTERNAL, "session worker dropped the reply"))?;

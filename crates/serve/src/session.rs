@@ -11,7 +11,9 @@
 //! Eviction is equally channel-shaped: the store drops its `Sender`, the
 //! worker drains whatever jobs were already queued and exits. A later
 //! request for the same key re-creates the session cold — a correct
-//! (fresh-solve) answer, just slower.
+//! (fresh-solve) answer, just slower. A worker that died (a panic in a
+//! solve drops its receiver) is retired the same way by the first send
+//! that fails, see [`SessionStore::submit`].
 
 use crate::error::{self, ServeError};
 use crate::proto::{self, SessionSpec};
@@ -19,7 +21,7 @@ use sgs_core::{Resolver, SizeError, Sizer};
 use sgs_netlist::{GateId, Library};
 use sgs_trace::request::{RequestContext, SPAN_SESSION_WAIT};
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, SendError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
@@ -78,6 +80,9 @@ struct Entry {
     tx: Sender<Job>,
     canonical: String,
     last_used: u64,
+    /// Tick at which the worker was spawned: tells a dead session apart
+    /// from the fresh one that may already have replaced it.
+    born: u64,
 }
 
 struct Inner {
@@ -100,6 +105,7 @@ pub struct Checkout {
     pub session_hit: bool,
     /// The session key (hex-rendered into trace records).
     pub key: u64,
+    born: u64,
 }
 
 impl SessionStore {
@@ -139,6 +145,7 @@ impl SessionStore {
                     tx: entry.tx.clone(),
                     session_hit: true,
                     key,
+                    born: entry.born,
                 };
             }
             // FNV collision between distinct formulations: the newcomer
@@ -170,20 +177,71 @@ impl SessionStore {
                 tx: tx.clone(),
                 canonical,
                 last_used: tick,
+                born: tick,
             },
         );
         sgs_metrics::incr(sgs_metrics::Counter::ServeSessionMisses);
-        #[allow(clippy::cast_precision_loss)]
-        sgs_metrics::set_gauge(
-            sgs_metrics::Gauge::ServeSessionsLive,
-            inner.map.len() as f64,
-        );
+        set_live_gauge(&inner);
         Checkout {
             tx,
             session_hit: false,
             key,
+            born: tick,
         }
     }
+
+    /// Checks out the session for `spec` and queues `job` on it, with
+    /// `job.session_hit` set from the checkout and `job.queued_at` from
+    /// the send.
+    ///
+    /// A session whose worker has died (a panic dropped its job
+    /// receiver) is retired on the spot and the job, handed back by the
+    /// failed send, goes to a fresh cold session. A worker panic then
+    /// costs only the requests already queued on that worker, not every
+    /// later request for the circuit.
+    ///
+    /// # Errors
+    ///
+    /// `500 internal` when the fresh worker is gone too.
+    pub fn submit(&self, spec: &SessionSpec, mut job: Job) -> Result<Checkout, ServeError> {
+        let checkout = self.checkout(spec);
+        job.session_hit = checkout.session_hit;
+        job.queued_at = Instant::now();
+        let Err(SendError(mut job)) = checkout.tx.send(job) else {
+            return Ok(checkout);
+        };
+        self.retire(&checkout);
+        let checkout = self.checkout(spec);
+        job.session_hit = checkout.session_hit;
+        job.queued_at = Instant::now();
+        checkout
+            .tx
+            .send(job)
+            .map_err(|_| ServeError::new(500, error::E_INTERNAL, "session worker is gone"))?;
+        Ok(checkout)
+    }
+
+    /// Drops the store's entry for a dead session, unless a concurrent
+    /// request has already replaced it with a fresh one.
+    fn retire(&self, dead: &Checkout) {
+        let mut inner = self.inner.lock().expect("session store poisoned");
+        if inner
+            .map
+            .get(&dead.key)
+            .is_some_and(|e| e.born == dead.born)
+        {
+            inner.map.remove(&dead.key);
+            set_live_gauge(&inner);
+        }
+    }
+}
+
+fn set_live_gauge(inner: &Inner) {
+    #[allow(clippy::cast_precision_loss)]
+    sgs_metrics::set_gauge(
+        sgs_metrics::Gauge::ServeSessionsLive,
+        inner.map.len() as f64,
+    );
 }
 
 fn solver_error(e: &SizeError) -> ServeError {
@@ -384,6 +442,49 @@ mod tests {
                 .map(|b| *b == sgs_trace::json::Json::Bool(true)),
             Some(true)
         );
+    }
+
+    #[test]
+    fn dead_worker_is_retired_and_the_job_resent_cold() {
+        let store = SessionStore::new(2);
+        let s =
+            spec(r#"{"circuit":{"builtin":"tree7"},"objective":"area","spec":{"max_mean":9.0}}"#);
+        // A session whose worker died: its receiver is gone.
+        let (dead_tx, dead_rx) = std::sync::mpsc::channel::<Job>();
+        drop(dead_rx);
+        store.inner.lock().unwrap().map.insert(
+            s.key(),
+            Entry {
+                tx: dead_tx,
+                canonical: s.canonical(),
+                last_used: 0,
+                born: 0,
+            },
+        );
+        let (reply, rx) = sync_channel(0);
+        let job = Job {
+            request_id: 7,
+            op: Op::Solve {
+                deadline: Some(9.0),
+            },
+            session_hit: true,
+            reply,
+            ctx: None,
+            queued_at: Instant::now(),
+        };
+        let co = store
+            .submit(&s, job)
+            .expect("the job reaches a live worker");
+        assert!(!co.session_hit, "the replacement session starts cold");
+        let body = rx.recv().expect("worker answers").expect("solve succeeds");
+        let v = parse_json(body.trim()).unwrap();
+        assert_eq!(
+            v.get("session_hit"),
+            Some(&sgs_trace::json::Json::Bool(false))
+        );
+        assert_eq!(store.live(), 1);
+        // The fresh session stays warm for the next request.
+        assert!(store.checkout(&s).session_hit);
     }
 
     #[test]

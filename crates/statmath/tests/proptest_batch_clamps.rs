@@ -1,9 +1,8 @@
 //! Clamp-accounting half of the batched-kernel differential oracle: the
 //! process-global variance-clamp counter must advance by exactly as
 //! much under [`clark::max_batch`] as under the equivalent scalar
-//! sequence — `sgs_report compare` treats `clark_var_clamps` as a
-//! strict (bit-deterministic) metric, so over- or under-counting in the
-//! batch kernel would trip the cross-run gate.
+//! sequence — the golden transcripts pin `clark_var_clamps` exactly, so
+//! over- or under-counting in the batch kernel would fail them.
 //!
 //! Like `clamp_counter.rs`, this file holds a single test so the
 //! process-global counter is only touched by the calls below (the other

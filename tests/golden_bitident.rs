@@ -6,11 +6,16 @@
 //! the pre-refactor solver *bit for bit*. These tests pin the full
 //! iterate vector, the objective, the `Tmax` moments and the Clark
 //! variance-clamp count of the two metered circuits (`tree7`, `rdag40`)
-//! against goldens generated before the refactor. Values are stored as
-//! 17-significant-digit decimals (which round-trip `f64` exactly) and
-//! compared on the *bit pattern*, not within a tolerance.
+//! against goldens generated before the refactor. Each transcript then
+//! carries every deterministic value of the solve's metrics snapshot
+//! ([`sgs_metrics::Snapshot::deterministic_lines`]): counters, the
+//! `nlp_last_*` gauges, histogram counts and phase counts, so one extra
+//! SSTA pass or CG iteration fails here too. The same solve with a ring
+//! trace sink attached must reproduce the transcript line for line.
+//! Values are stored as 17-significant-digit decimals (which round-trip
+//! `f64` exactly) and compared as text, so equal lines mean equal bits.
 //!
-//! Regenerate intentionally with:
+//! Regenerate intentionally (answers and counters together) with:
 //!
 //! ```text
 //! REGEN_GOLDEN=1 cargo test -p sgs-core --test golden_bitident
@@ -18,13 +23,14 @@
 
 use sgs_core::{DelaySpec, Objective, Sizer};
 use sgs_netlist::{blif, generate, Circuit, Library};
+use sgs_trace::{RingSink, TraceSink};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-/// Serializes the solves: `clark_var_clamps` is a delta of a
-/// process-wide counter, so a solve running concurrently in a sibling
-/// test would be counted too.
+/// Serializes the solves: `clark_var_clamps` and the metrics registry
+/// are process-wide, so a solve running concurrently in a sibling test
+/// would be counted too.
 static SOLVE: Mutex<()> = Mutex::new(());
 
 fn golden_dir() -> PathBuf {
@@ -41,17 +47,24 @@ fn rdag40() -> Circuit {
     blif::parse(&text).expect("rdag40.blif parses")
 }
 
-/// Renders one solve as `key value` lines with exact-round-trip decimals.
-fn render(circuit: &Circuit, deadline: f64) -> String {
-    let _solo = SOLVE.lock().unwrap_or_else(|e| e.into_inner());
-    let r = Sizer::new(circuit, &lib())
+/// Renders one solve as `key value` lines with exact-round-trip decimals,
+/// followed by the deterministic values of its metrics snapshot.
+fn solve_transcript(circuit: &Circuit, deadline: f64, sink: Option<&dyn TraceSink>) -> String {
+    let lib = lib();
+    sgs_metrics::reset();
+    sgs_metrics::enable();
+    let mut sizer = Sizer::new(circuit, &lib)
         .objective(Objective::Area)
         .delay_spec(DelaySpec::MaxMeanPlusKSigma {
             k: 3.0,
             d: deadline,
-        })
-        .solve()
-        .expect("solve succeeds");
+        });
+    if let Some(sink) = sink {
+        sizer = sizer.trace(sink);
+    }
+    let r = sizer.solve().expect("solve succeeds");
+    let metrics = sgs_metrics::snapshot(sgs_metrics::Metadata::default());
+    sgs_metrics::disable();
     let mut out = String::new();
     writeln!(out, "objective {:.17e}", r.objective).unwrap();
     writeln!(out, "mu_tmax {:.17e}", r.delay.mean()).unwrap();
@@ -60,11 +73,26 @@ fn render(circuit: &Circuit, deadline: f64) -> String {
     for (g, s) in r.s.iter().enumerate() {
         writeln!(out, "s[{g}] {s:.17e}").unwrap();
     }
+    out.push_str(&metrics.deterministic_lines());
     out
 }
 
-/// Asserts `actual` matches the golden file bit for bit: every numeric
-/// field must parse to the same `f64` bit pattern (or the same integer).
+/// The untraced transcript, after checking that attaching the daemon's
+/// ring sink changes neither the answer nor a single count.
+fn render(circuit: &Circuit, deadline: f64) -> String {
+    let _solo = SOLVE.lock().unwrap_or_else(|e| e.into_inner());
+    let plain = solve_transcript(circuit, deadline, None);
+    let ring = RingSink::new(16);
+    let traced = solve_transcript(circuit, deadline, Some(&ring));
+    for (p, t) in plain.lines().zip(traced.lines()) {
+        assert_eq!(p, t, "ring-traced solve differs from the untraced one");
+    }
+    assert_eq!(plain.lines().count(), traced.lines().count());
+    plain
+}
+
+/// Asserts `actual` matches the golden file line for line. Numbers are
+/// written in exact-round-trip form, so equal text means equal bits.
 fn check_golden(name: &str, actual: &str) {
     let path = golden_dir().join(name);
     if std::env::var_os("REGEN_GOLDEN").is_some() {
@@ -81,27 +109,17 @@ fn check_golden(name: &str, actual: &str) {
     });
     let exp_lines: Vec<&str> = expected.lines().collect();
     let act_lines: Vec<&str> = actual.lines().collect();
+    for (e, a) in exp_lines.iter().zip(&act_lines) {
+        let (ek, ev) = e.split_once(' ').unwrap();
+        let (ak, av) = a.split_once(' ').unwrap();
+        assert_eq!(ek, ak, "{name}: key changed");
+        assert_eq!(ev, av, "{name}: {ek} changed");
+    }
     assert_eq!(
         exp_lines.len(),
         act_lines.len(),
         "{name}: line count changed"
     );
-    for (e, a) in exp_lines.iter().zip(&act_lines) {
-        let (ek, ev) = e.split_once(' ').unwrap();
-        let (ak, av) = a.split_once(' ').unwrap();
-        assert_eq!(ek, ak, "{name}: key changed");
-        if ek == "clark_var_clamps" {
-            assert_eq!(ev, av, "{name}: {ek} changed");
-            continue;
-        }
-        let ev: f64 = ev.parse().unwrap();
-        let av: f64 = av.parse().unwrap();
-        assert_eq!(
-            ev.to_bits(),
-            av.to_bits(),
-            "{name}: {ek} drifted: golden {ev:.17e} vs actual {av:.17e}"
-        );
-    }
 }
 
 /// The tree benchmark under the metered CI configuration
