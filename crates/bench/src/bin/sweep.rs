@@ -33,8 +33,10 @@ fn usage() -> ExitCode {
 }
 
 /// The 17-significant-digit frontier table (feasible points only; an
-/// infeasible point has no `(area, mu, sigma)` to print). Shared by the
-/// session printer, the golden test and the `--lint` parser.
+/// infeasible point has no `(area, mu, sigma)` to print). The session
+/// prints it and `--table` writes it; `lint_table` (`--lint`) parses the
+/// layout back. `tests/golden_sweep.rs` writes the same layout with its
+/// own formatter, so a change here must be mirrored there.
 fn render_table(name: &str, gates: usize, frontier: &Frontier) -> String {
     let mut out = String::new();
     let _ = writeln!(

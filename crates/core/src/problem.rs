@@ -46,6 +46,16 @@ const INF: f64 = f64::INFINITY;
 const VAR_LB: f64 = 1e-12;
 /// Floor inside `sqrt` when evaluating sigma terms.
 const SQRT_FLOOR: f64 = 1e-12;
+/// A delay cap's slack within this (relative to `1 + |D|`) of its bound
+/// counts as sitting on it, so [`SizingProblem::multiplier_estimate`]
+/// fits the cap's multiplier instead of back-substituting it.
+const SLACK_ACTIVE_TOL: f64 = 1e-6;
+/// A speed factor within this (relative to `1 + |bound|`) of a bound is
+/// held by it and left out of a cap's multiplier fit.
+const BOUND_TOL: f64 = 1e-9;
+/// Gauss-Seidel passes of the joint fit over several active caps (one
+/// cap needs a single pass).
+const FIT_PASSES: usize = 50;
 
 /// A stochastic-max operand: a constant (folded primary-input arrival) or
 /// a pair of problem variables.
@@ -127,6 +137,21 @@ enum Con {
         slack: Option<usize>,
         d: f64,
     },
+}
+
+impl Con {
+    /// The variable this constraint defines: its first field, or the
+    /// slack of a `<=` delay cap. A pinned (`=`) cap defines none.
+    fn defined_var(&self) -> Option<usize> {
+        match *self {
+            Con::Delay { imt, .. } => Some(imt),
+            Con::VarT { ivt, .. } => Some(ivt),
+            Con::MaxMu { out, .. } | Con::MaxVar { out, .. } => Some(out),
+            Con::ArrMu { im_arr, .. } => Some(im_arr),
+            Con::ArrVar { iv_arr, .. } => Some(iv_arr),
+            Con::DelayCap { slack, .. } => slack,
+        }
+    }
 }
 
 /// The assembled sizing NLP. Implements [`NlpProblem`] with exact sparse
@@ -600,6 +625,136 @@ impl SizingProblem {
         x
     }
 
+    /// First-order least-squares multiplier estimate at `x`, in the sign
+    /// convention of the augmented Lagrangian (`grad f = J' lambda` at a
+    /// KKT point): the start LANCELOT takes, and the adjoint sweep of the
+    /// reduced-space gradient.
+    ///
+    /// Each constraint defines one variable (the first field of `Con`), so
+    /// `J_y` is triangular in constraint order and `J_y' lambda =
+    /// grad_y f` is one reverse pass over the Jacobian rows, carrying the
+    /// residual `r = grad f - J' lambda`. A `<=` cap whose slack is
+    /// interior back-substitutes like any row, which gives it
+    /// `lambda = 0`. A cap whose slack sits on its bound, and a pinned
+    /// (`=`) cap, defines no free variable; its multiplier instead
+    /// minimises `|r_S|` over the speed factors not held by a bound. One
+    /// extra sweep per such cap gives the residual a unit multiplier
+    /// induces; the caps are then fitted jointly and a slack cap's
+    /// multiplier is clipped to `<= 0`, the sign its slack bound allows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the variable count.
+    pub fn multiplier_estimate(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.num_vars, "x length mismatch");
+        let m = self.cons.len();
+        let mut jac = vec![0.0; *self.jac_off.last().unwrap()];
+        self.jacobian_values_inner(x, &mut jac);
+        let mut cols = Vec::with_capacity(jac.len());
+        for con in &self.cons {
+            jac_cols(con, |j| cols.push(j));
+        }
+        let is_fitted: Vec<bool> = self
+            .cons
+            .iter()
+            .map(|con| match *con {
+                Con::DelayCap { slack: None, .. } => true,
+                Con::DelayCap {
+                    slack: Some(sl), d, ..
+                } => x[sl] - self.lower[sl] <= SLACK_ACTIVE_TOL * (1.0 + d.abs()),
+                _ => false,
+            })
+            .collect();
+        let fitted: Vec<usize> = (0..m).filter(|&ci| is_fitted[ci]).collect();
+        let row = |ci: usize| self.jac_off[ci]..self.jac_off[ci + 1];
+        // Back-substitutes every row except the fitted caps', in reverse
+        // constraint order: row `ci` is the last one to touch the variable
+        // it defines, so its multiplier zeroes that variable's residual.
+        let sweep = |r: &mut [f64], lambda: &mut [f64]| {
+            for ci in (0..m).rev() {
+                let Some(y) = self.cons[ci].defined_var().filter(|_| !is_fitted[ci]) else {
+                    continue;
+                };
+                let pivot = row(ci).find(|&k| cols[k] == y).map(|k| jac[k]);
+                let lam = r[y] / pivot.expect("a row holds its defined variable");
+                lambda[ci] = lam;
+                for k in row(ci) {
+                    r[cols[k]] -= lam * jac[k];
+                }
+            }
+        };
+        let mut lambda = vec![0.0; m];
+        let mut r = vec![0.0; self.num_vars];
+        self.gradient(x, &mut r);
+        sweep(&mut r, &mut lambda);
+        if fitted.is_empty() {
+            return lambda;
+        }
+
+        let free: Vec<usize> = self
+            .idx_s
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let (l, u) = (self.lower[i], self.upper[i]);
+                x[i] > l + BOUND_TOL * (1.0 + l.abs()) && x[i] < u - BOUND_TOL * (1.0 + u.abs())
+            })
+            .collect();
+        // Per fitted cap: the multipliers and free-S residual that a unit
+        // multiplier on the cap induces.
+        let dirs: Vec<(Vec<f64>, Vec<f64>)> = fitted
+            .iter()
+            .map(|&ci| {
+                let mut rd = vec![0.0; self.num_vars];
+                let mut ld = vec![0.0; m];
+                for k in row(ci) {
+                    rd[cols[k]] -= jac[k];
+                }
+                sweep(&mut rd, &mut ld);
+                (ld, free.iter().map(|&i| rd[i]).collect())
+            })
+            .collect();
+        // Minimise |r_S + sum_c t_c rd_c| over the free S: the normal
+        // equations, solved by projected Gauss-Seidel.
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(p, q)| p * q).sum::<f64>();
+        let r_free: Vec<f64> = free.iter().map(|&i| r[i]).collect();
+        let nf = fitted.len();
+        let gram: Vec<f64> = (0..nf * nf)
+            .map(|ij| dot(&dirs[ij / nf].1, &dirs[ij % nf].1))
+            .collect();
+        let rhs: Vec<f64> = dirs.iter().map(|(_, d)| -dot(d, &r_free)).collect();
+        let mut t = vec![0.0; nf];
+        for _ in 0..FIT_PASSES {
+            let mut moved = 0.0f64;
+            for a in 0..nf {
+                let g = gram[a * nf + a];
+                if g <= 0.0 {
+                    continue;
+                }
+                let off: f64 = (0..nf)
+                    .filter(|&b| b != a)
+                    .map(|b| gram[a * nf + b] * t[b])
+                    .sum();
+                let mut ta = (rhs[a] - off) / g;
+                if matches!(self.cons[fitted[a]], Con::DelayCap { slack: Some(_), .. }) {
+                    ta = ta.min(0.0);
+                }
+                moved = moved.max((ta - t[a]).abs() / (1.0 + ta.abs()));
+                t[a] = ta;
+            }
+            if moved <= f64::EPSILON {
+                break;
+            }
+        }
+        for ((&ci, (ld, _)), &ta) in fitted.iter().zip(&dirs).zip(&t) {
+            for (l, d) in lambda.iter_mut().zip(ld) {
+                *l += ta * d;
+            }
+            lambda[ci] = ta;
+        }
+        lambda
+    }
+
     fn sigma_tmax(&self, x: &[f64]) -> f64 {
         x[self.i_v_tmax].max(SQRT_FLOOR).sqrt()
     }
@@ -889,15 +1044,56 @@ fn clark_eval_hess(a: Operand, b: Operand, x: &[f64], eps: f64) -> ClarkHess {
     clark::max_hess(a.mu(x), a.var(x), b.mu(x), b.var(x), eps)
 }
 
-/// Jacobian entries of one constraint — must mirror
-/// [`NlpProblem::jacobian_structure`] exactly.
-fn jac_width(con: &Con) -> usize {
+/// Column of every Jacobian entry of one constraint, in the order
+/// `jacobian_group` fills its values — must mirror it exactly. The
+/// declared structure, the value-block offsets and the multiplier sweep
+/// all read the columns from here.
+fn jac_cols(con: &Con, mut emit: impl FnMut(usize)) {
     match con {
-        Con::Delay { fanout, .. } => 2 + fanout.len(),
-        Con::VarT { .. } => 2,
-        Con::MaxMu { a, b, .. } | Con::MaxVar { a, b, .. } => 1 + clark_slots(*a, *b).len,
-        Con::ArrMu { u, .. } | Con::ArrVar { u, .. } => 2 + matches!(u, Term::Var(_)) as usize,
-        Con::DelayCap { iv, slack, .. } => 1 + iv.is_some() as usize + slack.is_some() as usize,
+        Con::Delay {
+            imt, is, fanout, ..
+        } => {
+            emit(*imt);
+            emit(*is);
+            for &(j, _) in fanout {
+                emit(j);
+            }
+        }
+        Con::VarT { ivt, imt, .. } => {
+            emit(*ivt);
+            emit(*imt);
+        }
+        Con::MaxMu { out, a, b } | Con::MaxVar { out, a, b } => {
+            emit(*out);
+            for &(_, var) in clark_slots(*a, *b).as_slice() {
+                emit(var);
+            }
+        }
+        Con::ArrMu {
+            im_arr: y,
+            u,
+            imt: t,
+        }
+        | Con::ArrVar {
+            iv_arr: y,
+            u,
+            ivt: t,
+        } => {
+            emit(*y);
+            if let Term::Var(i) = u {
+                emit(*i);
+            }
+            emit(*t);
+        }
+        Con::DelayCap { imu, iv, slack, .. } => {
+            emit(*imu);
+            if let Some(i) = iv {
+                emit(*i);
+            }
+            if let Some(sl) = slack {
+                emit(*sl);
+            }
+        }
     }
 }
 
@@ -924,7 +1120,7 @@ fn index_cons(cons: &[Con]) -> (Vec<(usize, usize)>, Vec<usize>, Vec<usize>) {
     jac_off.push(0);
     hess_off.push(0);
     for con in cons {
-        j += jac_width(con);
+        jac_cols(con, |_| j += 1);
         h += hess_width(con);
         jac_off.push(j);
         hess_off.push(h);
@@ -1004,50 +1200,7 @@ impl NlpProblem for SizingProblem {
     fn jacobian_structure(&self) -> Vec<(usize, usize)> {
         let mut s = Vec::new();
         for (ci, con) in self.cons.iter().enumerate() {
-            match con {
-                Con::Delay {
-                    imt, is, fanout, ..
-                } => {
-                    s.push((ci, *imt));
-                    s.push((ci, *is));
-                    for &(j, _) in fanout {
-                        s.push((ci, j));
-                    }
-                }
-                Con::VarT { ivt, imt, .. } => {
-                    s.push((ci, *ivt));
-                    s.push((ci, *imt));
-                }
-                Con::MaxMu { out, a, b } | Con::MaxVar { out, a, b } => {
-                    s.push((ci, *out));
-                    for &(_, var) in clark_slots(*a, *b).as_slice() {
-                        s.push((ci, var));
-                    }
-                }
-                Con::ArrMu { im_arr, u, imt } => {
-                    s.push((ci, *im_arr));
-                    if let Term::Var(i) = u {
-                        s.push((ci, *i));
-                    }
-                    s.push((ci, *imt));
-                }
-                Con::ArrVar { iv_arr, u, ivt } => {
-                    s.push((ci, *iv_arr));
-                    if let Term::Var(i) = u {
-                        s.push((ci, *i));
-                    }
-                    s.push((ci, *ivt));
-                }
-                Con::DelayCap { imu, iv, slack, .. } => {
-                    s.push((ci, *imu));
-                    if let Some(i) = iv {
-                        s.push((ci, *i));
-                    }
-                    if let Some(sl) = slack {
-                        s.push((ci, *sl));
-                    }
-                }
-            }
+            jac_cols(con, |j| s.push((ci, j)));
         }
         if let Some(k) = self.jac_drop {
             s.remove(k);
@@ -1414,6 +1567,205 @@ mod tests {
             .collect();
         let r = sgs_nlp::problem::check_derivatives(&p, &x, &lambda, 1e-6);
         assert!(r.within(5e-5), "{r:?}");
+    }
+
+    fn rdag40() -> Circuit {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
+        let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
+        sgs_netlist::blif::parse(&text).expect("rdag40.blif parses")
+    }
+
+    /// The four Table 1 row forms, deadlines at `frac` of the delay at `s`.
+    fn table1_forms(circuit: &Circuit, s: &[f64], frac: f64) -> [(Objective, DelaySpec); 4] {
+        let delay = sgs_ssta::ssta(circuit, &lib(), s).delay;
+        [
+            (Objective::MeanDelay, DelaySpec::None),
+            (Objective::MeanPlusKSigma(3.0), DelaySpec::None),
+            (Objective::Area, DelaySpec::MaxMean(frac * delay.mean())),
+            (
+                Objective::Area,
+                DelaySpec::MaxMeanPlusKSigma {
+                    k: 3.0,
+                    d: frac * delay.mean_plus_k_sigma(3.0),
+                },
+            ),
+        ]
+    }
+
+    /// `grad f - J' lambda`, through the public sparse interface.
+    fn kkt_residual(p: &SizingProblem, x: &[f64], lambda: &[f64]) -> Vec<f64> {
+        let mut r = vec![0.0; p.num_vars()];
+        p.gradient(x, &mut r);
+        let mut vals = vec![0.0; p.jacobian_structure().len()];
+        p.jacobian_values(x, &mut vals);
+        for (&(ci, j), v) in p.jacobian_structure().iter().zip(&vals) {
+            r[j] -= lambda[ci] * v;
+        }
+        r
+    }
+
+    #[test]
+    fn multiplier_estimate_solves_every_back_substituted_row() {
+        for circuit in [generate::tree7(), rdag40()] {
+            let s: Vec<f64> = (0..circuit.num_gates())
+                .map(|i| 1.0 + 0.07 * (i % 25) as f64)
+                .collect();
+            // Deadlines below the delay at `s`: every cap's slack sits on
+            // its bound, so the cap is fitted, not back-substituted.
+            for (obj, spec) in table1_forms(&circuit, &s, 0.9) {
+                let p = SizingProblem::build(&circuit, &lib(), obj.clone(), spec);
+                let x = p.initial_point(&s);
+                let lambda = p.multiplier_estimate(&x);
+                assert!(lambda.iter().all(|v| v.is_finite()));
+                let r = kkt_residual(&p, &x, &lambda);
+                let mut vals = vec![0.0; p.jacobian_structure().len()];
+                p.jacobian_values(&x, &mut vals);
+                let mut g = vec![0.0; p.num_vars()];
+                p.gradient(&x, &mut g);
+                let mut scale: Vec<f64> = g.iter().map(|v| v.abs()).collect();
+                for (&(ci, j), v) in p.jacobian_structure().iter().zip(&vals) {
+                    scale[j] += (lambda[ci] * v).abs();
+                }
+                for (ci, con) in p.cons.iter().enumerate() {
+                    if let Con::DelayCap { .. } = con {
+                        assert!(lambda[ci] <= 0.0, "{obj}: cap multiplier {}", lambda[ci]);
+                        continue;
+                    }
+                    let y = con.defined_var().unwrap();
+                    assert!(
+                        r[y].abs() <= 1e-12 * scale[y],
+                        "{} {obj}: row {ci} ({}) residual {:e} at scale {:e}",
+                        circuit.name(),
+                        p.constraint_kind(ci),
+                        r[y],
+                        scale[y]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multiplier_estimate_fits_pinned_and_per_output_caps() {
+        let dag = generate::random_dag(&sgs_netlist::generate::RandomDagSpec {
+            name: "caps".into(),
+            cells: 30,
+            inputs: 6,
+            depth: 5,
+            seed: 11,
+            ..Default::default()
+        });
+        let s: Vec<f64> = (0..dag.num_gates())
+            .map(|i| 1.0 + 0.09 * (i % 19) as f64)
+            .collect();
+        let report = sgs_ssta::ssta(&dag, &lib(), &s);
+        let per_output: Vec<f64> = dag
+            .outputs()
+            .iter()
+            .map(|&o| 0.9 * report.arrivals[o.index()].mean())
+            .collect();
+        for (spec, caps) in [
+            (DelaySpec::ExactMean(0.9 * report.delay.mean()), 1),
+            (
+                DelaySpec::PerOutput {
+                    k: 0.0,
+                    d: per_output,
+                },
+                dag.outputs().len(),
+            ),
+        ] {
+            let p = SizingProblem::build(&dag, &lib(), Objective::Area, spec.clone());
+            let x = p.initial_point(&s);
+            let lambda = p.multiplier_estimate(&x);
+            let r = kkt_residual(&p, &x, &lambda);
+            // Area reaches no defined variable: with every cap at zero the
+            // residual on the speed factors is all ones, and the joint fit
+            // must do better.
+            let free_norm = |r: &[f64]| {
+                (0..p.num_gates())
+                    .map(|g| r[p.s_index(g)].powi(2))
+                    .sum::<f64>()
+                    .sqrt()
+            };
+            assert!(
+                free_norm(&r) < (p.num_gates() as f64).sqrt(),
+                "{spec}: fitted residual {:e}",
+                free_norm(&r)
+            );
+            let mut fitted = 0;
+            for (ci, con) in p.cons.iter().enumerate() {
+                match (con, con.defined_var()) {
+                    (Con::DelayCap { slack, .. }, _) => {
+                        fitted += 1;
+                        assert!(
+                            slack.is_none() || lambda[ci] <= 0.0,
+                            "{spec}: {}",
+                            lambda[ci]
+                        );
+                    }
+                    (_, Some(y)) => assert!(r[y].abs() <= 1e-12 * (1.0 + lambda[ci].abs())),
+                    (_, None) => unreachable!("only caps define no variable"),
+                }
+            }
+            assert_eq!(fitted, caps);
+        }
+    }
+
+    #[test]
+    fn multiplier_estimate_gives_an_interior_cap_zero() {
+        let circuit = generate::tree7();
+        let s = vec![1.5; 7];
+        for (obj, spec) in table1_forms(&circuit, &s, 1.1).into_iter().skip(2) {
+            let p = SizingProblem::build(&circuit, &lib(), obj, spec);
+            let x = p.initial_point(&s);
+            let lambda = p.multiplier_estimate(&x);
+            // Area reaches no defined variable, so nothing but the (zero)
+            // cap could carry a multiplier.
+            assert!(lambda.iter().all(|&v| v == 0.0), "{lambda:?}");
+        }
+    }
+
+    #[test]
+    fn multiplier_estimate_matches_a_converged_solve() {
+        use sgs_nlp::auglag::{self, AugLagOptions, SolveStatus, WarmStart};
+        let circuit = rdag40();
+        let (obj, spec) = (
+            Objective::Area,
+            DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 20.0 },
+        );
+        let seed = crate::reduced::solve_reduced(
+            &circuit,
+            &lib(),
+            obj.clone(),
+            spec.clone(),
+            &vec![1.0; circuit.num_gates()],
+            &crate::reduced::ReducedOptions::default(),
+        );
+        let p = SizingProblem::build(&circuit, &lib(), obj, spec);
+        let x0 = p.initial_point(&seed.s);
+        let warm = WarmStart {
+            lambda: p.multiplier_estimate(&x0),
+            x: x0.clone(),
+            rho: 30.0,
+        };
+        let opts = AugLagOptions {
+            tol_feas: 1e-10,
+            tol_opt: 1e-8,
+            ..AugLagOptions::default()
+        };
+        let r = auglag::solve_warm(&p, &x0, Some(&warm), &opts);
+        assert_eq!(r.status, SolveStatus::Converged);
+        let est = p.multiplier_estimate(&r.x);
+        let norm = r.lambda.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+        let diff = est
+            .iter()
+            .zip(&r.lambda)
+            .fold(0.0f64, |a, (e, l)| a.max((e - l).abs()));
+        assert!(norm > 0.0);
+        assert!(
+            diff <= 1e-3 * norm,
+            "estimate is {diff:e} from the solve's multipliers (|lambda| = {norm:e})"
+        );
     }
 
     #[test]

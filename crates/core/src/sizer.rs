@@ -17,7 +17,7 @@ use crate::problem::SizingProblem;
 use crate::reduced::{self, ReducedOptions};
 use crate::spec::{DelaySpec, Objective};
 use sgs_netlist::{Circuit, Library};
-use sgs_nlp::auglag::{self, AugLagOptions, SolveStatus};
+use sgs_nlp::auglag::{self, AugLagOptions, SolveStatus, WarmStart};
 use sgs_nlp::{EvalCounts, NlpProblem};
 use sgs_statmath::Normal;
 use sgs_trace::{TraceEvent, TraceSink, Tracer};
@@ -25,6 +25,11 @@ use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
+
+/// Penalty parameter of the seeded augmented-Lagrangian start without a
+/// delay constraint, as a multiple of [`AugLagOptions::rho0`] (see
+/// [`Sizer::seeded_rho`]).
+const SEEDED_RHO_FACTOR: f64 = 3.0;
 
 /// Which solver carries the optimisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -264,7 +269,9 @@ impl<'a> Sizer<'a> {
         self
     }
 
-    /// Overrides the augmented-Lagrangian options.
+    /// Overrides the augmented-Lagrangian options. Without a delay
+    /// constraint the seeded start of every attempt uses `3 × rho0` as
+    /// its penalty parameter.
     pub fn al_options(mut self, opts: AugLagOptions) -> Self {
         self.al_options = opts;
         self
@@ -381,18 +388,35 @@ impl<'a> Sizer<'a> {
                 self.input_arrivals.as_deref(),
             )
         };
+        // Every attempt starts at the exactly feasible point of its speed
+        // factors, with least-squares multipliers from one adjoint sweep
+        // (LANCELOT's first-order estimate): with lambda = 0 the AL has no
+        // curvature along the constraint tangent and walks off a seed that
+        // is already nearly optimal.
         let run_attempt = |s_init: &[f64]| {
             let _sp = tracer.span("auglag");
             let _ph = sgs_metrics::phase(sgs_metrics::Phase::Auglag);
-            let x0 = problem.initial_point(s_init);
+            let x = problem.initial_point(s_init);
+            let warm = WarmStart {
+                lambda: problem.multiplier_estimate(&x),
+                x,
+                rho: self.seeded_rho(),
+            };
             match self.poison_nan_after {
-                Some(after) => auglag::solve_traced(
+                Some(after) => auglag::solve_warm_traced(
                     &PoisonNanAfter::new(&problem, after),
-                    &x0,
+                    &warm.x,
+                    Some(&warm),
                     &self.al_options,
                     tracer,
                 ),
-                None => auglag::solve_traced(&problem, &x0, &self.al_options, tracer),
+                None => auglag::solve_warm_traced(
+                    &problem,
+                    &warm.x,
+                    Some(&warm),
+                    &self.al_options,
+                    tracer,
+                ),
             }
         };
 
@@ -500,6 +524,26 @@ impl<'a> Sizer<'a> {
             evals: result.evals,
             clark_var_clamps: self.emit_clamp_delta(&tracer, clamps_before),
         })
+    }
+
+    /// The penalty parameter of the seeded AL start.
+    ///
+    /// Without a delay constraint the seed is feasible to rounding, and
+    /// the AL ends a solve as soon as one inner solve leaves a feasible
+    /// iterate where it was. Its first two inner tolerances are `1/rho`
+    /// and `1/rho^2`, so they must be tighter than the seed's projected
+    /// gradient: at `rho0 = 10` the seeded rdag40 min-mu row stops at the
+    /// seed, 1.0e-5 above its optimum, and `3 rho0` reaches it (at
+    /// `10 rho0`, dag40 min mu takes four times as long). A delay cap
+    /// leaves the reduced seed up to 1e-4 infeasible, so the AL moves
+    /// anyway, and there the larger penalty only stiffens the inner CG:
+    /// on the Table 1 apex1/k2 area rows `3 rho0` costs 1.6 to 19 times
+    /// the CG iterations of `rho0`.
+    fn seeded_rho(&self) -> f64 {
+        match self.delay_spec {
+            DelaySpec::None => SEEDED_RHO_FACTOR * self.al_options.rho0,
+            _ => self.al_options.rho0,
+        }
     }
 
     /// Delta of the process-global Clark variance-clamp counter over this
@@ -834,7 +878,7 @@ mod tests {
         let r = Sizer::new(&c, &l)
             .objective(Objective::Area)
             .delay_spec(DelaySpec::MaxMean(6.5))
-            .poison_nan_after(3)
+            .poison_nan_after(2)
             .trace(&sink)
             .solve()
             .unwrap();
@@ -907,6 +951,24 @@ mod tests {
         assert!(sink.count(|e| matches!(e, TraceEvent::Outer(_))) >= 1);
         assert!(sink.span_seconds("auglag") > 0.0);
         assert!(sink.span_seconds("reduced_space") > 0.0);
+    }
+
+    #[test]
+    fn seeded_rdag40_min_mu3s_stops_before_the_outer_cap() {
+        // With lambda = 0 this row ran all 40 outer iterations and then
+        // reported the seed; seeded multipliers let the AL finish.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
+        let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
+        let c = sgs_netlist::blif::parse(&text).expect("rdag40.blif parses");
+        let r = Sizer::new(&c, &lib())
+            .objective(Objective::MeanPlusKSigma(3.0))
+            .solve()
+            .unwrap();
+        assert!(
+            r.outer_iterations < 40,
+            "{} outer iterations",
+            r.outer_iterations
+        );
     }
 
     #[test]

@@ -13,16 +13,17 @@
 //!
 //! Those ceilings sit an order of magnitude above today's counts, so a
 //! third test pins the property that keeps the counts low: the inner
-//! trust-region loop reuses its workspace. Letting the rdag40 solve run
-//! eight outer iterations instead of two adds over a hundred trust-region
-//! steps, and it must add fewer allocations than steps (today: 127 steps,
-//! 12 allocations, two per outer iteration).
+//! trust-region loop reuses its workspace. Letting a cold rdag40 AL solve
+//! (from the unsized point, without the `Sizer`'s seed) run eight outer
+//! iterations instead of two adds over a hundred trust-region steps, and
+//! it must add fewer allocations than steps (today: 123 steps, 12
+//! allocations, two per outer iteration).
 //!
 //! The counters are process-wide, so the tests take turns under one lock.
 
-use sgs_core::{DelaySpec, Objective, Sizer};
+use sgs_core::{DelaySpec, Objective, Sizer, SizingProblem};
 use sgs_netlist::{blif, generate, Circuit, Library};
-use sgs_nlp::AugLagOptions;
+use sgs_nlp::{auglag, AugLagOptions};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -100,19 +101,27 @@ fn trust_region_steps_reuse_their_workspace() {
     let _solo = SOLO.lock().unwrap_or_else(|e| e.into_inner());
     let circuit = blif::parse(&rdag40_text()).expect("rdag40.blif parses");
     let lib = Library::paper_default();
+    // A cold AL solve from the unsized point: the seeded `Sizer` solve
+    // converges in too few steps to show a per-step cost.
+    let problem = SizingProblem::build(
+        &circuit,
+        &lib,
+        Objective::Area,
+        DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 20.0 },
+    );
+    let x0 = problem.initial_point(&vec![1.0; circuit.num_gates()]);
     let capped = |max_outer: usize| {
         let (calls, _, r) = allocations(|| {
-            Sizer::new(&circuit, &lib)
-                .objective(Objective::Area)
-                .delay_spec(DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 20.0 })
-                .al_options(AugLagOptions {
+            auglag::solve(
+                &problem,
+                &x0,
+                &AugLagOptions {
                     tol_feas: 1e-6,
                     tol_opt: 1e-4,
                     max_outer,
                     ..AugLagOptions::default()
-                })
-                .solve()
-                .expect("capped solve returns a sizing")
+                },
+            )
         });
         (calls, r.inner_iterations)
     };

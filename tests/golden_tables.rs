@@ -75,7 +75,7 @@ fn render(circuit: &Circuit, cases: &[Case]) -> String {
 
 fn check_golden(name: &str, actual: &str) {
     let path = golden_dir().join(name);
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
+    if std::env::var_os("REGEN_GOLDEN").is_some_and(|v| v == "1") {
         std::fs::create_dir_all(golden_dir()).unwrap();
         std::fs::write(&path, actual).unwrap();
         eprintln!("regenerated {}", path.display());
