@@ -1750,7 +1750,7 @@ mod tests {
         };
         let opts = AugLagOptions {
             tol_feas: 1e-10,
-            tol_opt: 1e-8,
+            tol_opt: 1e-6,
             ..AugLagOptions::default()
         };
         let r = auglag::solve_warm(&p, &x0, Some(&warm), &opts);

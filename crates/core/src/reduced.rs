@@ -122,6 +122,9 @@ pub struct ReducedObjective<'a> {
     input_arrivals: Option<Vec<sgs_statmath::Normal>>,
     // Per-evaluation scratch, reused across the L-BFGS iterations.
     scratch: Tape,
+    /// The point `scratch` was recorded at (empty before the first
+    /// sweep). The tape does not depend on `penalty_weight`.
+    taped_at: Vec<f64>,
     adj: AdjointBufs,
 }
 
@@ -138,6 +141,7 @@ impl<'a> ReducedObjective<'a> {
             eps: clark::DEFAULT_EPS,
             input_arrivals: None,
             scratch: Tape::default(),
+            taped_at: Vec::new(),
             adj: AdjointBufs::default(),
         }
     }
@@ -155,6 +159,7 @@ impl<'a> ReducedObjective<'a> {
             "one arrival distribution per primary input"
         );
         self.input_arrivals = Some(arrivals);
+        self.taped_at.clear();
         self
     }
 
@@ -175,6 +180,25 @@ impl<'a> ReducedObjective<'a> {
     fn forward(&self, s: &[f64]) -> Tape {
         let mut tape = Tape::default();
         self.forward_into(s, &mut tape);
+        tape
+    }
+
+    /// The scratch tape at `x`: the recorded one when `x` is bitwise the
+    /// point it was taped at (L-BFGS asks for the gradient at the point
+    /// whose value it just accepted), else a fresh forward sweep.
+    fn take_tape(&mut self, x: &[f64]) -> Tape {
+        let mut tape = std::mem::take(&mut self.scratch);
+        let same = self.taped_at.len() == x.len()
+            && self
+                .taped_at
+                .iter()
+                .zip(x)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same {
+            self.forward_into(x, &mut tape);
+            self.taped_at.clear();
+            self.taped_at.extend_from_slice(x);
+        }
         tape
     }
 
@@ -377,8 +401,7 @@ impl GradFn for ReducedObjective<'_> {
     }
 
     fn value(&mut self, x: &[f64]) -> f64 {
-        let mut tape = std::mem::take(&mut self.scratch);
-        self.forward_into(x, &mut tape);
+        let tape = self.take_tape(x);
         let v = self.value_from(x, &tape);
         self.scratch = tape;
         v
@@ -386,9 +409,8 @@ impl GradFn for ReducedObjective<'_> {
 
     fn grad(&mut self, x: &[f64], g: &mut [f64]) {
         let n = self.circuit.num_gates();
-        let mut tape = std::mem::take(&mut self.scratch);
+        let tape = self.take_tape(x);
         let mut adj = std::mem::take(&mut self.adj);
-        self.forward_into(x, &mut tape);
         g.fill(0.0);
 
         // Adjoints, in buffers reused across evaluations.
@@ -517,7 +539,7 @@ impl Default for ReducedOptions {
                 max_iter: 400,
                 memory: 12,
             },
-            tol_viol: 1e-4,
+            tol_viol: 1e-6,
             penalty_mult: 10.0,
             max_rounds: 8,
         }
@@ -599,6 +621,7 @@ pub fn solve_reduced_with_arrivals(
                 input_arrivals,
             );
             let r = lbfgs::minimize(&mut speedup, &s, &l, &u, &opts.lbfgs);
+            count_work(&r);
             s = r.x;
         }
     }
@@ -611,6 +634,7 @@ pub fn solve_reduced_with_arrivals(
     let rounds = if spec.is_some() { opts.max_rounds } else { 1 };
     for _ in 0..rounds {
         let r = lbfgs::minimize(&mut red, &s, &l, &u, &opts.lbfgs);
+        count_work(&r);
         s = r.x;
         iters += r.iterations;
         if !spec.is_some() || red.violation(&s) <= opts.tol_viol {
@@ -640,6 +664,15 @@ pub fn solve_reduced_with_arrivals(
         violation,
         iterations: iters,
     }
+}
+
+/// Adds one L-BFGS run's iterations and evaluations to the metrics
+/// registry.
+fn count_work(r: &lbfgs::LbfgsResult) {
+    use sgs_metrics::{add, Counter};
+    add(Counter::ReducedLbfgsIterations, r.iterations as u64);
+    add(Counter::ReducedEvalsValue, r.evals_value as u64);
+    add(Counter::ReducedEvalsGrad, r.evals_grad as u64);
 }
 
 #[cfg(test)]
@@ -716,6 +749,38 @@ mod tests {
             let num = (red.value(&sp) - red.value(&sm)) / (2.0 * h);
             assert!((g[i] - num).abs() < 1e-4 * (1.0 + num.abs()), "dS[{i}]");
         }
+    }
+
+    #[test]
+    fn gradient_reuses_the_value_tape_bit_for_bit() {
+        let c = generate::tree7();
+        let spec = DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 7.0 };
+        let s = vec![1.5, 1.2, 2.0, 1.4, 1.9, 2.5, 2.8];
+        let cold = |w: f64| {
+            let mut red = ReducedObjective::new(&c, &lib(), Objective::Area, spec.clone());
+            red.penalty_weight = w;
+            let mut g = vec![0.0; 7];
+            red.grad(&s, &mut g);
+            (red.value(&s), g)
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut warm = ReducedObjective::new(&c, &lib(), Objective::Area, spec.clone());
+        assert!(warm.violation(&s) > 0.0, "the penalty term is active");
+        let mut g = vec![0.0; 7];
+        let v = warm.value(&s);
+        warm.grad(&s, &mut g);
+        let (v0, g0) = cold(10.0);
+        assert_eq!(v.to_bits(), v0.to_bits());
+        assert_eq!(bits(&g), bits(&g0));
+        // The tape does not depend on the penalty weight: a new weight
+        // reuses it and still matches a cold evaluation.
+        warm.penalty_weight = 1e3;
+        warm.grad(&s, &mut g);
+        let v = warm.value(&s);
+        let (v1, g1) = cold(1e3);
+        assert_eq!(v.to_bits(), v1.to_bits());
+        assert_eq!(bits(&g), bits(&g1));
+        assert_ne!(bits(&g0), bits(&g1));
     }
 
     #[test]

@@ -26,11 +26,6 @@ use std::error::Error;
 use std::fmt;
 use std::time::Instant;
 
-/// Penalty parameter of the seeded augmented-Lagrangian start without a
-/// delay constraint, as a multiple of [`AugLagOptions::rho0`] (see
-/// [`Sizer::seeded_rho`]).
-const SEEDED_RHO_FACTOR: f64 = 3.0;
-
 /// Which solver carries the optimisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverChoice {
@@ -269,9 +264,8 @@ impl<'a> Sizer<'a> {
         self
     }
 
-    /// Overrides the augmented-Lagrangian options. Without a delay
-    /// constraint the seeded start of every attempt uses `3 × rho0` as
-    /// its penalty parameter.
+    /// Overrides the augmented-Lagrangian options. The seeded start of
+    /// every attempt uses `rho0` as its penalty parameter.
     pub fn al_options(mut self, opts: AugLagOptions) -> Self {
         self.al_options = opts;
         self
@@ -400,7 +394,7 @@ impl<'a> Sizer<'a> {
             let warm = WarmStart {
                 lambda: problem.multiplier_estimate(&x),
                 x,
-                rho: self.seeded_rho(),
+                rho: self.al_options.rho0,
             };
             match self.poison_nan_after {
                 Some(after) => auglag::solve_warm_traced(
@@ -524,26 +518,6 @@ impl<'a> Sizer<'a> {
             evals: result.evals,
             clark_var_clamps: self.emit_clamp_delta(&tracer, clamps_before),
         })
-    }
-
-    /// The penalty parameter of the seeded AL start.
-    ///
-    /// Without a delay constraint the seed is feasible to rounding, and
-    /// the AL ends a solve as soon as one inner solve leaves a feasible
-    /// iterate where it was. Its first two inner tolerances are `1/rho`
-    /// and `1/rho^2`, so they must be tighter than the seed's projected
-    /// gradient: at `rho0 = 10` the seeded rdag40 min-mu row stops at the
-    /// seed, 1.0e-5 above its optimum, and `3 rho0` reaches it (at
-    /// `10 rho0`, dag40 min mu takes four times as long). A delay cap
-    /// leaves the reduced seed up to 1e-4 infeasible, so the AL moves
-    /// anyway, and there the larger penalty only stiffens the inner CG:
-    /// on the Table 1 apex1/k2 area rows `3 rho0` costs 1.6 to 19 times
-    /// the CG iterations of `rho0`.
-    fn seeded_rho(&self) -> f64 {
-        match self.delay_spec {
-            DelaySpec::None => SEEDED_RHO_FACTOR * self.al_options.rho0,
-            _ => self.al_options.rho0,
-        }
     }
 
     /// Delta of the process-global Clark variance-clamp counter over this
@@ -878,7 +852,7 @@ mod tests {
         let r = Sizer::new(&c, &l)
             .objective(Objective::Area)
             .delay_spec(DelaySpec::MaxMean(6.5))
-            .poison_nan_after(2)
+            .poison_nan_after(0)
             .trace(&sink)
             .solve()
             .unwrap();
@@ -954,21 +928,40 @@ mod tests {
     }
 
     #[test]
-    fn seeded_rdag40_min_mu3s_stops_before_the_outer_cap() {
-        // With lambda = 0 this row ran all 40 outer iterations and then
-        // reported the seed; seeded multipliers let the AL finish.
+    fn rdag40_seed_is_certified_in_one_outer_iteration() {
+        // The four forms `size_cold` runs on rdag40: the reduced seed is
+        // first-order and feasible to the AL's tolerances, so the AL only
+        // has to certify it. (With lambda = 0, min mu+3sigma ran all 40
+        // outer iterations and then reported the seed.)
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
         let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
         let c = sgs_netlist::blif::parse(&text).expect("rdag40.blif parses");
-        let r = Sizer::new(&c, &lib())
-            .objective(Objective::MeanPlusKSigma(3.0))
-            .solve()
-            .unwrap();
-        assert!(
-            r.outer_iterations < 40,
-            "{} outer iterations",
-            r.outer_iterations
-        );
+        let l = lib();
+        let unsized_delay = sgs_ssta::ssta(&c, &l, &vec![1.0; c.num_gates()]).delay;
+        let forms = [
+            (Objective::MeanDelay, DelaySpec::None),
+            (Objective::MeanPlusKSigma(3.0), DelaySpec::None),
+            (
+                Objective::Area,
+                DelaySpec::MaxMean(0.9 * unsized_delay.mean()),
+            ),
+            (
+                Objective::Area,
+                DelaySpec::MaxMeanPlusKSigma {
+                    k: 3.0,
+                    d: 0.9 * unsized_delay.mean_plus_k_sigma(3.0),
+                },
+            ),
+        ];
+        for (objective, spec) in forms {
+            let label = format!("{objective} s.t. {spec:?}");
+            let r = Sizer::new(&c, &l)
+                .objective(objective)
+                .delay_spec(spec)
+                .solve()
+                .unwrap();
+            assert_eq!(r.outer_iterations, 1, "{label}");
+        }
     }
 
     #[test]

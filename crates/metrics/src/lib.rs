@@ -103,6 +103,12 @@ metric_enum! {
         SizerGreedyFallbacks => "sizer_greedy_fallbacks",
         /// Solves rejected by a preflight analyzer gate.
         SizerPreflightRejections => "sizer_preflight_rejections",
+        /// Projected L-BFGS iterations of the reduced-space pass.
+        ReducedLbfgsIterations => "reduced_lbfgs_iterations",
+        /// Reduced-space objective-value evaluations.
+        ReducedEvalsValue => "reduced_evals_value",
+        /// Reduced-space adjoint-gradient evaluations.
+        ReducedEvalsGrad => "reduced_evals_grad",
         /// Clark max variance clamps fired during solves.
         ClarkVarClamps => "clark_var_clamps",
         /// Warm-started re-solves performed by `Resolver`.

@@ -33,7 +33,8 @@ pub struct AugLagOptions {
     pub rho_mult: f64,
     /// Maximum outer (multiplier/penalty) iterations.
     pub max_outer: usize,
-    /// Cap on the penalty parameter (beyond it the run is declared stalled).
+    /// Cap on the penalty parameter (beyond it the run ends with
+    /// [`SolveStatus::PenaltyCap`]).
     pub rho_max: f64,
     /// Wall-clock budget in seconds; when exceeded the solve returns the
     /// best point found with [`SolveStatus::TimeBudget`] at the next
@@ -79,6 +80,11 @@ pub enum SolveStatus {
     Diverged,
     /// The wall-clock budget ([`AugLagOptions::max_seconds`]) ran out.
     TimeBudget,
+    /// Feasible, but an inner solve left the iterate where it was while
+    /// its projected gradient was still above
+    /// [`AugLagOptions::tol_opt`]: the point is not certified
+    /// first-order optimal.
+    Stalled,
 }
 
 impl SolveStatus {
@@ -95,6 +101,7 @@ impl SolveStatus {
             SolveStatus::PenaltyCap => "penalty_cap",
             SolveStatus::Diverged => "diverged",
             SolveStatus::TimeBudget => "time_budget",
+            SolveStatus::Stalled => "stalled",
         }
     }
 }
@@ -569,20 +576,18 @@ pub fn solve_cached<P: NlpProblem>(
             );
         }
 
-        // Stall detection: feasible and the inner solve cannot move the
-        // iterate any further — no better point is reachable at this
-        // arithmetic, so stop rather than spin to the iteration cap.
+        // Stall detection: feasible and the inner solve did not move the
+        // iterate, so stop rather than spin to the iteration cap. The
+        // point is first-order optimal only if its projected gradient
+        // says so; an inner tolerance looser than that gradient also
+        // leaves the iterate unmoved.
         if cn <= opts.tol_feas && !moved && outer > 0 {
-            return finish(
-                x,
-                cn,
-                lambda,
-                rho,
-                outer + 1,
-                inner_total,
-                cg_total,
-                SolveStatus::Converged,
-            );
+            let status = if last_pg <= opts.tol_opt {
+                SolveStatus::Converged
+            } else {
+                SolveStatus::Stalled
+            };
+            return finish(x, cn, lambda, rho, outer + 1, inner_total, cg_total, status);
         }
 
         if m == 0 || cn <= eta.max(opts.tol_feas) {
@@ -650,10 +655,49 @@ mod tests {
 
     #[test]
     fn unconstrained_rosenbrock() {
-        let r = solve(&Rosenbrock, &[-1.2, 1.0], &AugLagOptions::default());
+        // At rho0 = 10 the inner tolerance is still 1e-4 when an inner
+        // solve first leaves the iterate unmoved (see
+        // `stall_exit_is_labelled_by_the_projected_gradient`); from 100
+        // the schedule reaches `tol_opt` first.
+        let opts = AugLagOptions {
+            rho0: 100.0,
+            ..AugLagOptions::default()
+        };
+        let r = solve(&Rosenbrock, &[-1.2, 1.0], &opts);
         assert!(r.status.is_success(), "{r:?}");
         assert!((r.x[0] - 1.0).abs() < 1e-5);
         assert!((r.x[1] - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn stall_exit_is_labelled_by_the_projected_gradient() {
+        use sgs_trace::{MemorySink, TraceEvent};
+        let sink = MemorySink::new();
+        let opts = AugLagOptions::default();
+        let r = solve_traced(
+            &Rosenbrock,
+            &[-1.2, 1.0],
+            &opts,
+            sgs_trace::Tracer::new(&sink),
+        );
+        let last = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Outer(o) => Some(o),
+                _ => None,
+            })
+            .next_back()
+            .expect("outer records");
+        // Feasible and unmoved, but only because the inner tolerance
+        // (1e-4) was looser than the projected gradient it left.
+        assert!(!last.step_accepted && last.outer > 0, "{last:?}");
+        assert!(last.pg_norm > opts.tol_opt, "{last:?}");
+        assert_eq!(r.status, SolveStatus::Stalled, "{r:?}");
+        assert!(!r.status.is_success());
+        let done = sink.count(|e| matches!(e, TraceEvent::SolveDone(s) if s.status == "stalled"));
+        assert_eq!(done, 1);
+        assert!((r.x[0] - 1.0).abs() < 1e-5 && (r.x[1] - 1.0).abs() < 1e-5);
     }
 
     #[test]
@@ -975,6 +1019,7 @@ mod tests {
         assert_eq!(SolveStatus::TimeBudget.as_str(), "time_budget");
         assert_eq!(SolveStatus::PenaltyCap.as_str(), "penalty_cap");
         assert_eq!(SolveStatus::MaxIterations.as_str(), "max_iterations");
+        assert_eq!(SolveStatus::Stalled.as_str(), "stalled");
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! Used for reduced-space gate sizing (the objective as a function of the
 //! speed factors only, with adjoint gradients) and to warm-start the
 //! full-space augmented-Lagrangian solves. Search directions come from the
-//! standard two-loop recursion; steps are projected onto the box and
-//! accepted under an Armijo condition on the projected path.
+//! standard two-loop recursion over the free variables only (a variable
+//! held at a bound by its gradient is left out of the step, as in
+//! Bertsekas's projected quasi-Newton method and L-BFGS-B); steps are
+//! projected onto the box and accepted under an Armijo condition on the
+//! projected path.
 
 use crate::tr::project;
 use std::collections::VecDeque;
@@ -53,6 +56,10 @@ pub struct LbfgsResult {
     pub iterations: usize,
     /// Whether the tolerance was met.
     pub converged: bool,
+    /// Calls of [`GradFn::value`].
+    pub evals_value: usize,
+    /// Calls of [`GradFn::grad`].
+    pub evals_grad: usize,
 }
 
 /// Minimises `f` over the box `[l, u]` from `x0`.
@@ -80,11 +87,14 @@ pub fn minimize<F: GradFn>(
     let mut fx = f.value(&x);
     let mut g = vec![0.0; n];
     f.grad(&x, &mut g);
+    let mut evals_value = 1usize;
+    let mut evals_grad = 1usize;
 
     // (s, y, 1/y's) history plus hoisted per-iteration scratch: the loop
     // below allocates only when a new history pair is retained.
     let mut hist: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::new();
     let mut d = vec![0.0; n];
+    let mut binding = vec![false; n];
     let mut alphas: Vec<f64> = Vec::with_capacity(opts.memory);
     let mut xn = vec![0.0; n];
     let mut gn = vec![0.0; n];
@@ -93,20 +103,20 @@ pub fn minimize<F: GradFn>(
     let mut pg = pg_norm(&x, &g, l, u);
     let mut resets = 0u32;
 
+    let mut iterations = opts.max_iter;
     for iter in 0..opts.max_iter {
         if pg <= opts.tol {
-            return LbfgsResult {
-                x,
-                f: fx,
-                pg_norm: pg,
-                iterations: iter,
-                converged: true,
-            };
+            iterations = iter;
+            break;
         }
 
-        // Two-loop recursion on the raw gradient.
+        // A variable held at a bound by its gradient cannot move: the
+        // two-loop recursion runs on the free part of the gradient, and
+        // the direction is zeroed on the binding set again afterwards, so
+        // projection never cuts the step back to nothing.
         for i in 0..n {
-            d[i] = -g[i];
+            binding[i] = (x[i] <= l[i] && g[i] > 0.0) || (x[i] >= u[i] && g[i] < 0.0);
+            d[i] = if binding[i] { 0.0 } else { -g[i] };
         }
         alphas.clear();
         for (s, y, rho) in hist.iter().rev() {
@@ -124,14 +134,23 @@ pub fn minimize<F: GradFn>(
             let b = rho * dot(y, &d);
             axpy(&mut d, a - b, s);
         }
-        // Safeguard: ensure descent, else fall back to steepest descent.
+        for (e, &b) in d.iter_mut().zip(&binding) {
+            if b {
+                *e = 0.0;
+            }
+        }
+        // Safeguard: ensure descent, else fall back to projected steepest
+        // descent over the free variables.
         if dot(&d, &g) >= 0.0 {
             for i in 0..n {
-                d[i] = -g[i];
+                d[i] = if binding[i] { 0.0 } else { -g[i] };
             }
         }
 
         // Backtracking Armijo on the projected path x(t) = P(x + t d).
+        // Once a trial's change in value is within rounding of f, no
+        // shorter step can show a decrease: the search fails at once.
+        let floor = 1e-14 * fx.abs().max(1.0);
         let mut t = 1.0;
         let mut accepted = false;
         let mut fn_ = fx;
@@ -140,6 +159,7 @@ pub fn minimize<F: GradFn>(
                 xn[i] = (x[i] + t * d[i]).max(l[i]).min(u[i]);
             }
             fn_ = f.value(&xn);
+            evals_value += 1;
             // Armijo with the projected step as the reference direction.
             let gs: f64 = (0..n).map(|i| g[i] * (xn[i] - x[i])).sum();
             if fn_ <= fx + 1e-4 * gs && gs < 0.0 {
@@ -150,6 +170,9 @@ pub fn minimize<F: GradFn>(
             // degenerates (fully active set).
             if gs >= 0.0 && fn_ < fx {
                 accepted = true;
+                break;
+            }
+            if (fn_ - fx).abs() <= floor {
                 break;
             }
             t *= 0.5;
@@ -163,16 +186,12 @@ pub fn minimize<F: GradFn>(
                 resets += 1;
                 continue;
             }
-            return LbfgsResult {
-                x,
-                f: fx,
-                pg_norm: pg,
-                iterations: iter,
-                converged: pg <= opts.tol,
-            };
+            iterations = iter;
+            break;
         }
 
         f.grad(&xn, &mut gn);
+        evals_grad += 1;
         for i in 0..n {
             sbuf[i] = xn[i] - x[i];
             ybuf[i] = gn[i] - g[i];
@@ -200,8 +219,10 @@ pub fn minimize<F: GradFn>(
         x,
         f: fx,
         pg_norm: pg,
-        iterations: opts.max_iter,
+        iterations,
         converged: pg <= opts.tol,
+        evals_value,
+        evals_grad,
     }
 }
 
@@ -262,7 +283,76 @@ mod tests {
         }
     }
 
+    /// `0.5 x'Ax - b'x` with a tridiagonal, diagonally dominant `A`
+    /// (diagonal `4 + i/4`, off-diagonals `-1.5`), counting its calls.
+    struct CoupledQuad {
+        b: Vec<f64>,
+        values: usize,
+    }
+    impl CoupledQuad {
+        fn ax(&self, x: &[f64], i: usize) -> f64 {
+            let n = x.len();
+            let mut v = (4.0 + 0.25 * i as f64) * x[i];
+            if i > 0 {
+                v -= 1.5 * x[i - 1];
+            }
+            if i + 1 < n {
+                v -= 1.5 * x[i + 1];
+            }
+            v
+        }
+    }
+    impl GradFn for CoupledQuad {
+        fn n(&self) -> usize {
+            self.b.len()
+        }
+        fn value(&mut self, x: &[f64]) -> f64 {
+            self.values += 1;
+            (0..x.len())
+                .map(|i| 0.5 * x[i] * self.ax(x, i) - self.b[i] * x[i])
+                .sum()
+        }
+        fn grad(&mut self, x: &[f64], g: &mut [f64]) {
+            for (i, gi) in g.iter_mut().enumerate() {
+                *gi = self.ax(x, i) - self.b[i];
+            }
+        }
+    }
+
     const INF: f64 = f64::INFINITY;
+
+    #[test]
+    fn coupled_quadratic_with_active_bounds_steps_in_the_free_variables() {
+        // Every third variable is pushed below its lower bound, every
+        // third above its upper bound; the rest settle inside the box,
+        // coupled to their bound-held neighbours.
+        let n = 30;
+        let b: Vec<f64> = (0..n)
+            .map(|i| match i % 3 {
+                0 => -20.0,
+                1 => 25.0,
+                _ => 2.0 + 0.1 * i as f64,
+            })
+            .collect();
+        let mut q = CoupledQuad { b, values: 0 };
+        let (l, u) = (vec![0.0; n], vec![1.0; n]);
+        let r = minimize(&mut q, &vec![0.5; n], &l, &u, &LbfgsOptions::default());
+        assert!(r.converged, "{r:?}");
+        assert_eq!(r.evals_value, q.values);
+        for i in 0..n {
+            match i % 3 {
+                0 => assert_eq!(r.x[i], 0.0, "x[{i}]"),
+                1 => assert_eq!(r.x[i], 1.0, "x[{i}]"),
+                _ => assert!(r.x[i] > 0.0 && r.x[i] < 1.0, "x[{i}] = {}", r.x[i]),
+            }
+        }
+        assert!(
+            q.values <= 2 * r.iterations.max(1),
+            "{} value calls over {} iterations",
+            q.values,
+            r.iterations
+        );
+    }
 
     #[test]
     fn rosenbrock_unbounded() {

@@ -96,7 +96,7 @@ pub struct OuterRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveRecord {
     /// Terminal status (`"converged"`, `"max_iterations"`,
-    /// `"penalty_cap"`, `"diverged"`, `"time_budget"`, ...).
+    /// `"penalty_cap"`, `"diverged"`, `"time_budget"`, `"stalled"`).
     pub status: String,
     /// Final objective value.
     pub objective: f64,

@@ -115,7 +115,7 @@ fn poisoned_solve_reports_divergence_and_recovers() {
         .objective(Objective::Area)
         .delay_spec(DelaySpec::MaxMean(6.5))
         .solver(SolverChoice::FullSpace)
-        .poison_nan_after(2)
+        .poison_nan_after(0)
         .trace(&sink)
         .solve()
         .expect("multi-start recovers from a poisoned objective");
