@@ -20,8 +20,9 @@
 //!
 //! and solves it with the augmented-Lagrangian / trust-region Newton-CG
 //! solver of [`sgs_nlp`] — the same algorithm family as LANCELOT, which the
-//! paper used. A reduced-space adjoint evaluator ([`reduced`]) provides
-//! warm starts and an independent baseline, and a TILOS-style greedy
+//! paper used. A [`resolve::Resolver`] runs every solve; a
+//! reduced-space adjoint evaluator ([`reduced`]) provides its seed and an
+//! independent baseline, and a TILOS-style greedy
 //! sensitivity sizer ([`greedy`]) supplies the classic pre-NLP comparison
 //! point.
 //!
@@ -53,7 +54,7 @@ pub mod sweep;
 
 pub use problem::SizingProblem;
 pub use resolve::{ResolveOutcome, Resolver, WhatIfReport};
-pub use sizer::{Preflight, SizeError, Sizer, SizingResult, SolverChoice};
+pub use sizer::{AnswerSource, Preflight, SizeError, Sizer, SizingResult, SolverChoice};
 pub use spec::{DelaySpec, Objective};
 pub use sweep::{
     corner_library, Corner, CornerFrontier, CornerTrace, Frontier, FrontierPoint, KPoint,

@@ -555,7 +555,7 @@ pub struct ReducedResult {
     pub objective: f64,
     /// Final delay-constraint violation.
     pub violation: f64,
-    /// Total L-BFGS iterations.
+    /// Total L-BFGS iterations, the feasibility pre-solve's included.
     pub iterations: usize,
 }
 
@@ -598,6 +598,7 @@ pub fn solve_reduced_with_arrivals(
     let l = vec![1.0; n];
     let u = vec![lib.s_limit; n];
     let mut s = s0.to_vec();
+    let mut iters = 0usize;
 
     // A quadratic penalty climbs much better from the feasible side. When
     // the start violates a <=-type delay spec, first drive the relevant
@@ -623,6 +624,7 @@ pub fn solve_reduced_with_arrivals(
             let r = lbfgs::minimize(&mut speedup, &s, &l, &u, &opts.lbfgs);
             count_work(&r);
             s = r.x;
+            iters += r.iterations;
         }
     }
 
@@ -630,7 +632,6 @@ pub fn solve_reduced_with_arrivals(
         ReducedObjective::new(circuit, lib, objective.clone(), spec.clone()),
         input_arrivals,
     );
-    let mut iters = 0usize;
     let rounds = if spec.is_some() { opts.max_rounds } else { 1 };
     for _ in 0..rounds {
         let r = lbfgs::minimize(&mut red, &s, &l, &u, &opts.lbfgs);

@@ -1,35 +1,48 @@
-//! Incremental re-solve driver: what-if queries and warm-started
-//! re-optimisation after a spec or size perturbation.
+//! Cold solves, warm re-solves and what-if queries.
 //!
-//! A [`Resolver`] is the stateful counterpart of the one-shot
-//! [`crate::Sizer`]. It keeps three things alive across queries:
+//! A [`Resolver`] runs every sizing solve: [`Sizer::solve`] is a fresh
+//! resolver's cold solve, and the daemon and the sweep engine keep
+//! resolvers alive. Each holds the built [`SizingProblem`] (a deadline
+//! change only rewrites its cap constants), an [`IncrementalSsta`] engine
+//! at the current sizes (an edit re-times only its dirty cone), and the
+//! last answer's `(x, lambda, rho)` as a [`WarmStart`].
 //!
-//! * the built [`SizingProblem`] (rebuilt never — a deadline change only
-//!   rewrites the cap constants via [`SizingProblem::set_deadline`]),
-//! * an [`IncrementalSsta`] engine holding the last per-gate arrivals, so
-//!   every constraint/violation evaluation after a perturbation touches
-//!   only the dirty indices (the changed gates' cones) instead of the
-//!   whole circuit, and
-//! * the last solve's `(x, lambda, rho)` as a [`WarmStart`], so a
-//!   re-solve verifies or repairs the previous optimum instead of
-//!   starting cold.
+//! A **cold** solve (no warm state yet) runs, from the engine's sizes:
 //!
-//! The split between [`Resolver::what_if`] (evaluate only — microseconds,
-//! dirty cone only) and [`Resolver::resolve_spec`] /
-//! [`Resolver::resolve_sizes`] (re-optimise warm) is the paper's intended
-//! usage loop: sweep deadlines or probe single-gate changes cheaply, only
-//! paying for an NLP solve when the answer matters.
+//! 1. the reduced-space seed ([`crate::reduced`]);
+//! 2. the augmented Lagrangian from the seed's exactly feasible point,
+//!    with least-squares multipliers
+//!    ([`SizingProblem::multiplier_estimate`]) and penalty `rho0`;
+//! 3. after a [`SolveStatus::Diverged`] AL, up to two retries from
+//!    deterministically perturbed seeds;
+//! 4. a pick between the AL's point and the seed by clean objective and
+//!    spec violation, read off the engine (bit for bit a full SSTA), so
+//!    AL residuals never reach the reported sizing;
+//! 5. if neither meets the spec, a greedy descent ([`crate::greedy`])
+//!    before [`SizeError::SolverFailed`].
+//!
+//! The winner becomes the warm state and [`SizingResult::source`] names
+//! it; each escalation emits a [`TraceEvent::Restart`]. A **warm**
+//! re-solve starts the AL from the carried (or, after a size change,
+//! reseeded) state; an answer that misses the spec is
+//! [`SizeError::SolverFailed`] and leaves the warm state untouched.
+//! [`Resolver::what_if`] evaluates an edit without solving.
 
+use crate::greedy::{self, GreedyOptions};
 use crate::problem::SizingProblem;
-use crate::sizer::{self, SizeError, SizingResult};
+use crate::sizer::{self, AnswerSource, SizeError, Sizer, SizingResult};
 use crate::spec::{DelaySpec, Objective};
 use sgs_netlist::{Circuit, GateId, Library};
-use sgs_nlp::auglag::{self, AugLagOptions, WarmStart};
+use sgs_nlp::auglag::{self, SolveResult, SolveStatus, WarmStart};
 use sgs_nlp::NlpProblem;
 use sgs_ssta::{IncrementalSsta, UpdateStats};
 use sgs_statmath::Normal;
-use sgs_trace::{RequestContext, TraceEvent, TraceSink, Tracer};
+use sgs_trace::{RequestContext, TraceEvent, Tracer};
+use std::cell::Cell;
 use std::time::Instant;
+
+/// Perturbed-restart attempts after a diverged cold AL solve.
+const MAX_RESTARTS: usize = 2;
 
 /// Result of an evaluation-only what-if query ([`Resolver::what_if`]).
 #[derive(Debug, Clone, Copy)]
@@ -47,15 +60,16 @@ pub struct WhatIfReport {
 /// Result of a (re-)solve through the [`Resolver`].
 #[derive(Debug, Clone)]
 pub struct ResolveOutcome {
-    /// The sizing result, fields exactly as [`crate::Sizer::solve`]
-    /// reports them (delay/objective from the engine's clean arrivals).
+    /// The sizing result, fields exactly as [`Sizer::solve`] reports them
+    /// (delay/objective from the engine's clean arrivals).
     pub result: SizingResult,
     /// Whether a previous solution's `(x, lambda, rho)` was offered *and
-    /// accepted* as the warm start for this solve.
+    /// accepted* as the warm start for this solve (always `false` for a
+    /// cold solve, whose seeded start is not carried state).
     pub warm_start_hit: bool,
     /// Gates whose arrival the incremental engine recomputed during this
-    /// call (perturbation + post-solve sync), also emitted as the
-    /// `gates_recomputed` trace counter.
+    /// call (perturbation, candidate scoring and the final sync), also
+    /// emitted as the `gates_recomputed` trace counter.
     pub gates_recomputed: usize,
 }
 
@@ -68,11 +82,21 @@ enum Seed {
     Reseed,
 }
 
-/// Stateful incremental re-solve driver. Construct via
-/// [`crate::Sizer::resolver`] (carrying the sizer's configuration) or
-/// [`Resolver::new`] (defaults), then alternate [`Resolver::what_if`]
-/// probes with warm [`Resolver::resolve_spec`] /
-/// [`Resolver::resolve_sizes`] re-optimisations.
+/// The answer a solve settled on, before it becomes a [`SizingResult`].
+struct Picked {
+    s: Vec<f64>,
+    objective: f64,
+    c_norm: f64,
+    source: AnswerSource,
+    /// The state the next warm re-solve starts from.
+    warm: WarmStart,
+}
+
+/// Runs every solve, cold or warm. Construct via [`Sizer::resolver`]
+/// (carrying the sizer's configuration) or [`Resolver::new`] (defaults),
+/// then alternate [`Resolver::what_if`] probes with warm
+/// [`Resolver::resolve_spec`] / [`Resolver::resolve_sizes`]
+/// re-optimisations.
 ///
 /// ```
 /// use sgs_core::{DelaySpec, Objective, Sizer};
@@ -93,66 +117,59 @@ enum Seed {
 /// # Ok::<(), sgs_core::SizeError>(())
 /// ```
 pub struct Resolver<'a> {
-    circuit: &'a Circuit,
-    lib: &'a Library,
-    objective: Objective,
-    delay_spec: DelaySpec,
-    al_options: AugLagOptions,
-    trace: Option<&'a dyn TraceSink>,
+    /// The task and its options; `objective` and `delay_spec` follow the
+    /// warm moves.
+    config: Sizer<'a>,
     problem: SizingProblem,
     inc: IncrementalSsta<'a>,
     warm: Option<WarmStart>,
+    /// Clark variance clamps of building the engine, charged to the next
+    /// solve's [`SizingResult::clark_var_clamps`] (so a one-shot
+    /// [`Sizer::solve`] reports every clamp it caused).
+    unreported_clamps: u64,
 }
 
 impl<'a> Resolver<'a> {
-    /// Builds a resolver with the [`crate::Sizer::new`] defaults
-    /// (minimise mean delay, no delay constraint).
+    /// Builds a resolver with the [`Sizer::new`] defaults (minimise mean
+    /// delay, no delay constraint).
     pub fn new(circuit: &'a Circuit, lib: &'a Library) -> Self {
-        crate::Sizer::new(circuit, lib).resolver()
+        Sizer::new(circuit, lib).resolver()
     }
 
-    pub(crate) fn from_parts(
-        circuit: &'a Circuit,
-        lib: &'a Library,
-        objective: Objective,
-        delay_spec: DelaySpec,
-        al_options: AugLagOptions,
-        input_arrivals: Option<Vec<Normal>>,
-        trace: Option<&'a dyn TraceSink>,
-    ) -> Self {
+    /// Builds the formulation and the incremental engine at the
+    /// configured starting sizes (all ones unless [`Sizer::initial_s`]).
+    pub(crate) fn configured(config: Sizer<'a>) -> Self {
+        let clamps_before = sgs_statmath::clark::var_clamp_count();
+        let _sp = config.tracer().span("build_problem");
+        let _ph = sgs_metrics::phase(sgs_metrics::Phase::BuildProblem);
+        let arrivals = config.input_arrivals.as_deref();
         let problem = SizingProblem::build_with_arrivals(
-            circuit,
-            lib,
-            objective.clone(),
-            delay_spec.clone(),
-            input_arrivals.as_deref(),
+            config.circuit,
+            config.lib,
+            config.objective.clone(),
+            config.delay_spec.clone(),
+            arrivals,
         );
-        let inc = IncrementalSsta::with_arrivals(
-            circuit,
-            lib,
-            &vec![1.0; circuit.num_gates()],
-            input_arrivals.as_deref(),
-        );
+        let s0 = (config.s0.clone()).unwrap_or_else(|| vec![1.0; config.circuit.num_gates()]);
+        let inc = IncrementalSsta::with_arrivals(config.circuit, config.lib, &s0, arrivals);
         Resolver {
-            circuit,
-            lib,
-            objective,
-            delay_spec,
-            al_options,
-            trace,
+            config,
             problem,
             inc,
             warm: None,
+            unreported_clamps: sgs_statmath::clark::var_clamp_count().saturating_sub(clamps_before),
         }
     }
 
-    /// Solves the current formulation. The first call is a cold solve;
-    /// later calls re-verify warm from the previous solution.
+    /// Solves the current formulation. Until an answer is accepted this
+    /// is a cold solve (see the module docs); later calls re-verify warm
+    /// from the previous answer.
     ///
     /// # Errors
     ///
-    /// [`SizeError::SolverFailed`] when the solve produces a non-finite
-    /// iterate or misses the delay spec.
+    /// [`SizeError::SolverFailed`] when a cold solve finds no candidate
+    /// that meets the delay spec, or a warm one produces a non-finite
+    /// iterate or misses the spec.
     pub fn solve(&mut self) -> Result<ResolveOutcome, SizeError> {
         self.solve_traced(None)
     }
@@ -205,7 +222,7 @@ impl<'a> Resolver<'a> {
         d: f64,
         req: Option<&RequestContext>,
     ) -> Result<ResolveOutcome, SizeError> {
-        match &mut self.delay_spec {
+        match &mut self.config.delay_spec {
             DelaySpec::MaxMean(cap)
             | DelaySpec::ExactMean(cap)
             | DelaySpec::MaxMeanPlusKSigma { d: cap, .. } => *cap = d,
@@ -234,7 +251,7 @@ impl<'a> Resolver<'a> {
     /// Panics if the configured objective is not
     /// [`Objective::MeanPlusKSigma`], or if `k` is not finite.
     pub fn resolve_objective_k(&mut self, k: f64) -> Result<ResolveOutcome, SizeError> {
-        match &mut self.objective {
+        match &mut self.config.objective {
             Objective::MeanPlusKSigma(cur) => *cur = k,
             other => panic!("resolve_objective_k needs a mu + k sigma objective, got {other}"),
         }
@@ -306,27 +323,24 @@ impl<'a> Resolver<'a> {
         sgs_metrics::incr(sgs_metrics::Counter::ResolveWhatIfQueries);
         let _timer = sgs_metrics::time_hist(sgs_metrics::HistId::WhatIfSeconds);
         let stats = self.inc.apply(changes);
-        let delay = self.inc.delay();
+        let (objective, spec_violation) = self.engine_score();
         let report = WhatIfReport {
-            delay,
-            objective: sizer::objective_value(&self.objective, self.inc.sizes(), delay),
-            spec_violation: sizer::spec_violation(
-                &self.delay_spec,
-                self.circuit,
-                self.inc.arrivals(),
-                delay,
-            ),
+            delay: self.inc.delay(),
+            objective,
+            spec_violation,
             stats,
         };
-        self.tracer().attach(req).emit(|| TraceEvent::Counter {
+        let tracer = self.config.tracer().attach(req);
+        tracer.emit(|| TraceEvent::Counter {
             name: "gates_recomputed",
             value: stats.gates_recomputed as u64,
         });
         report
     }
 
-    /// The warm-started solve shared by [`Resolver::solve`],
-    /// [`Resolver::resolve_spec`] and [`Resolver::resolve_sizes`].
+    /// The solve shared by [`Resolver::solve`], [`Resolver::resolve_spec`]
+    /// and [`Resolver::resolve_sizes`]: cold until an answer is accepted,
+    /// warm from it afterwards.
     fn run(
         &mut self,
         seed: Seed,
@@ -336,81 +350,265 @@ impl<'a> Resolver<'a> {
         let start = Instant::now();
         let _solve_phase = sgs_metrics::phase(sgs_metrics::Phase::Solve);
         sgs_metrics::incr(sgs_metrics::Counter::ResolveSolves);
-        let tracer = self.tracer().attach(req);
-        let clamps_before = sgs_statmath::clark::var_clamp_count();
-        let x0 = self.problem.initial_point(self.inc.sizes());
-        let warm = match seed {
-            Seed::Carry => self.warm.clone(),
-            Seed::Reseed => self.warm.clone().map(|w| WarmStart { x: x0.clone(), ..w }),
+        let tracer = self.config.tracer().attach(req);
+        let clamps_before = sgs_statmath::clark::var_clamp_count()
+            .saturating_sub(std::mem::take(&mut self.unreported_clamps));
+        let mut gates_recomputed = pre_recomputed;
+        let (warm_start_hit, solved) = match self.warm.clone() {
+            None => (false, self.cold(tracer, &mut gates_recomputed)),
+            Some(warm) => {
+                let x0 = self.problem.initial_point(self.inc.sizes());
+                let warm = match seed {
+                    Seed::Carry => warm,
+                    Seed::Reseed => WarmStart {
+                        x: x0.clone(),
+                        ..warm
+                    },
+                };
+                let hit = warm.is_usable(self.problem.num_vars(), self.problem.num_constraints());
+                let solved = self.warm_solve(&x0, &warm, tracer, &mut gates_recomputed);
+                (hit, solved)
+            }
         };
-        let hit = warm
-            .as_ref()
-            .is_some_and(|w| w.is_usable(self.problem.num_vars(), self.problem.num_constraints()));
-        let result = {
-            let _sp = tracer.span("auglag");
-            let _ph = sgs_metrics::phase(sgs_metrics::Phase::Auglag);
-            auglag::solve_warm_traced(&self.problem, &x0, warm.as_ref(), &self.al_options, tracer)
-        };
-        let s = self.problem.extract_s(&result.x);
-        if s.iter().any(|v| !v.is_finite()) {
-            return Err(SizeError::SolverFailed {
-                status: result.status.as_str().to_string(),
-                c_norm: result.c_norm,
-            });
-        }
-        // Sync the engine to the solver's point — again dirty-cone only;
-        // near-converged warm re-solves move few gates.
-        let gates_recomputed = pre_recomputed + self.inc.set_sizes(&s).gates_recomputed;
         tracer.emit(|| TraceEvent::Counter {
             name: "gates_recomputed",
             value: gates_recomputed as u64,
         });
-        let delay = self.inc.delay();
-        let objective = sizer::objective_value(&self.objective, &s, delay);
-        let viol =
-            sizer::spec_violation(&self.delay_spec, self.circuit, self.inc.arrivals(), delay);
-        if viol > sizer::spec_tolerance(&self.delay_spec) {
-            // The engine now reflects the rejected iterate; the warm start
-            // (last *accepted* solution) is deliberately left untouched.
-            return Err(SizeError::SolverFailed {
-                status: result.status.as_str().to_string(),
-                c_norm: viol,
-            });
-        }
-        self.warm = Some(WarmStart::from_result(&result));
-        // Trace-only delta: the metrics-registry total is maintained at the
-        // clamp sites themselves (see `sgs_statmath::clark::var_clamp_count`),
-        // so concurrent solves cannot double-count each other's clamps.
-        let clark_var_clamps = sgs_statmath::clark::var_clamp_count().saturating_sub(clamps_before);
-        tracer.emit(|| TraceEvent::Counter {
-            name: "clark_var_clamped",
-            value: clark_var_clamps,
-        });
+        let (al, picked) = solved?;
+        self.warm = Some(picked.warm);
         Ok(ResolveOutcome {
-            warm_start_hit: hit,
+            warm_start_hit,
             gates_recomputed,
             result: SizingResult {
-                area: s.iter().sum(),
-                objective,
-                s,
-                delay,
-                outer_iterations: result.outer_iterations,
-                inner_iterations: result.inner_iterations,
-                c_norm: result.c_norm,
+                area: picked.s.iter().sum(),
+                objective: picked.objective,
+                s: picked.s,
+                delay: self.inc.delay(),
+                outer_iterations: al.outer_iterations,
+                inner_iterations: al.inner_iterations,
+                c_norm: picked.c_norm,
                 seconds: start.elapsed().as_secs_f64(),
-                evals: result.evals,
-                clark_var_clamps,
+                evals: al.evals,
+                clark_var_clamps: sizer::clamp_delta(tracer, clamps_before),
+                source: picked.source,
+                status: Some(al.status),
             },
         })
     }
 
+    /// The cold pipeline (module docs): seed, seeded AL with perturbed
+    /// restarts, clean pick, greedy fallback. Leaves the engine at the
+    /// winner's sizes.
+    fn cold(
+        &mut self,
+        tracer: Tracer<'_>,
+        gates: &mut usize,
+    ) -> Result<(SolveResult, Picked), SizeError> {
+        let red = self.config.reduced_seed(self.inc.sizes(), tracer);
+        let (mut al, seeded) = self.seeded_auglag(&red.s, tracer);
+        let mut attempt = 0;
+        while al.status == SolveStatus::Diverged && attempt < MAX_RESTARTS {
+            attempt += 1;
+            sgs_metrics::incr(sgs_metrics::Counter::SizerRestarts);
+            tracer.emit(|| TraceEvent::Restart {
+                attempt,
+                reason: format!(
+                    "full-space solve diverged; perturbed restart {attempt}/{MAX_RESTARTS}"
+                ),
+            });
+            al = self
+                .seeded_auglag(&perturb(&red.s, attempt, self.config.lib.s_limit), tracer)
+                .0;
+        }
+        let s_al = self.problem.extract_s(&al.x);
+        let (al_score, seed_score) = {
+            let _sp = tracer.span("evaluate");
+            let _ph = sgs_metrics::phase(sgs_metrics::Phase::Evaluate);
+            // The AL's point usually wins, so it is scored last.
+            let seed_score = self.score(&red.s, gates);
+            (self.score(&s_al, gates), seed_score)
+        };
+        let tol = sizer::spec_tolerance(&self.config.delay_spec);
+        let (al_ok, seed_ok) = (al_score.1 <= tol, seed_score.1 <= tol);
+        let picked = match (al_ok && (!seed_ok || al_score.0 <= seed_score.0), seed_ok) {
+            (true, _) => Picked {
+                s: s_al,
+                objective: al_score.0,
+                c_norm: al.c_norm,
+                source: AnswerSource::AugLag,
+                warm: WarmStart::from_result(&al),
+            },
+            (false, true) => {
+                *gates += self.inc.set_sizes(&red.s).gates_recomputed;
+                Picked {
+                    s: red.s,
+                    objective: seed_score.0,
+                    c_norm: red.violation,
+                    source: AnswerSource::Seed,
+                    warm: seeded,
+                }
+            }
+            (false, false) => {
+                tracer.emit(|| TraceEvent::Restart {
+                    attempt: attempt + 1,
+                    reason: "no feasible candidate; greedy fallback".to_string(),
+                });
+                let fallback = {
+                    let _sp = tracer.span("greedy_fallback");
+                    let _ph = sgs_metrics::phase(sgs_metrics::Phase::GreedyFallback);
+                    sgs_metrics::incr(sgs_metrics::Counter::SizerGreedyFallbacks);
+                    self.greedy_fallback(gates)
+                };
+                let Some((s, objective)) = fallback else {
+                    return Err(SizeError::SolverFailed {
+                        status: al.status.as_str().to_string(),
+                        c_norm: al_score.1.min(seed_score.1),
+                    });
+                };
+                Picked {
+                    warm: self.seeded_start(&s),
+                    s,
+                    objective,
+                    c_norm: 0.0,
+                    source: AnswerSource::Greedy,
+                }
+            }
+        };
+        Ok((al, picked))
+    }
+
+    /// One warm re-solve from `warm` (or `x0` should `warm` be unusable).
+    /// Leaves the engine at the solver's point, even a rejected one.
+    fn warm_solve(
+        &mut self,
+        x0: &[f64],
+        warm: &WarmStart,
+        tracer: Tracer<'_>,
+        gates: &mut usize,
+    ) -> Result<(SolveResult, Picked), SizeError> {
+        let al = {
+            let _sp = tracer.span("auglag");
+            let _ph = sgs_metrics::phase(sgs_metrics::Phase::Auglag);
+            self.auglag(x0, warm, tracer)
+        };
+        let s = self.problem.extract_s(&al.x);
+        if s.iter().any(|v| !v.is_finite()) {
+            return Err(SizeError::SolverFailed {
+                status: al.status.as_str().to_string(),
+                c_norm: al.c_norm,
+            });
+        }
+        let (objective, viol) = self.score(&s, gates);
+        if viol > sizer::spec_tolerance(&self.config.delay_spec) {
+            return Err(SizeError::SolverFailed {
+                status: al.status.as_str().to_string(),
+                c_norm: viol,
+            });
+        }
+        let picked = Picked {
+            s,
+            objective,
+            c_norm: al.c_norm,
+            source: AnswerSource::AugLag,
+            warm: WarmStart::from_result(&al),
+        };
+        Ok((al, picked))
+    }
+
+    /// The exactly feasible point at speed factors `s`, with
+    /// least-squares multipliers from one adjoint sweep (LANCELOT's
+    /// first-order estimate) and penalty `rho0`: with lambda = 0 the AL
+    /// has no curvature along the constraint tangent and walks off a seed
+    /// that is already nearly optimal.
+    fn seeded_start(&self, s: &[f64]) -> WarmStart {
+        let x = self.problem.initial_point(s);
+        WarmStart {
+            lambda: self.problem.multiplier_estimate(&x),
+            x,
+            rho: self.config.al_options.rho0,
+        }
+    }
+
+    /// One cold AL attempt: from [`Resolver::seeded_start`] at `s`,
+    /// which it also returns.
+    fn seeded_auglag(&self, s: &[f64], tracer: Tracer<'_>) -> (SolveResult, WarmStart) {
+        let _sp = tracer.span("auglag");
+        let _ph = sgs_metrics::phase(sgs_metrics::Phase::Auglag);
+        let start = self.seeded_start(s);
+        (self.auglag(&start.x, &start, tracer), start)
+    }
+
+    /// One augmented-Lagrangian solve, through the fault-injection
+    /// wrapper when [`Sizer::poison_nan_after`] is set.
+    fn auglag(&self, x0: &[f64], warm: &WarmStart, tracer: Tracer<'_>) -> SolveResult {
+        let opts = &self.config.al_options;
+        match self.config.poison_nan_after {
+            Some(after) => auglag::solve_warm_traced(
+                &PoisonNanAfter::new(&self.problem, after),
+                x0,
+                Some(warm),
+                opts,
+                tracer,
+            ),
+            None => auglag::solve_warm_traced(&self.problem, x0, Some(warm), opts, tracer),
+        }
+    }
+
+    /// Moves the engine to `s` (dirty cone only) and scores it by its
+    /// clean objective and delay-spec violation. Non-finite sizes (a
+    /// diverged iterate) score infeasible without touching the engine,
+    /// which needs finite moments.
+    fn score(&mut self, s: &[f64], gates: &mut usize) -> (f64, f64) {
+        if s.iter().any(|v| !v.is_finite()) {
+            return (f64::INFINITY, f64::INFINITY);
+        }
+        *gates += self.inc.set_sizes(s).gates_recomputed;
+        self.engine_score()
+    }
+
+    /// Clean objective and delay-spec violation at the engine's sizes.
+    fn engine_score(&self) -> (f64, f64) {
+        let delay = self.inc.delay();
+        (
+            sizer::objective_value(&self.config.objective, self.inc.sizes(), delay),
+            sizer::spec_violation(
+                &self.config.delay_spec,
+                self.config.circuit,
+                self.inc.arrivals(),
+                delay,
+            ),
+        )
+    }
+
+    /// Last-resort fallback: greedy descent of the delay metric implied by
+    /// the spec, accepted only if the result actually meets the spec.
+    /// Returns the speed factors and their clean objective value, and
+    /// leaves the engine at them.
+    pub(crate) fn greedy_fallback(&mut self, gates: &mut usize) -> Option<(Vec<f64>, f64)> {
+        let metric = match &self.config.delay_spec {
+            DelaySpec::None => self.config.objective.clone(),
+            DelaySpec::MaxMean(_) | DelaySpec::ExactMean(_) => Objective::MeanDelay,
+            DelaySpec::MaxMeanPlusKSigma { k, .. } | DelaySpec::PerOutput { k, .. } => {
+                Objective::MeanPlusKSigma(*k)
+            }
+        };
+        let g = greedy::greedy_size(
+            self.config.circuit,
+            self.config.lib,
+            &metric,
+            &GreedyOptions::default(),
+        );
+        let (objective, viol) = self.score(&g.s, gates);
+        (viol <= sizer::spec_tolerance(&self.config.delay_spec)).then_some((g.s, objective))
+    }
+
     /// The library the formulation was built against.
     pub fn library(&self) -> &'a Library {
-        self.lib
+        self.config.lib
     }
 
     /// Current speed factors held by the incremental engine (the last
-    /// accepted solution, or the last perturbation applied on top of it).
+    /// accepted answer, or the last perturbation applied on top of it).
     pub fn sizes(&self) -> &[f64] {
         self.inc.sizes()
     }
@@ -428,14 +626,84 @@ impl<'a> Resolver<'a> {
     /// The currently configured delay spec (deadline moves with
     /// [`Resolver::resolve_spec`]).
     pub fn delay_spec(&self) -> &DelaySpec {
-        &self.delay_spec
+        &self.config.delay_spec
     }
+}
 
-    fn tracer(&self) -> Tracer<'a> {
-        match self.trace {
-            Some(sink) => Tracer::new(sink),
-            None => Tracer::none(),
+/// Deterministic multiplicative jitter for restart warm starts: attempt
+/// `a` scales each factor by up to `±0.1 a` (splitmix64 stream keyed on
+/// the attempt number), clamped to the sizing range. No RNG state is
+/// carried between calls, so restarts are reproducible run to run.
+pub(crate) fn perturb(s: &[f64], attempt: usize, s_limit: f64) -> Vec<f64> {
+    let mut state = (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
+    let spread = 0.1 * attempt as f64;
+    s.iter()
+        .map(|&v| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let u = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+            (v * (1.0 + spread * (2.0 * u - 1.0))).clamp(1.0, s_limit)
+        })
+        .collect()
+}
+
+/// Fault-injection wrapper behind [`Sizer::poison_nan_after`]: delegates
+/// everything to the real formulation, except the objective turns to `NaN`
+/// from the `after`-th evaluation onward.
+struct PoisonNanAfter<'p> {
+    inner: &'p SizingProblem,
+    after: usize,
+    calls: Cell<usize>,
+}
+
+impl<'p> PoisonNanAfter<'p> {
+    fn new(inner: &'p SizingProblem, after: usize) -> Self {
+        PoisonNanAfter {
+            inner,
+            after,
+            calls: Cell::new(0),
         }
+    }
+}
+
+impl NlpProblem for PoisonNanAfter<'_> {
+    fn num_vars(&self) -> usize {
+        self.inner.num_vars()
+    }
+    fn num_constraints(&self) -> usize {
+        self.inner.num_constraints()
+    }
+    fn bounds(&self) -> (&[f64], &[f64]) {
+        self.inner.bounds()
+    }
+    fn objective(&self, x: &[f64]) -> f64 {
+        let k = self.calls.get();
+        self.calls.set(k + 1);
+        if k >= self.after {
+            return f64::NAN;
+        }
+        self.inner.objective(x)
+    }
+    fn gradient(&self, x: &[f64], g: &mut [f64]) {
+        self.inner.gradient(x, g)
+    }
+    fn constraints(&self, x: &[f64], c: &mut [f64]) {
+        self.inner.constraints(x, c)
+    }
+    fn jacobian_structure(&self) -> Vec<(usize, usize)> {
+        self.inner.jacobian_structure()
+    }
+    fn jacobian_values(&self, x: &[f64], vals: &mut [f64]) {
+        self.inner.jacobian_values(x, vals)
+    }
+    fn hessian_structure(&self) -> Vec<(usize, usize)> {
+        self.inner.hessian_structure()
+    }
+    fn hessian_values(&self, x: &[f64], sigma: f64, lambda: &[f64], vals: &mut [f64]) {
+        self.inner.hessian_values(x, sigma, lambda, vals)
     }
 }
 
@@ -555,7 +823,7 @@ mod tests {
             .delay_spec(DelaySpec::MaxMean(6.5))
             .trace(&sink)
             .resolver();
-        r.solve().unwrap();
+        let cold = r.solve().unwrap();
         r.what_if(&[(GateId(2), 1.4)]);
         let recomputed: Vec<u64> = sink
             .events()
@@ -570,20 +838,10 @@ mod tests {
             .collect();
         assert_eq!(recomputed.len(), 2, "one per solve, one per what-if");
         assert!(recomputed[1] > 0 && recomputed[1] < c.num_gates() as u64);
-        assert_eq!(
-            sink.events()
-                .iter()
-                .filter(|e| matches!(
-                    e,
-                    TraceEvent::Counter {
-                        name: "warm_start_hit",
-                        ..
-                    }
-                ))
-                .count(),
-            0,
-            "cold solve must not emit a warm_start_hit counter"
-        );
+        // The cold solve offers its seeded start to the AL (so the AL's
+        // `warm_start_hit` trace counter may fire), but carries no
+        // previous answer.
+        assert!(!cold.warm_start_hit, "a cold solve carries no warm state");
     }
 
     #[test]

@@ -1,27 +1,17 @@
-//! High-level sizing driver: seed, solve, extract, cross-check.
-//!
-//! # Robustness policy
-//!
-//! A full-space solve that *diverges* (non-finite objective, constraint or
-//! iterate — [`sgs_nlp::auglag::SolveStatus::Diverged`]) is retried up to
-//! [`Sizer::max_restarts`] times from deterministically perturbed warm
-//! starts. If afterwards neither the full-space result nor the
-//! reduced-space warm start meets the delay spec, a TILOS-style greedy
-//! descent ([`crate::greedy`]) is tried as a last resort before giving up
-//! with [`SizeError::SolverFailed`]. Each escalation step emits a
-//! [`sgs_trace::TraceEvent::Restart`] record, so a run report shows *how*
-//! a solution was reached, not just that one was.
+//! Sizing configuration and results. [`Sizer::solve`] is a fresh
+//! [`Resolver`]'s cold solve (see [`crate::resolve`]), so a one-shot solve
+//! and a session's first solve (the daemon's `/solve`, a sweep's anchor)
+//! give the same bits. Every [`SizingResult`] names the candidate it
+//! reports ([`AnswerSource`]).
 
-use crate::greedy::{self, GreedyOptions};
-use crate::problem::SizingProblem;
-use crate::reduced::{self, ReducedOptions};
+use crate::reduced::{self, ReducedOptions, ReducedResult};
+use crate::resolve::Resolver;
 use crate::spec::{DelaySpec, Objective};
 use sgs_netlist::{Circuit, Library};
-use sgs_nlp::auglag::{self, AugLagOptions, SolveStatus, WarmStart};
-use sgs_nlp::{EvalCounts, NlpProblem};
+use sgs_nlp::auglag::{AugLagOptions, SolveStatus};
+use sgs_nlp::EvalCounts;
 use sgs_statmath::Normal;
 use sgs_trace::{TraceEvent, TraceSink, Tracer};
-use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -97,6 +87,31 @@ pub trait Preflight {
     ) -> Result<(), String>;
 }
 
+/// Which candidate of the solve pipeline a [`SizingResult`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnswerSource {
+    /// The augmented-Lagrangian solve's point.
+    AugLag,
+    /// The reduced-space seed: every [`SolverChoice::ReducedSpace`] run,
+    /// and a cold full-space solve whose AL point is infeasible or no
+    /// better.
+    Seed,
+    /// The greedy fallback, when neither the AL's point nor the seed
+    /// meets the delay spec.
+    Greedy,
+}
+
+impl AnswerSource {
+    /// Stable lowercase tag for machine-readable reports.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            AnswerSource::AugLag => "auglag",
+            AnswerSource::Seed => "seed",
+            AnswerSource::Greedy => "greedy",
+        }
+    }
+}
+
 /// Result of a sizing run.
 #[derive(Debug, Clone)]
 pub struct SizingResult {
@@ -109,11 +124,14 @@ pub struct SizingResult {
     pub area: f64,
     /// Objective value reached.
     pub objective: f64,
-    /// Outer (augmented-Lagrangian) iterations, 0 for reduced-space runs.
+    /// Outer (augmented-Lagrangian) iterations of the last AL solve, also
+    /// when another candidate won; 0 for reduced-space runs.
     pub outer_iterations: usize,
-    /// Inner iterations (trust-region or L-BFGS).
+    /// Inner iterations (trust-region, or L-BFGS for reduced-space runs).
     pub inner_iterations: usize,
-    /// Final equality-constraint violation (full space only).
+    /// Residual of the reported candidate: the AL's constraint violation,
+    /// the seed's delay-spec violation, or 0 for the greedy point (its
+    /// re-propagated formulation is exactly feasible).
     pub c_norm: f64,
     /// Wall-clock seconds spent in the solver.
     pub seconds: f64,
@@ -127,6 +145,11 @@ pub struct SizingResult {
     /// so concurrent solves may inflate each other's delta). Also emitted
     /// as the `clark_var_clamped` trace counter.
     pub clark_var_clamps: u64,
+    /// Which candidate this answer is.
+    pub source: AnswerSource,
+    /// How the last augmented-Lagrangian solve ended, also when another
+    /// candidate won (`None` for reduced-space runs, which run no AL).
+    pub status: Option<SolveStatus>,
 }
 
 impl SizingResult {
@@ -153,18 +176,16 @@ impl SizingResult {
 /// ```
 #[derive(Clone)]
 pub struct Sizer<'a> {
-    circuit: &'a Circuit,
-    lib: &'a Library,
-    objective: Objective,
-    delay_spec: DelaySpec,
+    pub(crate) circuit: &'a Circuit,
+    pub(crate) lib: &'a Library,
+    pub(crate) objective: Objective,
+    pub(crate) delay_spec: DelaySpec,
     solver: SolverChoice,
-    al_options: AugLagOptions,
-    reduced_options: ReducedOptions,
-    s0: Option<Vec<f64>>,
-    input_arrivals: Option<Vec<Normal>>,
+    pub(crate) al_options: AugLagOptions,
+    pub(crate) s0: Option<Vec<f64>>,
+    pub(crate) input_arrivals: Option<Vec<Normal>>,
     trace: Option<&'a dyn TraceSink>,
-    max_restarts: usize,
-    poison_nan_after: Option<usize>,
+    pub(crate) poison_nan_after: Option<usize>,
     preflight: Option<&'a dyn Preflight>,
 }
 
@@ -175,11 +196,9 @@ impl fmt::Debug for Sizer<'_> {
             .field("delay_spec", &self.delay_spec)
             .field("solver", &self.solver)
             .field("al_options", &self.al_options)
-            .field("reduced_options", &self.reduced_options)
             .field("s0", &self.s0)
             .field("input_arrivals", &self.input_arrivals)
             .field("trace", &self.trace.map(|_| "dyn TraceSink"))
-            .field("max_restarts", &self.max_restarts)
             .field("poison_nan_after", &self.poison_nan_after)
             .field("preflight", &self.preflight.map(|_| "dyn Preflight"))
             .finish()
@@ -201,11 +220,9 @@ impl<'a> Sizer<'a> {
                 tol_opt: 1e-4,
                 ..Default::default()
             },
-            reduced_options: ReducedOptions::default(),
             s0: None,
             input_arrivals: None,
             trace: None,
-            max_restarts: 2,
             poison_nan_after: None,
             preflight: None,
         }
@@ -220,20 +237,12 @@ impl<'a> Sizer<'a> {
     }
 
     /// Attaches a trace sink. The solve then emits phase spans
-    /// (`reduced_space`, `build_problem`, `auglag`, `evaluate`, `report`),
-    /// the augmented-Lagrangian outer-iteration records, and restart /
-    /// divergence events. The default is no sink, which costs nothing on
-    /// the hot path.
+    /// (`build_problem`, `reduced_space`, `auglag`, `evaluate`,
+    /// `greedy_fallback`), the augmented-Lagrangian outer-iteration
+    /// records, and restart / divergence events. The default is no sink,
+    /// which costs nothing on the hot path.
     pub fn trace(mut self, sink: &'a dyn TraceSink) -> Self {
         self.trace = Some(sink);
-        self
-    }
-
-    /// Maximum perturbed-restart attempts after a diverged full-space
-    /// solve (default 2). `0` disables restarts; the greedy fallback still
-    /// applies.
-    pub fn max_restarts(mut self, n: usize) -> Self {
-        self.max_restarts = n;
         self
     }
 
@@ -265,20 +274,14 @@ impl<'a> Sizer<'a> {
     }
 
     /// Overrides the augmented-Lagrangian options. The seeded start of
-    /// every attempt uses `rho0` as its penalty parameter.
+    /// every cold attempt uses `rho0` as its penalty parameter.
     pub fn al_options(mut self, opts: AugLagOptions) -> Self {
         self.al_options = opts;
         self
     }
 
-    /// Overrides the reduced-space options.
-    pub fn reduced_options(mut self, opts: ReducedOptions) -> Self {
-        self.reduced_options = opts;
-        self
-    }
-
-    /// Supplies explicit starting speed factors (default: all 1, refined
-    /// by a reduced-space warm start).
+    /// Supplies explicit starting speed factors (default: all 1), where
+    /// the reduced-space seed starts.
     pub fn initial_s(mut self, s0: Vec<f64>) -> Self {
         self.s0 = Some(s0);
         self
@@ -292,37 +295,25 @@ impl<'a> Sizer<'a> {
         self
     }
 
-    /// Converts this configuration into a [`crate::resolve::Resolver`] —
-    /// the incremental re-solve driver behind what-if queries. The
-    /// resolver keeps the built formulation, an [`sgs_ssta::IncrementalSsta`]
-    /// engine and the last solution's `(x, lambda, rho)` alive across
-    /// solves, so spec/size perturbations re-solve warm instead of from
-    /// scratch.
-    pub fn resolver(self) -> crate::resolve::Resolver<'a> {
-        crate::resolve::Resolver::from_parts(
-            self.circuit,
-            self.lib,
-            self.objective,
-            self.delay_spec,
-            self.al_options,
-            self.input_arrivals,
-            self.trace,
-        )
+    /// Converts this configuration into a [`Resolver`], which runs
+    /// [`Sizer::solve`], warm re-solves and what-if queries.
+    pub fn resolver(self) -> Resolver<'a> {
+        Resolver::configured(self)
     }
 
-    /// Runs the optimisation.
+    /// Runs the optimisation: the pre-solve gate, then the reduced seed
+    /// alone ([`SolverChoice::ReducedSpace`]) or a [`Resolver`]'s cold
+    /// solve.
     ///
     /// # Errors
     ///
-    /// Returns [`SizeError::SolverFailed`] when neither a feasible
-    /// first-order point nor an acceptable fallback is reached.
+    /// Returns [`SizeError::PreflightFailed`] when the attached gate
+    /// refuses the task, and [`SizeError::SolverFailed`] when neither a
+    /// feasible first-order point nor an acceptable fallback is reached.
     pub fn solve(&self) -> Result<SizingResult, SizeError> {
-        let start = Instant::now();
-        let _solve_phase = sgs_metrics::phase(sgs_metrics::Phase::Solve);
         sgs_metrics::incr(sgs_metrics::Counter::SizerSolves);
-        let tracer = self.tracer();
         if let Some(gate) = self.preflight {
-            let _sp = tracer.span("preflight");
+            let _sp = self.tracer().span("preflight");
             let _ph = sgs_metrics::phase(sgs_metrics::Phase::Preflight);
             gate.check(self.circuit, self.lib, &self.objective, &self.delay_spec)
                 .map_err(|summary| {
@@ -330,275 +321,82 @@ impl<'a> Sizer<'a> {
                     SizeError::PreflightFailed { summary }
                 })?;
         }
+        match self.solver {
+            SolverChoice::FullSpace => Ok(self.clone().resolver().solve()?.result),
+            SolverChoice::ReducedSpace => Ok(self.seed_only()),
+        }
+    }
+
+    /// The [`SolverChoice::ReducedSpace`] run: the seed, reported with a
+    /// clean SSTA of its sizes.
+    fn seed_only(&self) -> SizingResult {
+        let start = Instant::now();
+        let _solve_phase = sgs_metrics::phase(sgs_metrics::Phase::Solve);
+        let tracer = self.tracer();
         let clamps_before = sgs_statmath::clark::var_clamp_count();
-        let n = self.circuit.num_gates();
-        let s_start = self.s0.clone().unwrap_or_else(|| vec![1.0; n]);
-
-        // Reduced-space pass: warm start (FullSpace) or the whole solve
-        // (ReducedSpace).
-        let red = {
-            let _sp = tracer.span("reduced_space");
-            let _ph = sgs_metrics::phase(sgs_metrics::Phase::ReducedSpace);
-            reduced::solve_reduced_with_arrivals(
-                self.circuit,
-                self.lib,
-                self.objective.clone(),
-                self.delay_spec.clone(),
-                &s_start,
-                &self.reduced_options,
-                self.input_arrivals.as_deref(),
-            )
-        };
-
-        if self.solver == SolverChoice::ReducedSpace {
-            let report = {
-                let _sp = tracer.span("report");
-                let _ph = sgs_metrics::phase(sgs_metrics::Phase::Report);
-                self.analyse(&red.s)
-            };
-            return Ok(SizingResult {
-                area: red.s.iter().sum(),
-                objective: red.objective,
-                s: red.s,
-                delay: report.delay,
-                outer_iterations: 0,
-                inner_iterations: red.iterations,
-                c_norm: red.violation,
-                seconds: start.elapsed().as_secs_f64(),
-                evals: EvalCounts::default(),
-                clark_var_clamps: self.emit_clamp_delta(&tracer, clamps_before),
-            });
-        }
-
-        // Full-space augmented-Lagrangian solve from the warm start.
-        let problem = {
-            let _sp = tracer.span("build_problem");
-            let _ph = sgs_metrics::phase(sgs_metrics::Phase::BuildProblem);
-            SizingProblem::build_with_arrivals(
-                self.circuit,
-                self.lib,
-                self.objective.clone(),
-                self.delay_spec.clone(),
-                self.input_arrivals.as_deref(),
-            )
-        };
-        // Every attempt starts at the exactly feasible point of its speed
-        // factors, with least-squares multipliers from one adjoint sweep
-        // (LANCELOT's first-order estimate): with lambda = 0 the AL has no
-        // curvature along the constraint tangent and walks off a seed that
-        // is already nearly optimal.
-        let run_attempt = |s_init: &[f64]| {
-            let _sp = tracer.span("auglag");
-            let _ph = sgs_metrics::phase(sgs_metrics::Phase::Auglag);
-            let x = problem.initial_point(s_init);
-            let warm = WarmStart {
-                lambda: problem.multiplier_estimate(&x),
-                x,
-                rho: self.al_options.rho0,
-            };
-            match self.poison_nan_after {
-                Some(after) => auglag::solve_warm_traced(
-                    &PoisonNanAfter::new(&problem, after),
-                    &warm.x,
-                    Some(&warm),
-                    &self.al_options,
-                    tracer,
-                ),
-                None => auglag::solve_warm_traced(
-                    &problem,
-                    &warm.x,
-                    Some(&warm),
-                    &self.al_options,
-                    tracer,
-                ),
-            }
-        };
-
-        let mut result = run_attempt(&red.s);
-        // A diverged solve hit non-finite values; retry from perturbed
-        // warm starts before judging candidates (see module docs).
-        let mut attempt = 0;
-        while result.status == SolveStatus::Diverged && attempt < self.max_restarts {
-            attempt += 1;
-            sgs_metrics::incr(sgs_metrics::Counter::SizerRestarts);
-            tracer.emit(|| TraceEvent::Restart {
-                attempt,
-                reason: format!(
-                    "full-space solve diverged; perturbed restart {attempt}/{}",
-                    self.max_restarts
-                ),
-            });
-            result = run_attempt(&perturb(&red.s, attempt, self.lib.s_limit));
-        }
-        let s_full = problem.extract_s(&result.x);
-
-        // The constraint system is triangular in S: re-propagating the
-        // extracted speed factors through a clean SSTA gives an exactly
-        // feasible point. Judge both candidates (full-space result and
-        // reduced-space warm start) by their clean objective and delay-spec
-        // violation, and keep the better feasible one — AL residuals on the
-        // intermediate variables then never corrupt the reported sizing.
-        let (full_cand, red_cand) = {
-            let _sp = tracer.span("evaluate");
-            let _ph = sgs_metrics::phase(sgs_metrics::Phase::Evaluate);
-            (
-                self.evaluate_guarded(&s_full),
-                self.evaluate_guarded(&red.s),
-            )
-        };
-        let spec_tol = self.spec_tolerance();
-        let pick = match (full_cand.1 <= spec_tol, red_cand.1 <= spec_tol) {
-            (true, true) => Some(full_cand.0 <= red_cand.0),
-            (true, false) => Some(true),
-            (false, true) => Some(false),
-            (false, false) => None,
-        };
-        let Some(pick_full) = pick else {
-            // Neither candidate meets the spec: greedy last resort.
-            tracer.emit(|| TraceEvent::Restart {
-                attempt: attempt + 1,
-                reason: "no feasible candidate; greedy fallback".to_string(),
-            });
-            let fallback = {
-                let _sp = tracer.span("greedy_fallback");
-                let _ph = sgs_metrics::phase(sgs_metrics::Phase::GreedyFallback);
-                sgs_metrics::incr(sgs_metrics::Counter::SizerGreedyFallbacks);
-                self.greedy_fallback()
-            };
-            let Some((s, objective)) = fallback else {
-                return Err(SizeError::SolverFailed {
-                    status: result.status.as_str().to_string(),
-                    c_norm: full_cand.1.min(red_cand.1),
-                });
-            };
-            let report = {
-                let _sp = tracer.span("report");
-                let _ph = sgs_metrics::phase(sgs_metrics::Phase::Report);
-                self.analyse(&s)
-            };
-            return Ok(SizingResult {
-                area: s.iter().sum(),
-                objective,
-                s,
-                delay: report.delay,
-                outer_iterations: result.outer_iterations,
-                inner_iterations: result.inner_iterations,
-                // The greedy point is a plain speed-factor assignment; its
-                // re-propagated formulation is exactly feasible.
-                c_norm: 0.0,
-                seconds: start.elapsed().as_secs_f64(),
-                evals: result.evals,
-                clark_var_clamps: self.emit_clamp_delta(&tracer, clamps_before),
-            });
-        };
-        let s = if pick_full { s_full } else { red.s };
-        let objective = if pick_full { full_cand.0 } else { red_cand.0 };
-        // The residual of the candidate actually returned: the AL's when
-        // it wins, the reduced seed's own when the seed does.
-        let c_norm = if pick_full {
-            result.c_norm
-        } else {
-            red.violation
-        };
-
-        let report = {
-            let _sp = tracer.span("report");
-            let _ph = sgs_metrics::phase(sgs_metrics::Phase::Report);
-            self.analyse(&s)
-        };
-        Ok(SizingResult {
-            area: s.iter().sum(),
-            objective,
-            s,
-            delay: report.delay,
-            outer_iterations: result.outer_iterations,
-            inner_iterations: result.inner_iterations,
-            c_norm,
+        let ones = vec![1.0; self.circuit.num_gates()];
+        let red = self.reduced_seed(self.s0.as_deref().unwrap_or(&ones), tracer);
+        let delay = sgs_ssta::analysis::ssta_with_arrivals(
+            self.circuit,
+            self.lib,
+            &red.s,
+            self.input_arrivals.as_deref(),
+        )
+        .delay;
+        SizingResult {
+            area: red.s.iter().sum(),
+            objective: red.objective,
+            s: red.s,
+            delay,
+            outer_iterations: 0,
+            inner_iterations: red.iterations,
+            c_norm: red.violation,
             seconds: start.elapsed().as_secs_f64(),
-            evals: result.evals,
-            clark_var_clamps: self.emit_clamp_delta(&tracer, clamps_before),
-        })
+            evals: EvalCounts::default(),
+            clark_var_clamps: clamp_delta(tracer, clamps_before),
+            source: AnswerSource::Seed,
+            status: None,
+        }
     }
 
-    /// Delta of the process-global Clark variance-clamp counter over this
-    /// solve, emitted as the `clark_var_clamped` trace counter. The
-    /// metrics-registry total is maintained at the clamp sites themselves
-    /// (concurrent solves would otherwise double-count overlapping deltas).
-    fn emit_clamp_delta(&self, tracer: &Tracer<'a>, before: u64) -> u64 {
-        let delta = sgs_statmath::clark::var_clamp_count().saturating_sub(before);
-        tracer.emit(|| TraceEvent::Counter {
-            name: "clark_var_clamped",
-            value: delta,
-        });
-        delta
+    /// The reduced-space seed from `s_start`: adjoint-gradient projected
+    /// L-BFGS inside a quadratic-penalty loop.
+    pub(crate) fn reduced_seed(&self, s_start: &[f64], tracer: Tracer<'_>) -> ReducedResult {
+        let _sp = tracer.span("reduced_space");
+        let _ph = sgs_metrics::phase(sgs_metrics::Phase::ReducedSpace);
+        reduced::solve_reduced_with_arrivals(
+            self.circuit,
+            self.lib,
+            self.objective.clone(),
+            self.delay_spec.clone(),
+            s_start,
+            &ReducedOptions::default(),
+            self.input_arrivals.as_deref(),
+        )
     }
 
-    fn tracer(&self) -> Tracer<'a> {
+    pub(crate) fn tracer(&self) -> Tracer<'a> {
         match self.trace {
             Some(sink) => Tracer::new(sink),
             None => Tracer::none(),
         }
     }
+}
 
-    /// [`Sizer::evaluate`], but a candidate containing non-finite speed
-    /// factors (a diverged solve's iterate) is scored infeasible outright
-    /// instead of being pushed through SSTA, which requires finite moments.
-    fn evaluate_guarded(&self, s: &[f64]) -> (f64, f64) {
-        if s.iter().any(|v| !v.is_finite()) {
-            return (f64::INFINITY, f64::INFINITY);
-        }
-        self.evaluate(s)
-    }
-
-    /// Last-resort fallback: greedy descent of the delay metric implied by
-    /// the spec, accepted only if the result actually meets the spec.
-    /// Returns the speed factors and clean-SSTA objective value.
-    fn greedy_fallback(&self) -> Option<(Vec<f64>, f64)> {
-        let metric = match &self.delay_spec {
-            DelaySpec::None => self.objective.clone(),
-            DelaySpec::MaxMean(_) | DelaySpec::ExactMean(_) => Objective::MeanDelay,
-            DelaySpec::MaxMeanPlusKSigma { k, .. } | DelaySpec::PerOutput { k, .. } => {
-                Objective::MeanPlusKSigma(*k)
-            }
-        };
-        let g = greedy::greedy_size(self.circuit, self.lib, &metric, &GreedyOptions::default());
-        let (obj, viol) = self.evaluate(&g.s);
-        (viol <= self.spec_tolerance()).then_some((g.s, obj))
-    }
-
-    /// Clean SSTA at `s`, honouring configured input arrivals.
-    fn analyse(&self, s: &[f64]) -> sgs_ssta::SstaReport {
-        sgs_ssta::analysis::ssta_with_arrivals(
-            self.circuit,
-            self.lib,
-            s,
-            self.input_arrivals.as_deref(),
-        )
-    }
-
-    /// Clean-SSTA objective value and delay-spec violation at `s`.
-    fn evaluate(&self, s: &[f64]) -> (f64, f64) {
-        let report = self.analyse(s);
-        (
-            objective_value(&self.objective, s, report.delay),
-            spec_violation(
-                &self.delay_spec,
-                self.circuit,
-                &report.arrivals,
-                report.delay,
-            ),
-        )
-    }
-
-    /// Acceptable delay-spec violation, scaled to the deadline magnitude.
-    fn spec_tolerance(&self) -> f64 {
-        spec_tolerance(&self.delay_spec)
-    }
+/// Delta of the process-global Clark variance-clamp counter since
+/// `before`, emitted as the `clark_var_clamped` trace counter. The
+/// metrics-registry total is maintained at the clamp sites themselves, so
+/// concurrent solves cannot double-count each other's clamps.
+pub(crate) fn clamp_delta(tracer: Tracer<'_>, before: u64) -> u64 {
+    let delta = sgs_statmath::clark::var_clamp_count().saturating_sub(before);
+    tracer.emit(|| TraceEvent::Counter {
+        name: "clark_var_clamped",
+        value: delta,
+    });
+    delta
 }
 
 /// Objective value at speed factors `s` with clean-SSTA delay `delay`.
-/// Shared by [`Sizer`] and [`crate::resolve::Resolver`] so both drivers
-/// score candidates by the exact same formula.
 pub(crate) fn objective_value(objective: &Objective, s: &[f64], delay: Normal) -> f64 {
     let mu = delay.mean();
     let sigma = delay.sigma();
@@ -651,83 +449,6 @@ pub(crate) fn spec_tolerance(spec: &DelaySpec) -> f64 {
         DelaySpec::PerOutput { d, .. } => {
             1e-3 * (1.0 + d.iter().fold(f64::INFINITY, |a, &b| a.min(b)).abs())
         }
-    }
-}
-
-/// Deterministic multiplicative jitter for restart warm starts: attempt
-/// `a` scales each factor by up to `±0.1 a` (splitmix64 stream keyed on
-/// the attempt number), clamped to the sizing range. No RNG state is
-/// carried between calls, so restarts are reproducible run to run.
-fn perturb(s: &[f64], attempt: usize, s_limit: f64) -> Vec<f64> {
-    let mut state = (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
-    let spread = 0.1 * attempt as f64;
-    s.iter()
-        .map(|&v| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            let u = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-            (v * (1.0 + spread * (2.0 * u - 1.0))).clamp(1.0, s_limit)
-        })
-        .collect()
-}
-
-/// Fault-injection wrapper behind [`Sizer::poison_nan_after`]: delegates
-/// everything to the real formulation, except the objective turns to `NaN`
-/// from the `after`-th evaluation onward.
-struct PoisonNanAfter<'p> {
-    inner: &'p SizingProblem,
-    after: usize,
-    calls: Cell<usize>,
-}
-
-impl<'p> PoisonNanAfter<'p> {
-    fn new(inner: &'p SizingProblem, after: usize) -> Self {
-        PoisonNanAfter {
-            inner,
-            after,
-            calls: Cell::new(0),
-        }
-    }
-}
-
-impl NlpProblem for PoisonNanAfter<'_> {
-    fn num_vars(&self) -> usize {
-        self.inner.num_vars()
-    }
-    fn num_constraints(&self) -> usize {
-        self.inner.num_constraints()
-    }
-    fn bounds(&self) -> (&[f64], &[f64]) {
-        self.inner.bounds()
-    }
-    fn objective(&self, x: &[f64]) -> f64 {
-        let k = self.calls.get();
-        self.calls.set(k + 1);
-        if k >= self.after {
-            return f64::NAN;
-        }
-        self.inner.objective(x)
-    }
-    fn gradient(&self, x: &[f64], g: &mut [f64]) {
-        self.inner.gradient(x, g)
-    }
-    fn constraints(&self, x: &[f64], c: &mut [f64]) {
-        self.inner.constraints(x, c)
-    }
-    fn jacobian_structure(&self) -> Vec<(usize, usize)> {
-        self.inner.jacobian_structure()
-    }
-    fn jacobian_values(&self, x: &[f64], vals: &mut [f64]) {
-        self.inner.jacobian_values(x, vals)
-    }
-    fn hessian_structure(&self) -> Vec<(usize, usize)> {
-        self.inner.hessian_structure()
-    }
-    fn hessian_values(&self, x: &[f64], sigma: f64, lambda: &[f64], vals: &mut [f64]) {
-        self.inner.hessian_values(x, sigma, lambda, vals)
     }
 }
 
@@ -867,6 +588,8 @@ mod tests {
         );
         // Every AL attempt diverged, so the answer is the reduced seed's,
         // and so must be the residual reported with it.
+        assert_eq!(r.source, AnswerSource::Seed);
+        assert_eq!(r.status, Some(SolveStatus::Diverged));
         let seed = Sizer::new(&c, &l)
             .objective(Objective::Area)
             .delay_spec(DelaySpec::MaxMean(6.5))
@@ -888,15 +611,20 @@ mod tests {
     fn greedy_fallback_meets_deadline() {
         let c = generate::tree7();
         let l = lib();
-        let sizer = Sizer::new(&c, &l)
+        let spec = DelaySpec::MaxMean(6.5);
+        let mut resolver = Sizer::new(&c, &l)
             .objective(Objective::Area)
-            .delay_spec(DelaySpec::MaxMean(6.5));
-        let (s, obj) = sizer
-            .greedy_fallback()
+            .delay_spec(spec.clone())
+            .resolver();
+        let (s, obj) = resolver
+            .greedy_fallback(&mut 0)
             .expect("greedy can meet 6.5 on tree7");
-        let (obj2, viol) = sizer.evaluate(&s);
+        // The engine's score is a clean SSTA's, bit for bit.
+        let report = sgs_ssta::ssta(&c, &l, &s);
+        let obj2 = objective_value(&Objective::Area, &s, report.delay);
         assert_eq!(obj.to_bits(), obj2.to_bits());
-        assert!(viol <= sizer.spec_tolerance(), "viol {viol}");
+        let viol = spec_violation(&spec, &c, &report.arrivals, report.delay);
+        assert!(viol <= spec_tolerance(&spec), "viol {viol}");
     }
 
     #[test]
@@ -961,11 +689,16 @@ mod tests {
                 .solve()
                 .unwrap();
             assert_eq!(r.outer_iterations, 1, "{label}");
+            // The AL certifies the seed without moving off it, and a tie
+            // goes to the AL.
+            assert_eq!(r.source, AnswerSource::AugLag, "{label}");
+            assert_eq!(r.status, Some(SolveStatus::Converged), "{label}");
         }
     }
 
     #[test]
     fn perturb_is_deterministic_and_in_bounds() {
+        use crate::resolve::perturb;
         let s = vec![1.0, 1.7, 2.9, 3.0];
         let a = perturb(&s, 1, 3.0);
         let b = perturb(&s, 1, 3.0);

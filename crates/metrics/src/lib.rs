@@ -220,26 +220,26 @@ metric_enum! {
         Load => "load",
         /// Unsized baseline SSTA and its reporting (binary-level).
         Baseline => "baseline",
-        /// One full sizing solve (`Sizer::solve` / `Resolver` re-solve).
+        /// One sizing solve: a `Resolver` cold solve (which is what
+        /// `Sizer::solve` runs) or warm re-solve, or a reduced-space run.
         Solve => "solve",
-        /// Preflight analyzer gate inside a solve.
+        /// `Sizer::solve`'s pre-solve analyzer gate.
         Preflight => "preflight",
         /// Reduced-space (adjoint-gradient) sizing pass inside a
         /// solve: the whole solve under `SolverChoice::ReducedSpace`,
         /// the full-space solver's warm-start seed otherwise.
         ReducedSpace => "reduced_space",
-        /// Sizing-problem construction inside a solve.
+        /// Building a `Resolver`: the sizing problem and its incremental
+        /// SSTA engine.
         BuildProblem => "build_problem",
         /// The augmented-Lagrangian optimisation itself.
         Auglag => "auglag",
         /// Inner trust-region solves inside `auglag`.
         InnerTr => "inner_tr",
-        /// Solution evaluation/packaging inside a solve.
+        /// Scoring the cold solve's candidates on the incremental engine.
         Evaluate => "evaluate",
-        /// Greedy fallback ladder inside a solve.
+        /// Greedy fallback inside a cold solve.
         GreedyFallback => "greedy_fallback",
-        /// Result-report assembly inside a solve.
-        Report => "report",
         /// Standalone static-analyzer run.
         Analyze => "analyze",
         /// Analyzer stage 1: structural netlist lints.
@@ -264,18 +264,16 @@ impl Phase {
         match self {
             Phase::Load
             | Phase::Baseline
+            | Phase::Preflight
+            | Phase::BuildProblem
             | Phase::Solve
             | Phase::Analyze
             | Phase::Emit
             | Phase::Sweep => None,
             Phase::SweepPoint => Some(Phase::Sweep),
-            Phase::Preflight
-            | Phase::ReducedSpace
-            | Phase::BuildProblem
-            | Phase::Auglag
-            | Phase::Evaluate
-            | Phase::GreedyFallback
-            | Phase::Report => Some(Phase::Solve),
+            Phase::ReducedSpace | Phase::Auglag | Phase::Evaluate | Phase::GreedyFallback => {
+                Some(Phase::Solve)
+            }
             Phase::InnerTr => Some(Phase::Auglag),
             Phase::AnalyzeLints | Phase::AnalyzeIntervals | Phase::AnalyzeDerivatives => {
                 Some(Phase::Analyze)

@@ -419,8 +419,12 @@ pub fn solve_result_json(request_id: u64, out: &ResolveOutcome, session_hit: boo
     push_f64(&mut s, r.delay.sigma());
     let _ = write!(
         s,
-        ",\"outer_iterations\":{},\"inner_iterations\":{},\"warm_start_hit\":{},\"gates_recomputed\":{},\"session_hit\":{session_hit}",
-        r.outer_iterations, r.inner_iterations, out.warm_start_hit, out.gates_recomputed
+        ",\"source\":\"{}\",\"outer_iterations\":{},\"inner_iterations\":{},\"warm_start_hit\":{},\"gates_recomputed\":{},\"session_hit\":{session_hit}",
+        r.source.as_str(),
+        r.outer_iterations,
+        r.inner_iterations,
+        out.warm_start_hit,
+        out.gates_recomputed
     );
     s.push_str(",\"sizes\":[");
     for (i, v) in r.s.iter().enumerate() {

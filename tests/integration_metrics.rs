@@ -18,10 +18,10 @@
 //! The registry is process-global, so every test here serialises on one
 //! mutex (the same discipline as the `sgs-metrics` unit tests).
 
-use sgs_core::{Objective, Sizer, SolverChoice};
+use sgs_core::{DelaySpec, Objective, Sizer, SolverChoice};
 use sgs_metrics::{Counter, Gauge, Metadata, Snapshot};
 use sgs_netlist::generate::{self, RandomDagSpec};
-use sgs_netlist::{Circuit, Library};
+use sgs_netlist::{blif, Circuit, Library};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -114,6 +114,32 @@ fn counters_agree_with_the_sizing_result() {
     // Each outer iteration is timed exactly once.
     let outer_hist = sgs_metrics::hist_snapshot(sgs_metrics::HistId::NlpOuterSeconds);
     assert_eq!(outer_hist.count, get(Counter::NlpOuterIterations));
+}
+
+#[test]
+fn reduced_iterations_count_the_feasibility_pre_solve() {
+    // rdag40 area s.t. mu <= 0.9 x unsized starts infeasible, so the seed
+    // first runs an unconstrained speed-up L-BFGS; the reported
+    // iteration count must include it, as the registry counter does.
+    let _g = LOCK.lock().unwrap();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
+    let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
+    let c = blif::parse(&text).expect("rdag40.blif parses");
+    let lb = lib();
+    let unsized_mu = sgs_ssta::ssta(&c, &lb, &vec![1.0; c.num_gates()])
+        .delay
+        .mean();
+    sgs_metrics::reset();
+    sgs_metrics::enable();
+    let r = Sizer::new(&c, &lb)
+        .objective(Objective::Area)
+        .delay_spec(DelaySpec::MaxMean(0.9 * unsized_mu))
+        .solver(SolverChoice::ReducedSpace)
+        .solve()
+        .expect("reduced-space sizing succeeds");
+    let counted = sgs_metrics::counter_value(Counter::ReducedLbfgsIterations);
+    sgs_metrics::disable();
+    assert_eq!(r.inner_iterations as u64, counted);
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //!
 //! Every number the served API returns must be **bit-identical**
 //! (`f64::to_bits`) to what a direct in-process [`sgs_core::Resolver`]
-//! produces for the same operation sequence. The server formats floats
+//! produces for the same operation sequence, and a session's first
+//! `/solve` must equal the CLI's one-shot [`Sizer::solve`] of the same
+//! circuit, objective and spec. The server formats floats
 //! in Rust's shortest-round-trip form and the client parses them back
 //! with `str::parse::<f64>`, so equality of parsed bits is exact — any
 //! divergence means the daemon solved a different problem, ran ops in a
@@ -22,7 +24,7 @@
 //! session's current deadline becomes a warm `resolve_spec` move, and
 //! that a *failed* move still leaves the engine at the moved deadline.
 
-use sgs_core::{DelaySpec, Objective, ResolveOutcome, Resolver, Sizer, WhatIfReport};
+use sgs_core::{DelaySpec, Objective, ResolveOutcome, Resolver, Sizer, SizingResult, WhatIfReport};
 use sgs_netlist::{generate, GateId, Library};
 use sgs_serve::{Client, Server, ServerConfig};
 use sgs_ssta::ssta;
@@ -52,15 +54,15 @@ fn boolean(v: &Json, key: &str) -> bool {
 }
 
 /// Field-by-field bit comparison of a served `solve_result` against a
-/// direct [`ResolveOutcome`].
-fn assert_solve_matches(body: &str, direct: &ResolveOutcome, what: &str) {
+/// direct [`SizingResult`]: sizes, objective, area, moments, iteration
+/// counts and the candidate that won.
+fn assert_result_matches(body: &str, r: &SizingResult, what: &str) -> Json {
     let v = parse_json(body.trim()).unwrap_or_else(|e| panic!("{what}: bad body {body}: {e}"));
     assert_eq!(
         v.get("event").and_then(Json::as_str),
         Some("solve_result"),
         "{what}: {body}"
     );
-    let r = &direct.result;
     assert_eq!(
         bits(&v, "objective"),
         r.objective.to_bits(),
@@ -84,14 +86,9 @@ fn assert_solve_matches(body: &str, direct: &ResolveOutcome, what: &str) {
         "{what}: inner iterations"
     );
     assert_eq!(
-        boolean(&v, "warm_start_hit"),
-        direct.warm_start_hit,
-        "{what}: warm-start flag"
-    );
-    assert_eq!(
-        int(&v, "gates_recomputed"),
-        direct.gates_recomputed,
-        "{what}: gates recomputed"
+        v.get("source").and_then(Json::as_str),
+        Some(r.source.as_str()),
+        "{what}: source"
     );
     let Some(Json::Arr(sizes)) = v.get("sizes") else {
         panic!("{what}: missing sizes array: {body}");
@@ -107,6 +104,23 @@ fn assert_solve_matches(body: &str, direct: &ResolveOutcome, what: &str) {
             "{what}: sizes[{i}] {got} vs {want}"
         );
     }
+    v
+}
+
+/// [`assert_result_matches`] against a direct [`ResolveOutcome`], plus
+/// its session fields.
+fn assert_solve_matches(body: &str, direct: &ResolveOutcome, what: &str) {
+    let v = assert_result_matches(body, &direct.result, what);
+    assert_eq!(
+        boolean(&v, "warm_start_hit"),
+        direct.warm_start_hit,
+        "{what}: warm-start flag"
+    );
+    assert_eq!(
+        int(&v, "gates_recomputed"),
+        direct.gates_recomputed,
+        "{what}: gates recomputed"
+    );
 }
 
 /// Field-by-field bit comparison of a served `what_if_result` against a
@@ -197,8 +211,15 @@ fn served_area_max_mean_sequence_is_bit_identical_to_direct() {
     );
 
     // 1. Cold solve (request deadline == session deadline → plain solve).
+    // The daemon's cold solve is the CLI's one-shot solve, bit for bit.
     let body = post_ok(&mut c, "/solve", &format!("{{{base}}}"));
     assert_solve_matches(&body, &direct.solve().expect("direct solve"), "cold solve");
+    let cli = Sizer::new(&circuit, &lib)
+        .objective(Objective::Area)
+        .delay_spec(DelaySpec::MaxMean(d0))
+        .solve()
+        .expect("CLI solve");
+    assert_result_matches(&body, &cli, "CLI vs daemon");
 
     // 2-3. Evaluation-only probes (these move the working point; the
     // mirror must move identically).
@@ -269,6 +290,12 @@ fn served_k_sigma_sequence_is_bit_identical_to_direct() {
         &direct.solve().expect("direct solve"),
         "k-sigma solve",
     );
+    let cli = Sizer::new(&circuit, &lib)
+        .objective(Objective::MeanPlusKSigma(k))
+        .delay_spec(DelaySpec::MaxMeanPlusKSigma { k, d: d0 })
+        .solve()
+        .expect("CLI solve");
+    assert_result_matches(&body, &cli, "k-sigma CLI vs daemon");
 
     let probe = [(GateId(3), 1.75)];
     let body = post_ok(

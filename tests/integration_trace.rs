@@ -64,17 +64,11 @@ fn memory_sink_records_every_outer_iteration_and_full_wall_clock() {
     let expect: Vec<usize> = (0..outer).collect();
     assert_eq!(indices, expect, "outer records in order, no gaps");
 
-    // Top-level sizer phases cover >= 95% of the reported wall clock.
-    let covered: f64 = [
-        "reduced_space",
-        "build_problem",
-        "auglag",
-        "evaluate",
-        "report",
-    ]
-    .iter()
-    .map(|p| sink.span_seconds(p))
-    .sum();
+    // The cold solve's stages cover >= 95% of the reported wall clock.
+    let covered: f64 = ["reduced_space", "auglag", "evaluate"]
+        .iter()
+        .map(|p| sink.span_seconds(p))
+        .sum();
     assert!(
         covered >= 0.95 * r.seconds,
         "phase spans cover {covered:.6}s of {:.6}s wall clock",
