@@ -11,8 +11,9 @@
 //! differ from the paper's, and an absolute or unsized-ratio scaling can
 //! land outside the feasible range entirely.
 //!
-//! Run with `cargo run -p sgs-bench --bin table1 --release` (takes tens of
-//! minutes for all three circuits; pass a circuit name to run one).
+//! Run with `cargo run -p sgs-bench --bin table1 --release` (about 10 s
+//! for all three circuits on a 2-vCPU host; pass a circuit name to run
+//! one). `results_table1.txt` holds its output.
 
 use sgs_bench::{print_table, BenchArgs, Row};
 use sgs_core::{DelaySpec, Objective, Sizer};

@@ -4,8 +4,12 @@
 //! Eliminating the intermediate variables of the full formulation (every
 //! `mu_t, var_t, mu_T, var_T, mu_U, var_U` is determined by the speed
 //! factors through a forward SSTA sweep) leaves a smooth bound-constrained
-//! problem over `S` alone. Delay constraints are handled with a quadratic
-//! penalty loop. This solver:
+//! problem over `S` alone. Delay constraints are handled by Powell–Hestenes
+//! multipliers in shifted-deadline form: each round minimises the
+//! objective plus `w·max(0, c − (d − θ))²` with projected L-BFGS, then
+//! moves the shift `θ` by the constraint's value, so the round's
+//! multiplier `λ = 2wθ` converges at a fixed penalty `w` instead of
+//! `w` climbing until the violation `λ/2w` is small. This solver:
 //!
 //! * provides warm starts for the full-space augmented-Lagrangian solve
 //!   (mirroring how one would drive LANCELOT well), and
@@ -117,13 +121,16 @@ pub struct ReducedObjective<'a> {
     spec: DelaySpec,
     /// Quadratic-penalty weight for the delay constraint.
     pub penalty_weight: f64,
+    /// Deadline shift `θ` per constraint (one per output for
+    /// [`DelaySpec::PerOutput`]): the penalty measures `c − (d − θ)`.
+    theta: Vec<f64>,
     kappa2: f64,
     eps: f64,
     input_arrivals: Option<Vec<sgs_statmath::Normal>>,
     // Per-evaluation scratch, reused across the L-BFGS iterations.
     scratch: Tape,
     /// The point `scratch` was recorded at (empty before the first
-    /// sweep). The tape does not depend on `penalty_weight`.
+    /// sweep). The tape depends on neither `penalty_weight` nor `theta`.
     taped_at: Vec<f64>,
     adj: AdjointBufs,
 }
@@ -131,12 +138,18 @@ pub struct ReducedObjective<'a> {
 impl<'a> ReducedObjective<'a> {
     /// Builds the evaluator.
     pub fn new(circuit: &'a Circuit, lib: &Library, objective: Objective, spec: DelaySpec) -> Self {
+        let constraints = match &spec {
+            DelaySpec::None => 0,
+            DelaySpec::PerOutput { d, .. } => d.len(),
+            _ => 1,
+        };
         ReducedObjective {
             circuit,
             model: DelayModel::new(circuit, lib),
             objective,
             spec,
             penalty_weight: 10.0,
+            theta: vec![0.0; constraints],
             kappa2: lib.sigma_factor * lib.sigma_factor,
             eps: clark::DEFAULT_EPS,
             input_arrivals: None,
@@ -288,44 +301,60 @@ impl<'a> ReducedObjective<'a> {
         tape.var_tmax = var_tmax;
     }
 
-    /// Objective + penalty value from tape results.
-    fn value_from(&self, s: &[f64], tape: &Tape) -> f64 {
+    /// The objective (without penalty terms) from tape results.
+    fn objective_from(&self, s: &[f64], tape: &Tape) -> f64 {
         let sigma = tape.var_tmax.max(1e-18).sqrt();
-        let base = match &self.objective {
+        match &self.objective {
             Objective::Area => s.iter().sum(),
             Objective::WeightedArea(w) => s.iter().zip(w).map(|(a, b)| a * b).sum(),
             Objective::MeanDelay => tape.mu_tmax,
             Objective::MeanPlusKSigma(k) => tape.mu_tmax + k * sigma,
             Objective::Sigma => sigma,
             Objective::NegSigma => -sigma,
-        };
-        base + self.penalty_value(tape.mu_tmax, sigma, tape)
-    }
-
-    fn penalty_value(&self, mu: f64, sigma: f64, tape: &Tape) -> f64 {
-        let w = self.penalty_weight;
-        match &self.spec {
-            DelaySpec::None => 0.0,
-            DelaySpec::MaxMean(d) => w * (mu - d).max(0.0).powi(2),
-            DelaySpec::MaxMeanPlusKSigma { k, d } => w * (mu + k * sigma - d).max(0.0).powi(2),
-            DelaySpec::ExactMean(d) => w * (mu - d).powi(2),
-            DelaySpec::PerOutput { k, d } => {
-                let mut total = 0.0;
-                for (&o, &d_o) in self.circuit.outputs().iter().zip(d) {
-                    let (m, v) = tape.arr[o.index()];
-                    let viol = (m + k * v.max(1e-18).sqrt() - d_o).max(0.0);
-                    total += w * viol * viol;
-                }
-                total
-            }
         }
     }
 
-    /// `(dF/d mu_Tmax, dF/d var_Tmax, direct dF/dS)` seeds.
-    fn objective_seeds(&self, s: &[f64], tape: &Tape, ds: &mut [f64]) -> (f64, f64) {
-        let sigma = tape.var_tmax.max(1e-18).sqrt();
-        let dsigma_dvar = 1.0 / (2.0 * sigma);
-        let (mut dmu, mut dvar) = match &self.objective {
+    /// Calls `f(i, g, dc_dvar, at)` for each delay constraint `i`: its
+    /// signed value `g = c − d` at the true deadline, `∂c/∂var` (`∂c/∂μ`
+    /// is 1) and the gate whose arrival it reads (`None`: the circuit
+    /// delay).
+    fn each_constraint(&self, tape: &Tape, mut f: impl FnMut(usize, f64, f64, Option<usize>)) {
+        let (k, d): (f64, &[f64]) = match &self.spec {
+            DelaySpec::None => return,
+            DelaySpec::MaxMean(d) | DelaySpec::ExactMean(d) => (0.0, std::slice::from_ref(d)),
+            DelaySpec::MaxMeanPlusKSigma { k, d } => (*k, std::slice::from_ref(d)),
+            DelaySpec::PerOutput { k, d } => (*k, d),
+        };
+        let per_output = matches!(self.spec, DelaySpec::PerOutput { .. });
+        for (i, &d_i) in d.iter().enumerate() {
+            let at = per_output.then(|| self.circuit.outputs()[i].index());
+            let (m, v) = at.map_or((tape.mu_tmax, tape.var_tmax), |g| tape.arr[g]);
+            let sigma = v.max(1e-18).sqrt();
+            f(i, m + k * sigma - d_i, k / (2.0 * sigma), at);
+        }
+    }
+
+    /// Constraint `i`'s penalised residual at the shifted deadline: `g + θ`
+    /// for an equality, else its positive part.
+    fn residual(&self, i: usize, g: f64) -> f64 {
+        let r = g + self.theta[i];
+        if self.equality() {
+            r
+        } else {
+            r.max(0.0)
+        }
+    }
+
+    /// Whether the spec is an equality ([`DelaySpec::ExactMean`]).
+    fn equality(&self) -> bool {
+        matches!(self.spec, DelaySpec::ExactMean(_))
+    }
+
+    /// `(dF/d mu_Tmax, dF/d var_Tmax, direct dF/dS)` seeds of the
+    /// objective; the penalty is seeded in `grad`.
+    fn objective_seeds(&self, tape: &Tape, ds: &mut [f64]) -> (f64, f64) {
+        let dsigma_dvar = 1.0 / (2.0 * tape.var_tmax.max(1e-18).sqrt());
+        match &self.objective {
             Objective::Area => {
                 for d in ds.iter_mut() {
                     *d += 1.0;
@@ -342,50 +371,38 @@ impl<'a> ReducedObjective<'a> {
             Objective::MeanPlusKSigma(k) => (1.0, k * dsigma_dvar),
             Objective::Sigma => (0.0, dsigma_dvar),
             Objective::NegSigma => (0.0, -dsigma_dvar),
-        };
-        let _ = s;
-        // Penalty seeds on (mu_Tmax, var_Tmax); the per-output penalty
-        // seeds arrival adjoints directly and is handled in `grad`.
-        let w = self.penalty_weight;
-        match &self.spec {
-            DelaySpec::None | DelaySpec::PerOutput { .. } => {}
-            DelaySpec::MaxMean(d) => {
-                let viol = (tape.mu_tmax - d).max(0.0);
-                dmu += 2.0 * w * viol;
-            }
-            DelaySpec::MaxMeanPlusKSigma { k, d } => {
-                let viol = (tape.mu_tmax + k * sigma - d).max(0.0);
-                dmu += 2.0 * w * viol;
-                dvar += 2.0 * w * viol * k * dsigma_dvar;
-            }
-            DelaySpec::ExactMean(d) => {
-                dmu += 2.0 * w * (tape.mu_tmax - d);
-            }
         }
-        (dmu, dvar)
     }
 
-    /// Delay-constraint violation at `s` (0 when satisfied), for the outer
-    /// penalty loop.
+    /// Delay-constraint violation at `s` (0 when satisfied).
     pub fn violation(&self, s: &[f64]) -> f64 {
         let tape = self.forward(s);
-        let sigma = tape.var_tmax.max(1e-18).sqrt();
-        match &self.spec {
-            DelaySpec::None => 0.0,
-            DelaySpec::MaxMean(d) => (tape.mu_tmax - d).max(0.0),
-            DelaySpec::MaxMeanPlusKSigma { k, d } => (tape.mu_tmax + k * sigma - d).max(0.0),
-            DelaySpec::ExactMean(d) => (tape.mu_tmax - d).abs(),
-            DelaySpec::PerOutput { k, d } => self
-                .circuit
-                .outputs()
-                .iter()
-                .zip(d)
-                .map(|(&o, &d_o)| {
-                    let (m, v) = tape.arr[o.index()];
-                    (m + k * v.max(1e-18).sqrt() - d_o).max(0.0)
-                })
-                .fold(0.0, f64::max),
-        }
+        let mut worst = 0.0f64;
+        let eq = self.equality();
+        self.each_constraint(&tape, |_, g, _, _| {
+            worst = worst.max(if eq { g.abs() } else { g.max(0.0) })
+        });
+        worst
+    }
+
+    /// The multiplier step at `s`, the first-order update
+    /// `λ ← max(0, λ + 2wg)` of `λ = 2wθ`: `θ ← max(0, θ + g)` (unclipped
+    /// for an equality). Returns the largest violation at the true
+    /// deadline: `|g|` where the shift stays positive (the constraint is
+    /// held active) or for an equality, else `max(0, g)`.
+    fn multiplier_step(&mut self, s: &[f64]) -> f64 {
+        let tape = self.take_tape(s);
+        let mut theta = std::mem::take(&mut self.theta);
+        let eq = self.equality();
+        let mut worst = 0.0f64;
+        self.each_constraint(&tape, |i, g, _, _| {
+            let t = theta[i] + g;
+            theta[i] = if eq { t } else { t.max(0.0) };
+            let held = eq || theta[i] > 0.0;
+            worst = worst.max(if held { g.abs() } else { g.max(0.0) });
+        });
+        (self.theta, self.scratch) = (theta, tape);
+        worst
     }
 
     /// The circuit delay moments at `s` (forward sweep only).
@@ -402,7 +419,9 @@ impl GradFn for ReducedObjective<'_> {
 
     fn value(&mut self, x: &[f64]) -> f64 {
         let tape = self.take_tape(x);
-        let v = self.value_from(x, &tape);
+        let w = self.penalty_weight;
+        let mut v = self.objective_from(x, &tape);
+        self.each_constraint(&tape, |i, g, _, _| v += w * self.residual(i, g).powi(2));
         self.scratch = tape;
         v
     }
@@ -424,21 +443,24 @@ impl GradFn for ReducedObjective<'_> {
             a_vt,
         } = &mut adj;
 
-        let (dmu, dvar) = self.objective_seeds(x, &tape, g);
-        // Per-output penalty: seed each constrained output's arrival
-        // adjoints directly.
-        if let DelaySpec::PerOutput { k, d } = &self.spec {
-            let w = self.penalty_weight;
-            for (&o, &d_o) in self.circuit.outputs().iter().zip(d) {
-                let (m, v) = tape.arr[o.index()];
-                let sig_o = v.max(1e-18).sqrt();
-                let viol = (m + k * sig_o - d_o).max(0.0);
-                if viol > 0.0 {
-                    a_arr_mu[o.index()] += 2.0 * w * viol;
-                    a_arr_var[o.index()] += 2.0 * w * viol * k / (2.0 * sig_o);
+        let (mut dmu, mut dvar) = self.objective_seeds(&tape, g);
+        // Penalty seeds: on the circuit delay's moments, or directly on a
+        // constrained output's arrival.
+        let w = self.penalty_weight;
+        self.each_constraint(&tape, |i, c, dc_dvar, at| {
+            let a = 2.0 * w * self.residual(i, c);
+            match at {
+                _ if a == 0.0 => {}
+                Some(o) => {
+                    a_arr_mu[o] += a;
+                    a_arr_var[o] += a * dc_dvar;
+                }
+                None => {
+                    dmu += a;
+                    dvar += a * dc_dvar;
                 }
             }
-        }
+        });
         match tape.tmax {
             OpRef::Arr(gt) => {
                 a_arr_mu[gt] += dmu;
@@ -523,11 +545,11 @@ impl GradFn for ReducedObjective<'_> {
 pub struct ReducedOptions {
     /// Inner L-BFGS settings.
     pub lbfgs: LbfgsOptions,
-    /// Delay-constraint violation tolerance for the penalty loop.
+    /// Delay-constraint violation tolerance for the multiplier loop.
     pub tol_viol: f64,
-    /// Penalty multiplier per round.
+    /// Penalty growth factor for a round whose violation fell by less.
     pub penalty_mult: f64,
-    /// Maximum penalty rounds.
+    /// Maximum multiplier rounds.
     pub max_rounds: usize,
 }
 
@@ -555,12 +577,12 @@ pub struct ReducedResult {
     pub objective: f64,
     /// Final delay-constraint violation.
     pub violation: f64,
-    /// Total L-BFGS iterations, the feasibility pre-solve's included.
+    /// Total L-BFGS iterations over all rounds.
     pub iterations: usize,
 }
 
-/// Solves the reduced-space problem with a quadratic-penalty loop around
-/// projected L-BFGS.
+/// Solves the reduced-space problem with a method-of-multipliers loop
+/// around projected L-BFGS.
 pub fn solve_reduced(
     circuit: &Circuit,
     lib: &Library,
@@ -583,94 +605,55 @@ pub fn solve_reduced_with_arrivals(
     opts: &ReducedOptions,
     input_arrivals: Option<&[sgs_statmath::Normal]>,
 ) -> ReducedResult {
-    fn apply_arrivals<'c>(
-        mut r: ReducedObjective<'c>,
-        input_arrivals: Option<&[sgs_statmath::Normal]>,
-    ) -> ReducedObjective<'c> {
-        if let Some(a) = input_arrivals {
-            r = r.with_input_arrivals(a.to_vec());
-        }
-        r
-    }
-
     let n = circuit.num_gates();
     assert_eq!(s0.len(), n, "one speed factor per gate");
     let l = vec![1.0; n];
     let u = vec![lib.s_limit; n];
+    let mut red = ReducedObjective::new(circuit, lib, objective, spec);
+    if let Some(a) = input_arrivals {
+        red = red.with_input_arrivals(a.to_vec());
+    }
     let mut s = s0.to_vec();
     let mut iters = 0usize;
-
-    // A quadratic penalty climbs much better from the feasible side. When
-    // the start violates a <=-type delay spec, first drive the relevant
-    // delay metric down (cheap, unconstrained) and start from there.
-    if matches!(
-        spec,
-        DelaySpec::MaxMean(_) | DelaySpec::MaxMeanPlusKSigma { .. } | DelaySpec::PerOutput { .. }
-    ) {
-        let probe = apply_arrivals(
-            ReducedObjective::new(circuit, lib, objective.clone(), spec.clone()),
-            input_arrivals,
-        );
-        if probe.violation(&s) > 0.0 {
-            let k = match &spec {
-                DelaySpec::MaxMeanPlusKSigma { k, .. } => *k,
-                DelaySpec::PerOutput { k, .. } => *k,
-                _ => 0.0,
-            };
-            let mut speedup = apply_arrivals(
-                ReducedObjective::new(circuit, lib, Objective::MeanPlusKSigma(k), DelaySpec::None),
-                input_arrivals,
-            );
-            let r = lbfgs::minimize(&mut speedup, &s, &l, &u, &opts.lbfgs);
-            count_work(&r);
-            s = r.x;
-            iters += r.iterations;
-        }
-    }
-
-    let mut red = apply_arrivals(
-        ReducedObjective::new(circuit, lib, objective.clone(), spec.clone()),
-        input_arrivals,
-    );
-    let rounds = if spec.is_some() { opts.max_rounds } else { 1 };
+    let mut last = f64::INFINITY;
+    let rounds = if red.spec.is_some() {
+        opts.max_rounds
+    } else {
+        1
+    };
     for _ in 0..rounds {
         let r = lbfgs::minimize(&mut red, &s, &l, &u, &opts.lbfgs);
         count_work(&r);
         s = r.x;
         iters += r.iterations;
-        if !spec.is_some() || red.violation(&s) <= opts.tol_viol {
+        let viol = red.multiplier_step(&s);
+        // A round cut at the iteration cap is no minimiser of its
+        // subproblem, however feasible: it is never the answer.
+        if viol <= opts.tol_viol && r.iterations < opts.lbfgs.max_iter {
             break;
         }
-        red.penalty_weight *= opts.penalty_mult;
+        // The penalty grows only when the multipliers stall; the shift
+        // shrinks with it so that lambda = 2 w theta is held.
+        if viol > last / opts.penalty_mult {
+            red.penalty_weight *= opts.penalty_mult;
+            red.theta.iter_mut().for_each(|t| *t /= opts.penalty_mult);
+        }
+        last = viol;
     }
-    let violation = red.violation(&s);
-    // Report the clean objective (no penalty).
-    let clean = apply_arrivals(
-        ReducedObjective::new(circuit, lib, objective, DelaySpec::None),
-        input_arrivals,
-    );
-    let (mu, var) = clean.delay_moments(&s);
-    let sigma = var.max(1e-18).sqrt();
-    let objective = match &clean.objective {
-        Objective::Area => s.iter().sum(),
-        Objective::WeightedArea(w) => s.iter().zip(w).map(|(a, b)| a * b).sum(),
-        Objective::MeanDelay => mu,
-        Objective::MeanPlusKSigma(k) => mu + k * sigma,
-        Objective::Sigma => sigma,
-        Objective::NegSigma => -sigma,
-    };
+    let tape = red.forward(&s);
     ReducedResult {
+        objective: red.objective_from(&s, &tape),
+        violation: red.violation(&s),
         s,
-        objective,
-        violation,
         iterations: iters,
     }
 }
 
-/// Adds one L-BFGS run's iterations and evaluations to the metrics
-/// registry.
+/// Adds one round (its L-BFGS run's iterations and evaluations) to the
+/// metrics registry.
 fn count_work(r: &lbfgs::LbfgsResult) {
     use sgs_metrics::{add, Counter};
+    add(Counter::ReducedRounds, 1);
     add(Counter::ReducedLbfgsIterations, r.iterations as u64);
     add(Counter::ReducedEvalsValue, r.evals_value as u64);
     add(Counter::ReducedEvalsGrad, r.evals_grad as u64);
@@ -730,25 +713,44 @@ mod tests {
 
     #[test]
     fn adjoint_gradient_with_penalty() {
+        // Every spec form, at a zero and at a nonzero deadline shift (a
+        // negative one only for the equality).
         let c = generate::fig2();
-        let mut red = ReducedObjective::new(
-            &c,
-            &lib(),
-            Objective::Area,
-            DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 6.0 },
-        );
-        red.penalty_weight = 50.0;
+        let outs = c.outputs().len();
+        let specs = [
+            (DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 6.0 }, 0.4),
+            (DelaySpec::MaxMean(3.5), 0.2),
+            (DelaySpec::ExactMean(3.5), -0.3),
+            (
+                DelaySpec::PerOutput {
+                    k: 3.0,
+                    d: vec![5.0; outs],
+                },
+                0.25,
+            ),
+        ];
         let s = vec![1.3, 1.6, 1.1, 2.2];
-        let mut g = vec![0.0; 4];
-        red.grad(&s, &mut g);
-        for i in 0..4 {
-            let h = 1e-6;
-            let mut sp = s.clone();
-            let mut sm = s.clone();
-            sp[i] += h;
-            sm[i] -= h;
-            let num = (red.value(&sp) - red.value(&sm)) / (2.0 * h);
-            assert!((g[i] - num).abs() < 1e-4 * (1.0 + num.abs()), "dS[{i}]");
+        for (spec, shift) in specs {
+            for theta in [0.0, shift] {
+                let mut red = ReducedObjective::new(&c, &lib(), Objective::Area, spec.clone());
+                red.penalty_weight = 50.0;
+                red.theta.iter_mut().for_each(|t| *t = theta);
+                let mut g = vec![0.0; 4];
+                red.grad(&s, &mut g);
+                for i in 0..4 {
+                    let h = 1e-6;
+                    let mut sp = s.clone();
+                    let mut sm = s.clone();
+                    sp[i] += h;
+                    sm[i] -= h;
+                    let num = (red.value(&sp) - red.value(&sm)) / (2.0 * h);
+                    assert!(
+                        (g[i] - num).abs() < 1e-4 * (1.0 + num.abs()),
+                        "{spec:?} at theta {theta}: dS[{i}] = {} vs fd {num}",
+                        g[i]
+                    );
+                }
+            }
         }
     }
 
@@ -827,6 +829,64 @@ mod tests {
             r.objective > 7.0 && r.objective < 21.0,
             "area {}",
             r.objective
+        );
+    }
+
+    #[test]
+    fn shifted_deadline_holds_the_multiplier_when_the_penalty_grows() {
+        // On tree7 the violation stalls and the penalty grows 10 -> 1e4;
+        // the deadline shift must shrink with it (lambda = 2 w theta
+        // held), or the loop ends on a feasible point with 3% more area
+        // (20.770).
+        let c = generate::tree7();
+        let r = solve_reduced(
+            &c,
+            &lib(),
+            Objective::Area,
+            DelaySpec::MaxMean(5.3855),
+            &[1.0; 7],
+            &ReducedOptions::default(),
+        );
+        assert!(r.violation <= 1e-6, "violation {}", r.violation);
+        assert!(
+            (r.objective - 20.13699).abs() < 1e-5,
+            "area {}",
+            r.objective
+        );
+    }
+
+    #[test]
+    fn a_round_cut_at_the_iteration_cap_is_not_the_answer() {
+        // min mu+3sigma s.t. a mean cap it never reaches: every round ends
+        // feasible, so only the iteration cap tells the first round's
+        // point from a minimiser.
+        let c = generate::tree7();
+        let spec = DelaySpec::MaxMean(100.0);
+        let mut opts = ReducedOptions::default();
+        opts.lbfgs.max_iter = 3;
+        let solve = |opts: &ReducedOptions| {
+            solve_reduced(
+                &c,
+                &lib(),
+                Objective::MeanPlusKSigma(3.0),
+                spec.clone(),
+                &[1.0; 7],
+                opts,
+            )
+        };
+        let first = solve(&ReducedOptions {
+            max_rounds: 1,
+            ..opts.clone()
+        });
+        assert_eq!(first.iterations, 3, "the first round is capped");
+        assert_eq!(first.violation, 0.0);
+        let r = solve(&opts);
+        assert!(r.iterations > 3, "{} iterations", r.iterations);
+        assert!(
+            r.objective < first.objective - 1e-3,
+            "{} vs {}",
+            r.objective,
+            first.objective
         );
     }
 }

@@ -474,6 +474,11 @@ impl<'a> Resolver<'a> {
                 }
             }
         };
+        sgs_metrics::incr(match picked.source {
+            AnswerSource::AugLag => sgs_metrics::Counter::AnswerAugLag,
+            AnswerSource::Seed => sgs_metrics::Counter::AnswerSeed,
+            AnswerSource::Greedy => sgs_metrics::Counter::AnswerGreedy,
+        });
         Ok((al, picked))
     }
 
@@ -512,6 +517,7 @@ impl<'a> Resolver<'a> {
             source: AnswerSource::AugLag,
             warm: WarmStart::from_result(&al),
         };
+        sgs_metrics::incr(sgs_metrics::Counter::AnswerAugLag);
         Ok((al, picked))
     }
 

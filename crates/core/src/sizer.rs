@@ -360,7 +360,8 @@ impl<'a> Sizer<'a> {
     }
 
     /// The reduced-space seed from `s_start`: adjoint-gradient projected
-    /// L-BFGS inside a quadratic-penalty loop.
+    /// L-BFGS inside a method-of-multipliers loop on shifted deadlines
+    /// (see [`reduced`]).
     pub(crate) fn reduced_seed(&self, s_start: &[f64], tracer: Tracer<'_>) -> ReducedResult {
         let _sp = tracer.span("reduced_space");
         let _ph = sgs_metrics::phase(sgs_metrics::Phase::ReducedSpace);
@@ -657,7 +658,8 @@ mod tests {
 
     #[test]
     fn rdag40_seed_is_certified_in_one_outer_iteration() {
-        // The four forms `size_cold` runs on rdag40: the reduced seed is
+        // The four forms `size_cold` runs on rdag40, and the bitident
+        // golden's area s.t. mu+3sigma <= 20: the reduced seed is
         // first-order and feasible to the AL's tolerances, so the AL only
         // has to certify it. (With lambda = 0, min mu+3sigma ran all 40
         // outer iterations and then reported the seed.)
@@ -679,6 +681,10 @@ mod tests {
                     k: 3.0,
                     d: 0.9 * unsized_delay.mean_plus_k_sigma(3.0),
                 },
+            ),
+            (
+                Objective::Area,
+                DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 20.0 },
             ),
         ];
         for (objective, spec) in forms {

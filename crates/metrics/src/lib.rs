@@ -103,6 +103,16 @@ metric_enum! {
         SizerGreedyFallbacks => "sizer_greedy_fallbacks",
         /// Solves rejected by a preflight analyzer gate.
         SizerPreflightRejections => "sizer_preflight_rejections",
+        /// Answers carried by the augmented-Lagrangian point (cold or
+        /// warm solves).
+        AnswerAugLag => "answer_auglag",
+        /// Cold-solve answers carried by the reduced-space seed.
+        AnswerSeed => "answer_seed",
+        /// Cold-solve answers carried by the greedy fallback.
+        AnswerGreedy => "answer_greedy",
+        /// Multiplier rounds (one L-BFGS run each) of the reduced-space
+        /// pass.
+        ReducedRounds => "reduced_rounds",
         /// Projected L-BFGS iterations of the reduced-space pass.
         ReducedLbfgsIterations => "reduced_lbfgs_iterations",
         /// Reduced-space objective-value evaluations.

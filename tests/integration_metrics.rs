@@ -117,10 +117,10 @@ fn counters_agree_with_the_sizing_result() {
 }
 
 #[test]
-fn reduced_iterations_count_the_feasibility_pre_solve() {
-    // rdag40 area s.t. mu <= 0.9 x unsized starts infeasible, so the seed
-    // first runs an unconstrained speed-up L-BFGS; the reported
-    // iteration count must include it, as the registry counter does.
+fn reduced_iterations_count_every_multiplier_round() {
+    // rdag40 area s.t. mu <= 0.9 x unsized takes several multiplier
+    // rounds, one L-BFGS run each; the reported iteration count must sum
+    // them, as the registry counter does.
     let _g = LOCK.lock().unwrap();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
     let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
@@ -138,7 +138,9 @@ fn reduced_iterations_count_the_feasibility_pre_solve() {
         .solve()
         .expect("reduced-space sizing succeeds");
     let counted = sgs_metrics::counter_value(Counter::ReducedLbfgsIterations);
+    let rounds = sgs_metrics::counter_value(Counter::ReducedRounds);
     sgs_metrics::disable();
+    assert!(rounds > 1, "{rounds} round(s)");
     assert_eq!(r.inner_iterations as u64, counted);
 }
 
