@@ -9,7 +9,9 @@
 //! objective plus `w·max(0, c − (d − θ))²` with projected L-BFGS, then
 //! moves the shift `θ` by the constraint's value, so the round's
 //! multiplier `λ = 2wθ` converges at a fixed penalty `w` instead of
-//! `w` climbing until the violation `λ/2w` is small. This solver:
+//! `w` climbing until the violation `λ/2w` is small. The loop can start
+//! from a previous run's [`Multipliers`], which is how a warm re-solve
+//! reuses the last answer's multiplier estimates. This solver:
 //!
 //! * provides warm starts for the full-space augmented-Lagrangian solve
 //!   (mirroring how one would drive LANCELOT well), and
@@ -568,6 +570,16 @@ impl Default for ReducedOptions {
     }
 }
 
+/// The multiplier loop's state: one deadline shift `θ` per delay
+/// constraint and the penalty weight `w`, so that `λ = 2wθ`.
+#[derive(Debug, Clone)]
+pub struct Multipliers {
+    /// Deadline shift per constraint (empty for [`DelaySpec::None`]).
+    pub theta: Vec<f64>,
+    /// Penalty weight.
+    pub weight: f64,
+}
+
 /// Result of [`solve_reduced`].
 #[derive(Debug, Clone)]
 pub struct ReducedResult {
@@ -579,6 +591,9 @@ pub struct ReducedResult {
     pub violation: f64,
     /// Total L-BFGS iterations over all rounds.
     pub iterations: usize,
+    /// The multipliers `s` was minimised under (before the last round's
+    /// update): restarting the loop from `s` and these reproduces `s`.
+    pub multipliers: Multipliers,
 }
 
 /// Solves the reduced-space problem with a method-of-multipliers loop
@@ -591,10 +606,12 @@ pub fn solve_reduced(
     s0: &[f64],
     opts: &ReducedOptions,
 ) -> ReducedResult {
-    solve_reduced_with_arrivals(circuit, lib, objective, spec, s0, opts, None)
+    solve_reduced_with_arrivals(circuit, lib, objective, spec, s0, opts, None, None)
 }
 
-/// [`solve_reduced`] with explicit primary-input arrival distributions.
+/// [`solve_reduced`] with explicit primary-input arrival distributions,
+/// starting the multiplier loop from `start` (default: no shift, weight
+/// 10).
 #[allow(clippy::too_many_arguments)]
 pub fn solve_reduced_with_arrivals(
     circuit: &Circuit,
@@ -604,6 +621,7 @@ pub fn solve_reduced_with_arrivals(
     s0: &[f64],
     opts: &ReducedOptions,
     input_arrivals: Option<&[sgs_statmath::Normal]>,
+    start: Option<&Multipliers>,
 ) -> ReducedResult {
     let n = circuit.num_gates();
     assert_eq!(s0.len(), n, "one speed factor per gate");
@@ -613,6 +631,15 @@ pub fn solve_reduced_with_arrivals(
     if let Some(a) = input_arrivals {
         red = red.with_input_arrivals(a.to_vec());
     }
+    if let Some(m) = start {
+        assert_eq!(m.theta.len(), red.theta.len(), "one shift per constraint");
+        red.theta.clone_from(&m.theta);
+        red.penalty_weight = m.weight;
+    }
+    let mut under = Multipliers {
+        theta: red.theta.clone(),
+        weight: red.penalty_weight,
+    };
     let mut s = s0.to_vec();
     let mut iters = 0usize;
     let mut last = f64::INFINITY;
@@ -626,6 +653,8 @@ pub fn solve_reduced_with_arrivals(
         count_work(&r);
         s = r.x;
         iters += r.iterations;
+        under.theta.clone_from(&red.theta);
+        under.weight = red.penalty_weight;
         let viol = red.multiplier_step(&s);
         // A round cut at the iteration cap is no minimiser of its
         // subproblem, however feasible: it is never the answer.
@@ -646,6 +675,7 @@ pub fn solve_reduced_with_arrivals(
         violation: red.violation(&s),
         s,
         iterations: iters,
+        multipliers: under,
     }
 }
 

@@ -5,9 +5,9 @@
 //! resolvers alive. Each holds the built [`SizingProblem`] (a deadline
 //! change only rewrites its cap constants), an [`IncrementalSsta`] engine
 //! at the current sizes (an edit re-times only its dirty cone), and the
-//! last answer's `(x, lambda, rho)` as a [`WarmStart`].
+//! last accepted answer's sizes and seed multipliers as its warm state.
 //!
-//! A **cold** solve (no warm state yet) runs, from the engine's sizes:
+//! Every solve, cold or warm, runs one pipeline:
 //!
 //! 1. the reduced-space seed ([`crate::reduced`]);
 //! 2. the augmented Lagrangian from the seed's exactly feasible point,
@@ -21,19 +21,25 @@
 //! 5. if neither meets the spec, a greedy descent ([`crate::greedy`])
 //!    before [`SizeError::SolverFailed`].
 //!
-//! The winner becomes the warm state and [`SizingResult::source`] names
-//! it; each escalation emits a [`TraceEvent::Restart`]. A **warm**
-//! re-solve starts the AL from the carried (or, after a size change,
-//! reseeded) state; an answer that misses the spec is
-//! [`SizeError::SolverFailed`] and leaves the warm state untouched.
+//! A **cold** solve (no answer accepted yet) starts the seed from the
+//! engine's sizes with no deadline shift. A **warm** re-solve starts it
+//! from the carried state: the last answer's sizes (or, for
+//! [`Resolver::resolve_sizes`], the engine's perturbed ones) and the
+//! shifts `θ` and weight `w` that answer's seed was minimised under, so
+//! the multipliers `λ = 2wθ` carry over and a re-solve at an unchanged
+//! spec is a fixed point. The winner becomes the warm state and
+//! [`SizingResult::source`] names it; each escalation emits a
+//! [`TraceEvent::Restart`]. A failed solve leaves the warm state
+//! untouched. The stages' spans tile [`SizingResult::seconds`].
 //! [`Resolver::what_if`] evaluates an edit without solving.
 
 use crate::greedy::{self, GreedyOptions};
 use crate::problem::SizingProblem;
+use crate::reduced::Multipliers;
 use crate::sizer::{self, AnswerSource, SizeError, Sizer, SizingResult};
 use crate::spec::{DelaySpec, Objective};
 use sgs_netlist::{Circuit, GateId, Library};
-use sgs_nlp::auglag::{self, SolveResult, SolveStatus, WarmStart};
+use sgs_nlp::auglag::{self, SolveResult, SolveStatus};
 use sgs_nlp::NlpProblem;
 use sgs_ssta::{IncrementalSsta, UpdateStats};
 use sgs_statmath::Normal;
@@ -63,9 +69,8 @@ pub struct ResolveOutcome {
     /// The sizing result, fields exactly as [`Sizer::solve`] reports them
     /// (delay/objective from the engine's clean arrivals).
     pub result: SizingResult,
-    /// Whether a previous solution's `(x, lambda, rho)` was offered *and
-    /// accepted* as the warm start for this solve (always `false` for a
-    /// cold solve, whose seeded start is not carried state).
+    /// Whether this solve started from carried warm state (always `false`
+    /// for a cold solve).
     pub warm_start_hit: bool,
     /// Gates whose arrival the incremental engine recomputed during this
     /// call (perturbation, candidate scoring and the final sync), also
@@ -73,13 +78,12 @@ pub struct ResolveOutcome {
     pub gates_recomputed: usize,
 }
 
-/// How the previous solution seeds the next solve.
-enum Seed {
-    /// Carry `(x, lambda, rho)` verbatim (spec changes; plain re-solve).
-    Carry,
-    /// Keep `(lambda, rho)` but restart `x` from the exactly feasible
-    /// point at the engine's current (perturbed) sizes.
-    Reseed,
+/// The state a warm re-solve starts from: the last accepted answer's
+/// speed factors and the multipliers its reduced seed was minimised under.
+#[derive(Debug)]
+struct WarmStart {
+    s: Vec<f64>,
+    multipliers: Multipliers,
 }
 
 /// The answer a solve settled on, before it becomes a [`SizingResult`].
@@ -88,8 +92,6 @@ struct Picked {
     objective: f64,
     c_norm: f64,
     source: AnswerSource,
-    /// The state the next warm re-solve starts from.
-    warm: WarmStart,
 }
 
 /// Runs every solve, cold or warm. Construct via [`Sizer::resolver`]
@@ -162,14 +164,14 @@ impl<'a> Resolver<'a> {
     }
 
     /// Solves the current formulation. Until an answer is accepted this
-    /// is a cold solve (see the module docs); later calls re-verify warm
-    /// from the previous answer.
+    /// is a cold solve (see the module docs); later calls re-solve warm
+    /// from the previous answer's sizes, whatever what-if probes moved
+    /// the engine to since.
     ///
     /// # Errors
     ///
-    /// [`SizeError::SolverFailed`] when a cold solve finds no candidate
-    /// that meets the delay spec, or a warm one produces a non-finite
-    /// iterate or misses the spec.
+    /// [`SizeError::SolverFailed`] when no candidate meets the delay
+    /// spec.
     pub fn solve(&mut self) -> Result<ResolveOutcome, SizeError> {
         self.solve_traced(None)
     }
@@ -185,14 +187,14 @@ impl<'a> Resolver<'a> {
         &mut self,
         req: Option<&RequestContext>,
     ) -> Result<ResolveOutcome, SizeError> {
-        self.run(Seed::Carry, 0, req)
+        self.run(false, 0, req)
     }
 
     /// Moves the deadline of the current single-deadline spec to `d` and
     /// re-solves warm from the previous solution. Only the cap constants
     /// inside the existing formulation change
-    /// ([`SizingProblem::set_deadline`]), so the previous `(x, lambda,
-    /// rho)` stays dimension-compatible and is carried verbatim.
+    /// ([`SizingProblem::set_deadline`]); the seed starts from the
+    /// previous answer's sizes and its deadline shift.
     ///
     /// # Errors
     ///
@@ -230,7 +232,7 @@ impl<'a> Resolver<'a> {
         }
         let updated = self.problem.set_deadline(d);
         debug_assert!(updated > 0, "single-deadline spec must have a cap");
-        self.run(Seed::Carry, 0, req)
+        self.run(false, 0, req)
     }
 
     /// Moves the sigma multiplier of a [`Objective::MeanPlusKSigma`]
@@ -238,8 +240,8 @@ impl<'a> Resolver<'a> {
     /// Only the scalar inside the existing formulation changes
     /// ([`SizingProblem::set_objective_k`] — the objective's Hessian slot
     /// is keyed on the variant, not the value, so the sparsity pattern is
-    /// identical for every `k`), and the previous `(x, lambda, rho)` is
-    /// carried verbatim. This is the robustness-sweep twin of
+    /// identical for every `k`), and the seed starts from the previous
+    /// answer. This is the robustness-sweep twin of
     /// [`Resolver::resolve_spec`].
     ///
     /// # Errors
@@ -256,15 +258,14 @@ impl<'a> Resolver<'a> {
             other => panic!("resolve_objective_k needs a mu + k sigma objective, got {other}"),
         }
         self.problem.set_objective_k(k);
-        self.run(Seed::Carry, 0, None)
+        self.run(false, 0, None)
     }
 
     /// Applies size changes through the incremental engine (dirty cone
-    /// only), then re-solves warm: the previous multipliers and penalty
-    /// are kept while the iterate restarts from the exactly feasible
-    /// point at the perturbed sizes. Useful after externally pinning or
-    /// snapping gates (e.g. discretisation) to let the optimiser repair
-    /// the rest.
+    /// only), then re-solves warm: the seed starts from the perturbed
+    /// sizes with the previous answer's multipliers. Useful after
+    /// externally pinning or snapping gates (e.g. discretisation) to let
+    /// the optimiser repair the rest.
     ///
     /// # Errors
     ///
@@ -295,7 +296,7 @@ impl<'a> Resolver<'a> {
         req: Option<&RequestContext>,
     ) -> Result<ResolveOutcome, SizeError> {
         let stats = self.inc.apply(changes);
-        self.run(Seed::Reseed, stats.gates_recomputed, req)
+        self.run(true, stats.gates_recomputed, req)
     }
 
     /// Evaluation-only what-if: applies the size changes to the
@@ -340,10 +341,11 @@ impl<'a> Resolver<'a> {
 
     /// The solve shared by [`Resolver::solve`], [`Resolver::resolve_spec`]
     /// and [`Resolver::resolve_sizes`]: cold until an answer is accepted,
-    /// warm from it afterwards.
+    /// warm from it afterwards, with the seed starting from the engine's
+    /// sizes when `from_engine` is set.
     fn run(
         &mut self,
-        seed: Seed,
+        from_engine: bool,
         pre_recomputed: usize,
         req: Option<&RequestContext>,
     ) -> Result<ResolveOutcome, SizeError> {
@@ -354,28 +356,19 @@ impl<'a> Resolver<'a> {
         let clamps_before = sgs_statmath::clark::var_clamp_count()
             .saturating_sub(std::mem::take(&mut self.unreported_clamps));
         let mut gates_recomputed = pre_recomputed;
-        let (warm_start_hit, solved) = match self.warm.clone() {
-            None => (false, self.cold(tracer, &mut gates_recomputed)),
-            Some(warm) => {
-                let x0 = self.problem.initial_point(self.inc.sizes());
-                let warm = match seed {
-                    Seed::Carry => warm,
-                    Seed::Reseed => WarmStart {
-                        x: x0.clone(),
-                        ..warm
-                    },
-                };
-                let hit = warm.is_usable(self.problem.num_vars(), self.problem.num_constraints());
-                let solved = self.warm_solve(&x0, &warm, tracer, &mut gates_recomputed);
-                (hit, solved)
-            }
-        };
+        let mut clock = start;
+        let solved = self.pipeline(from_engine, tracer, &mut clock, &mut gates_recomputed);
+        let seconds = clock.duration_since(start).as_secs_f64();
         tracer.emit(|| TraceEvent::Counter {
             name: "gates_recomputed",
             value: gates_recomputed as u64,
         });
-        let (al, picked) = solved?;
-        self.warm = Some(picked.warm);
+        let (al, picked, multipliers) = solved?;
+        let warm_start_hit = self.warm.is_some();
+        self.warm = Some(WarmStart {
+            s: picked.s.clone(),
+            multipliers,
+        });
         Ok(ResolveOutcome {
             warm_start_hit,
             gates_recomputed,
@@ -387,7 +380,7 @@ impl<'a> Resolver<'a> {
                 outer_iterations: al.outer_iterations,
                 inner_iterations: al.inner_iterations,
                 c_norm: picked.c_norm,
-                seconds: start.elapsed().as_secs_f64(),
+                seconds,
                 evals: al.evals,
                 clark_var_clamps: sizer::clamp_delta(tracer, clamps_before),
                 source: picked.source,
@@ -396,16 +389,27 @@ impl<'a> Resolver<'a> {
         })
     }
 
-    /// The cold pipeline (module docs): seed, seeded AL with perturbed
-    /// restarts, clean pick, greedy fallback. Leaves the engine at the
-    /// winner's sizes.
-    fn cold(
+    /// The pipeline (module docs): seed from the warm state (or the
+    /// engine's sizes), seeded AL with perturbed restarts, clean pick,
+    /// greedy fallback. Each stage is a span starting where the previous
+    /// one ended on `clock`. Leaves the engine at the winner's sizes, and
+    /// returns the multipliers the seed was minimised under.
+    fn pipeline(
         &mut self,
+        from_engine: bool,
         tracer: Tracer<'_>,
+        clock: &mut Instant,
         gates: &mut usize,
-    ) -> Result<(SolveResult, Picked), SizeError> {
-        let red = self.config.reduced_seed(self.inc.sizes(), tracer);
-        let (mut al, seeded) = self.seeded_auglag(&red.s, tracer);
+    ) -> Result<(SolveResult, Picked, Multipliers), SizeError> {
+        let warm = self.warm.as_ref();
+        let s0 = match warm {
+            Some(w) if !from_engine => &w.s[..],
+            _ => self.inc.sizes(),
+        };
+        let red = tracer.stage("reduced_space", clock, || {
+            self.config.reduced_seed(s0, warm.map(|w| &w.multipliers))
+        });
+        let mut al = self.seeded_auglag(&red.s, tracer, clock);
         let mut attempt = 0;
         while al.status == SolveStatus::Diverged && attempt < MAX_RESTARTS {
             attempt += 1;
@@ -416,57 +420,55 @@ impl<'a> Resolver<'a> {
                     "full-space solve diverged; perturbed restart {attempt}/{MAX_RESTARTS}"
                 ),
             });
-            al = self
-                .seeded_auglag(&perturb(&red.s, attempt, self.config.lib.s_limit), tracer)
-                .0;
+            let s = perturb(&red.s, attempt, self.config.lib.s_limit);
+            al = self.seeded_auglag(&s, tracer, clock);
         }
-        let s_al = self.problem.extract_s(&al.x);
-        let (al_score, seed_score) = {
-            let _sp = tracer.span("evaluate");
+        let picked = tracer.stage("evaluate", clock, || {
             let _ph = sgs_metrics::phase(sgs_metrics::Phase::Evaluate);
+            let s_al = self.problem.extract_s(&al.x);
             // The AL's point usually wins, so it is scored last.
             let seed_score = self.score(&red.s, gates);
-            (self.score(&s_al, gates), seed_score)
-        };
-        let tol = sizer::spec_tolerance(&self.config.delay_spec);
-        let (al_ok, seed_ok) = (al_score.1 <= tol, seed_score.1 <= tol);
-        let picked = match (al_ok && (!seed_ok || al_score.0 <= seed_score.0), seed_ok) {
-            (true, _) => Picked {
-                s: s_al,
-                objective: al_score.0,
-                c_norm: al.c_norm,
-                source: AnswerSource::AugLag,
-                warm: WarmStart::from_result(&al),
-            },
-            (false, true) => {
-                *gates += self.inc.set_sizes(&red.s).gates_recomputed;
-                Picked {
-                    s: red.s,
-                    objective: seed_score.0,
-                    c_norm: red.violation,
-                    source: AnswerSource::Seed,
-                    warm: seeded,
+            let al_score = self.score(&s_al, gates);
+            let tol = sizer::spec_tolerance(&self.config.delay_spec);
+            let (al_ok, seed_ok) = (al_score.1 <= tol, seed_score.1 <= tol);
+            match (al_ok && (!seed_ok || al_score.0 <= seed_score.0), seed_ok) {
+                (true, _) => Ok(Picked {
+                    s: s_al,
+                    objective: al_score.0,
+                    c_norm: al.c_norm,
+                    source: AnswerSource::AugLag,
+                }),
+                (false, true) => {
+                    *gates += self.inc.set_sizes(&red.s).gates_recomputed;
+                    Ok(Picked {
+                        s: red.s.clone(),
+                        objective: seed_score.0,
+                        c_norm: red.violation,
+                        source: AnswerSource::Seed,
+                    })
                 }
+                (false, false) => Err(al_score.1.min(seed_score.1)),
             }
-            (false, false) => {
+        });
+        let picked = match picked {
+            Ok(picked) => picked,
+            Err(c_norm) => {
                 tracer.emit(|| TraceEvent::Restart {
                     attempt: attempt + 1,
                     reason: "no feasible candidate; greedy fallback".to_string(),
                 });
-                let fallback = {
-                    let _sp = tracer.span("greedy_fallback");
+                let fallback = tracer.stage("greedy_fallback", clock, || {
                     let _ph = sgs_metrics::phase(sgs_metrics::Phase::GreedyFallback);
                     sgs_metrics::incr(sgs_metrics::Counter::SizerGreedyFallbacks);
                     self.greedy_fallback(gates)
-                };
+                });
                 let Some((s, objective)) = fallback else {
                     return Err(SizeError::SolverFailed {
                         status: al.status.as_str().to_string(),
-                        c_norm: al_score.1.min(seed_score.1),
+                        c_norm,
                     });
                 };
                 Picked {
-                    warm: self.seeded_start(&s),
                     s,
                     objective,
                     c_norm: 0.0,
@@ -479,74 +481,31 @@ impl<'a> Resolver<'a> {
             AnswerSource::Seed => sgs_metrics::Counter::AnswerSeed,
             AnswerSource::Greedy => sgs_metrics::Counter::AnswerGreedy,
         });
-        Ok((al, picked))
+        Ok((al, picked, red.multipliers))
     }
 
-    /// One warm re-solve from `warm` (or `x0` should `warm` be unusable).
-    /// Leaves the engine at the solver's point, even a rejected one.
-    fn warm_solve(
-        &mut self,
-        x0: &[f64],
-        warm: &WarmStart,
-        tracer: Tracer<'_>,
-        gates: &mut usize,
-    ) -> Result<(SolveResult, Picked), SizeError> {
-        let al = {
-            let _sp = tracer.span("auglag");
+    /// One AL attempt as an `auglag` stage on `clock`: from the exactly
+    /// feasible point at speed factors `s`, with least-squares
+    /// multipliers from one adjoint sweep (LANCELOT's first-order
+    /// estimate) and penalty `rho0`. With lambda = 0 the AL has no
+    /// curvature along the constraint tangent and walks off a seed that
+    /// is already nearly optimal.
+    fn seeded_auglag(&self, s: &[f64], tracer: Tracer<'_>, clock: &mut Instant) -> SolveResult {
+        tracer.stage("auglag", clock, || {
             let _ph = sgs_metrics::phase(sgs_metrics::Phase::Auglag);
-            self.auglag(x0, warm, tracer)
-        };
-        let s = self.problem.extract_s(&al.x);
-        if s.iter().any(|v| !v.is_finite()) {
-            return Err(SizeError::SolverFailed {
-                status: al.status.as_str().to_string(),
-                c_norm: al.c_norm,
-            });
-        }
-        let (objective, viol) = self.score(&s, gates);
-        if viol > sizer::spec_tolerance(&self.config.delay_spec) {
-            return Err(SizeError::SolverFailed {
-                status: al.status.as_str().to_string(),
-                c_norm: viol,
-            });
-        }
-        let picked = Picked {
-            s,
-            objective,
-            c_norm: al.c_norm,
-            source: AnswerSource::AugLag,
-            warm: WarmStart::from_result(&al),
-        };
-        sgs_metrics::incr(sgs_metrics::Counter::AnswerAugLag);
-        Ok((al, picked))
-    }
-
-    /// The exactly feasible point at speed factors `s`, with
-    /// least-squares multipliers from one adjoint sweep (LANCELOT's
-    /// first-order estimate) and penalty `rho0`: with lambda = 0 the AL
-    /// has no curvature along the constraint tangent and walks off a seed
-    /// that is already nearly optimal.
-    fn seeded_start(&self, s: &[f64]) -> WarmStart {
-        let x = self.problem.initial_point(s);
-        WarmStart {
-            lambda: self.problem.multiplier_estimate(&x),
-            x,
-            rho: self.config.al_options.rho0,
-        }
-    }
-
-    /// One cold AL attempt: from [`Resolver::seeded_start`] at `s`,
-    /// which it also returns.
-    fn seeded_auglag(&self, s: &[f64], tracer: Tracer<'_>) -> (SolveResult, WarmStart) {
-        let _sp = tracer.span("auglag");
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::Auglag);
-        let start = self.seeded_start(s);
-        (self.auglag(&start.x, &start, tracer), start)
+            let x = self.problem.initial_point(s);
+            let start = auglag::WarmStart {
+                lambda: self.problem.multiplier_estimate(&x),
+                x,
+                rho: self.config.al_options.rho0,
+            };
+            self.auglag(&start.x, &start, tracer)
+        })
     }
 
     /// One augmented-Lagrangian solve, through the fault-injection
     /// wrapper when [`Sizer::poison_nan_after`] is set.
-    fn auglag(&self, x0: &[f64], warm: &WarmStart, tracer: Tracer<'_>) -> SolveResult {
+    fn auglag(&self, x0: &[f64], warm: &auglag::WarmStart, tracer: Tracer<'_>) -> SolveResult {
         let opts = &self.config.al_options;
         match self.config.poison_nan_after {
             Some(after) => auglag::solve_warm_traced(
@@ -781,6 +740,69 @@ mod tests {
         );
         assert!((rerun.result.objective - cold.result.objective).abs() <= 1e-6);
         assert!(rerun.result.inner_iterations <= cold.result.inner_iterations);
+    }
+
+    /// Walks `factors` × the unsized mean delay warm, loose to tight and
+    /// back: every answer meets its deadline under a clean SSTA and costs
+    /// no more area than a cold solve at the same deadline.
+    fn warm_chain_matches_cold_solves(c: &Circuit, factors: &[f64]) {
+        let l = lib();
+        let unsized_mu = ssta(c, &l, &vec![1.0; c.num_gates()]).delay.mean();
+        let sizer = |d: f64| {
+            Sizer::new(c, &l)
+                .objective(Objective::Area)
+                .delay_spec(DelaySpec::MaxMean(d))
+        };
+        let mut r = sizer(factors[0] * unsized_mu).resolver();
+        for (i, f) in factors.iter().enumerate() {
+            let d = f * unsized_mu;
+            let out = if i == 0 { r.solve() } else { r.resolve_spec(d) };
+            let out = out.unwrap_or_else(|e| panic!("{f} x unsized: {e}"));
+            assert_eq!(out.warm_start_hit, i > 0);
+            let mu = ssta(c, &l, &out.result.s).delay.mean();
+            assert!(mu <= d * (1.0 + 1e-6), "{f} x unsized: mu {mu} over {d}");
+            let cold = sizer(d).solve().unwrap();
+            assert!(
+                out.result.area <= cold.area * (1.0 + 1e-6),
+                "{f} x unsized: warm area {} ({:?}) against cold {}",
+                out.result.area,
+                out.result.status,
+                cold.area
+            );
+        }
+    }
+
+    #[test]
+    fn warm_deadline_chain_matches_cold_on_tree7() {
+        warm_chain_matches_cold_solves(&generate::tree7(), &[0.95, 0.85, 0.8, 0.85, 0.95, 1.0]);
+    }
+
+    #[test]
+    fn warm_deadline_chain_matches_cold_on_rdag40() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
+        let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
+        let c = sgs_netlist::blif::parse(&text).expect("rdag40.blif parses");
+        warm_chain_matches_cold_solves(&c, &[0.95, 0.85, 0.79, 0.775, 0.79, 0.85, 0.95, 1.0]);
+    }
+
+    #[test]
+    fn a_resolve_after_probes_returns_the_held_answer_bit_for_bit() {
+        let c = generate::tree7();
+        let l = lib();
+        let mut r = Sizer::new(&c, &l)
+            .objective(Objective::Area)
+            .delay_spec(DelaySpec::MaxMean(6.5))
+            .resolver();
+        let held = r.solve().unwrap().result;
+        for i in 0..100 {
+            let g = GateId(i % c.num_gates());
+            r.what_if(&[(g, 1.0 + 0.02 * (i % 50) as f64)]);
+        }
+        let again = r.solve().unwrap();
+        assert!(again.warm_start_hit);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again.result.s), bits(&held.s));
+        assert_eq!(again.result.objective.to_bits(), held.objective.to_bits());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! give the same bits. Every [`SizingResult`] names the candidate it
 //! reports ([`AnswerSource`]).
 
-use crate::reduced::{self, ReducedOptions, ReducedResult};
+use crate::reduced::{self, Multipliers, ReducedOptions, ReducedResult};
 use crate::resolve::Resolver;
 use crate::spec::{DelaySpec, Objective};
 use sgs_netlist::{Circuit, Library};
@@ -274,7 +274,7 @@ impl<'a> Sizer<'a> {
     }
 
     /// Overrides the augmented-Lagrangian options. The seeded start of
-    /// every cold attempt uses `rho0` as its penalty parameter.
+    /// every attempt uses `rho0` as its penalty parameter.
     pub fn al_options(mut self, opts: AugLagOptions) -> Self {
         self.al_options = opts;
         self
@@ -335,7 +335,10 @@ impl<'a> Sizer<'a> {
         let tracer = self.tracer();
         let clamps_before = sgs_statmath::clark::var_clamp_count();
         let ones = vec![1.0; self.circuit.num_gates()];
-        let red = self.reduced_seed(self.s0.as_deref().unwrap_or(&ones), tracer);
+        let red = {
+            let _sp = tracer.span("reduced_space");
+            self.reduced_seed(self.s0.as_deref().unwrap_or(&ones), None)
+        };
         let delay = sgs_ssta::analysis::ssta_with_arrivals(
             self.circuit,
             self.lib,
@@ -359,20 +362,20 @@ impl<'a> Sizer<'a> {
         }
     }
 
-    /// The reduced-space seed from `s_start`: adjoint-gradient projected
-    /// L-BFGS inside a method-of-multipliers loop on shifted deadlines
-    /// (see [`reduced`]).
-    pub(crate) fn reduced_seed(&self, s_start: &[f64], tracer: Tracer<'_>) -> ReducedResult {
-        let _sp = tracer.span("reduced_space");
+    /// The reduced-space seed from `s0` and, when given, a previous run's
+    /// multipliers: adjoint-gradient projected L-BFGS inside a
+    /// method-of-multipliers loop on shifted deadlines (see [`reduced`]).
+    pub(crate) fn reduced_seed(&self, s0: &[f64], start: Option<&Multipliers>) -> ReducedResult {
         let _ph = sgs_metrics::phase(sgs_metrics::Phase::ReducedSpace);
         reduced::solve_reduced_with_arrivals(
             self.circuit,
             self.lib,
             self.objective.clone(),
             self.delay_spec.clone(),
-            s_start,
+            s0,
             &ReducedOptions::default(),
             self.input_arrivals.as_deref(),
+            start,
         )
     }
 

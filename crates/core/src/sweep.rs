@@ -45,9 +45,9 @@
 //!    at this tier — only agreement of the optimum they converge to.
 //!
 //! Exactly repeated deadlines are answered from the last traced point
-//! without re-solving (a warm re-verify could still move the iterate by
-//! an ulp; the cache makes no-op steps bit-identical *by construction*),
-//! counted via the `sweep_cache_hits` metric.
+//! without re-solving (a re-solve would return the same bits at the cost
+//! of a solve; the cache makes no-op steps bit-identical *by
+//! construction*), counted via the `sweep_cache_hits` metric.
 
 use crate::resolve::Resolver;
 use crate::sizer::{SizeError, SizingResult};

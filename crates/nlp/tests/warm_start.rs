@@ -188,8 +188,8 @@ fn warm_start_matches_seeded_state_solve() {
 }
 
 /// [`SumToOne`] with a rewritable right-hand side: the NLP analogue of a
-/// spec rewrite (`Resolver::resolve_spec` / `resolve_objective_k`) — the
-/// constant inside the formulation moves, the structure does not.
+/// spec rewrite — the constant inside the formulation moves, the
+/// structure does not.
 struct ShiftedSum {
     target: f64,
 }
@@ -234,8 +234,7 @@ impl NlpProblem for ShiftedSum {
 
 #[test]
 fn warm_start_survives_a_spec_constant_rewrite() {
-    // The sweep-engine contract behind resolve_spec/resolve_objective_k:
-    // rewriting a constant inside the formulation keeps the previous
+    // Rewriting a constant inside the formulation keeps the previous
     // (x, lambda, rho) dimension-compatible, so the next solve accepts it
     // and repairs the old optimum instead of restarting cold.
     let opts = AugLagOptions::default();

@@ -47,8 +47,9 @@ pub enum Op {
     },
     /// Evaluation-only probe: apply sizes, report delay/objective without
     /// re-optimising. Note this **moves the session's working point**
-    /// (the paper's incremental-SSTA usage): later warm solves restart
-    /// from the probed sizes' feasible point.
+    /// (the paper's incremental-SSTA usage): a later `ResolveSizes`
+    /// starts from the probed sizes, while `Solve` and `ResolveSpec`
+    /// start from the last answer's.
     WhatIf {
         /// `(gate, size)` perturbations.
         changes: Vec<(GateId, f64)>,
