@@ -1,5 +1,6 @@
 //! End-to-end sizing solver benchmarks: full-space (paper's formulation,
-//! LANCELOT-family solver) vs reduced-space (adjoint + projected L-BFGS)
+//! LANCELOT-family solver) vs reduced-space (adjoint + projected
+//! truncated Newton)
 //! across circuit sizes — the ablation behind the repository's solver
 //! architecture — plus NLP-problem assembly and derivative evaluation
 //! costs.

@@ -10,7 +10,7 @@
 
 use crate::spec::Objective;
 use sgs_netlist::{Circuit, GateId, Library, Signal};
-use sgs_ssta::{ssta_with_model, sta_deterministic_with_model, DelayModel};
+use sgs_ssta::{sta_deterministic_with_model, DelayModel, IncrementalSsta};
 
 /// Options for [`greedy_size`].
 #[derive(Debug, Clone)]
@@ -46,15 +46,29 @@ pub struct GreedyResult {
     pub evaluations: usize,
 }
 
-/// The delay metric the greedy sizer descends. Takes the prebuilt
-/// [`DelayModel`] so the thousands of candidate evaluations per run skip
-/// the per-call model construction.
-fn metric_value(circuit: &Circuit, model: &DelayModel, s: &[f64], objective: &Objective) -> f64 {
-    match objective {
-        Objective::MeanDelay => ssta_with_model(circuit, model, s).delay.mean(),
-        Objective::MeanPlusKSigma(k) => ssta_with_model(circuit, model, s).mean_plus_k_sigma(*k),
+/// The delay metric the greedy sizer descends. The statistical metrics
+/// read the incremental engine `inc` kept at `s`; the deterministic worst
+/// case is one STA pass over the prebuilt [`DelayModel`].
+fn metric_value(
+    circuit: &Circuit,
+    model: &DelayModel,
+    inc: Option<&IncrementalSsta>,
+    s: &[f64],
+    objective: &Objective,
+) -> f64 {
+    match (objective, inc) {
+        (Objective::MeanDelay, Some(inc)) => inc.delay().mean(),
+        (Objective::MeanPlusKSigma(k), Some(inc)) => inc.delay().mean_plus_k_sigma(*k),
         // The pre-statistical baseline: deterministic worst case.
         _ => sta_deterministic_with_model(circuit, model, s, 0.0).0,
+    }
+}
+
+/// Sets gate `id`'s speed factor in `s` and, when kept, in the engine.
+fn set_size(s: &mut [f64], inc: Option<&mut IncrementalSsta>, id: GateId, v: f64) {
+    s[id.index()] = v;
+    if let Some(inc) = inc {
+        inc.apply(&[(id, v)]);
     }
 }
 
@@ -111,7 +125,15 @@ pub fn greedy_size(
     // reuses it.
     let model = DelayModel::new(circuit, lib);
     let mut s = vec![1.0; n];
-    let mut best = metric_value(circuit, &model, &s, objective);
+    // Statistical metrics are scored on an incremental engine: a bump
+    // re-times only the bumped gate's cone, and so does its revert, bit
+    // for bit a full SSTA pass at the same sizes.
+    let mut inc = matches!(
+        objective,
+        Objective::MeanDelay | Objective::MeanPlusKSigma(_)
+    )
+    .then(|| IncrementalSsta::new(circuit, lib, &s));
+    let mut best = metric_value(circuit, &model, inc.as_ref(), &s, objective);
     let mut moves = 0usize;
     let mut evals = 1usize;
 
@@ -119,23 +141,22 @@ pub fn greedy_size(
         let cands = candidates(circuit, &model, &s, opts.slack_window);
         let mut best_gate: Option<(GateId, f64, f64)> = None; // (gate, new_s, metric)
         for id in cands {
-            let g = id.index();
-            if s[g] >= lib.s_limit - 1e-12 {
+            let old = s[id.index()];
+            if old >= lib.s_limit - 1e-12 {
                 continue;
             }
-            let old = s[g];
-            s[g] = (old * opts.bump).min(lib.s_limit);
-            let m = metric_value(circuit, &model, &s, objective);
+            let candidate_s = (old * opts.bump).min(lib.s_limit);
+            set_size(&mut s, inc.as_mut(), id, candidate_s);
+            let m = metric_value(circuit, &model, inc.as_ref(), &s, objective);
             evals += 1;
-            let candidate_s = s[g];
-            s[g] = old;
+            set_size(&mut s, inc.as_mut(), id, old);
             if m < best - 1e-12 && best_gate.is_none_or(|(_, _, bm)| m < bm) {
                 best_gate = Some((id, candidate_s, m));
             }
         }
         match best_gate {
             Some((id, new_s, m)) => {
-                s[id.index()] = new_s;
+                set_size(&mut s, inc.as_mut(), id, new_s);
                 best = m;
                 moves += 1;
             }
@@ -192,6 +213,25 @@ mod tests {
                 nlp.objective,
                 greedy.metric
             );
+        }
+    }
+
+    #[test]
+    fn incremental_scores_are_full_passes_bit_for_bit() {
+        let c = generate::ripple_carry_adder(4);
+        for (obj, k) in [
+            (Objective::MeanDelay, 0.0),
+            (Objective::MeanPlusKSigma(3.0), 3.0),
+        ] {
+            let r = greedy_size(&c, &lib(), &obj, &GreedyOptions::default());
+            let full = ssta(&c, &lib(), &r.s).delay;
+            let want = if k == 0.0 {
+                full.mean()
+            } else {
+                full.mean_plus_k_sigma(k)
+            };
+            assert!(r.moves > 0);
+            assert_eq!(r.metric.to_bits(), want.to_bits(), "{obj}");
         }
     }
 

@@ -1,26 +1,32 @@
 //! Reduced-space sizing: the objective as a function of the speed factors
-//! only, with gradients by reverse-mode (adjoint) differentiation.
+//! only, with gradients by reverse-mode (adjoint) differentiation and
+//! Hessian-vector products by a second-order adjoint (a forward tangent
+//! sweep, then a reverse sweep through each max node's Clark Hessians
+//! weighted by its adjoints; see DERIVATIONS.md).
 //!
 //! Eliminating the intermediate variables of the full formulation (every
 //! `mu_t, var_t, mu_T, var_T, mu_U, var_U` is determined by the speed
 //! factors through a forward SSTA sweep) leaves a smooth bound-constrained
 //! problem over `S` alone. Delay constraints are handled by Powell–Hestenes
 //! multipliers in shifted-deadline form: each round minimises the
-//! objective plus `w·max(0, c − (d − θ))²` with projected L-BFGS, then
-//! moves the shift `θ` by the constraint's value, so the round's
-//! multiplier `λ = 2wθ` converges at a fixed penalty `w` instead of
-//! `w` climbing until the violation `λ/2w` is small. The loop can start
-//! from a previous run's [`Multipliers`], which is how a warm re-solve
-//! reuses the last answer's multiplier estimates. This solver:
+//! objective plus `w·max(0, c − (d − θ))²` with projected truncated
+//! Newton (`sgs_nlp::newton`), then moves the shift `θ` by the
+//! constraint's value, so the round's multiplier `λ = 2wθ` converges at a
+//! fixed penalty `w` instead of `w` climbing until the violation `λ/2w`
+//! is small. The loop can start from a previous run's [`Multipliers`],
+//! which is how a warm re-solve reuses the last answer's multiplier
+//! estimates. This solver:
 //!
 //! * provides warm starts for the full-space augmented-Lagrangian solve
 //!   (mirroring how one would drive LANCELOT well), and
 //! * serves as the comparison baseline in the benches — it is the natural
-//!   "just use adjoints and L-BFGS" alternative to the paper's full NLP.
+//!   "just use adjoints and Newton–CG" alternative to the paper's full
+//!   NLP.
 
 use crate::spec::{DelaySpec, Objective};
 use sgs_netlist::{Circuit, Library, Signal};
-use sgs_nlp::lbfgs::{self, GradFn, LbfgsOptions};
+use sgs_nlp::newton::{self, NewtonOptions};
+use sgs_nlp::tr::SmoothFn;
 use sgs_ssta::DelayModel;
 use sgs_statmath::clark::{self, ClarkGrad};
 
@@ -53,7 +59,7 @@ enum Event {
 }
 
 /// Forward tape of one evaluation. Held as reusable scratch inside
-/// [`ReducedObjective`]: the L-BFGS loop evaluates thousands of times,
+/// [`ReducedObjective`]: the Newton loop evaluates thousands of times,
 /// so the tape's vectors are cleared and refilled rather than
 /// reallocated.
 #[derive(Debug, Clone)]
@@ -67,6 +73,17 @@ struct Tape {
     var_tmax: f64,
     /// Per-gate arrival moments (needed for per-output constraints).
     arr: Vec<(f64, f64)>,
+}
+
+impl Tape {
+    /// The `(mu, var)` a reference reads.
+    fn value(&self, r: OpRef) -> (f64, f64) {
+        match r {
+            OpRef::Const { mu, var } => (mu, var),
+            OpRef::Arr(g) => self.arr[g],
+            OpRef::Node(i) => (self.nodes[i].grad.mu, self.nodes[i].grad.var),
+        }
+    }
 }
 
 impl Default for Tape {
@@ -84,7 +101,9 @@ impl Default for Tape {
     }
 }
 
-/// Reusable adjoint buffers for the reverse sweep.
+/// Reusable per-value buffers of a sweep: `(mu, var)` adjoints of the
+/// arrivals, max nodes and gate delays for the reverse sweep, or their
+/// tangents for the forward tangent sweep of a Hessian-vector product.
 #[derive(Debug, Clone, Default)]
 struct AdjointBufs {
     a_arr_mu: Vec<f64>,
@@ -111,10 +130,65 @@ impl AdjointBufs {
             v.resize(nodes, 0.0);
         }
     }
+
+    /// The `(mu, var)` pair of reference `r`, or `(0, 0)` for a constant.
+    fn get(&self, r: OpRef) -> (f64, f64) {
+        match r {
+            OpRef::Const { .. } => (0.0, 0.0),
+            OpRef::Arr(g) => (self.a_arr_mu[g], self.a_arr_var[g]),
+            OpRef::Node(i) => (self.a_node_mu[i], self.a_node_var[i]),
+        }
+    }
+
+    /// Adds `(mu, var)` into reference `r`'s slot (constants absorb it).
+    fn add(&mut self, r: OpRef, mu: f64, var: f64) {
+        match r {
+            OpRef::Const { .. } => {}
+            OpRef::Arr(g) => {
+                self.a_arr_mu[g] += mu;
+                self.a_arr_var[g] += var;
+            }
+            OpRef::Node(i) => {
+                self.a_node_mu[i] += mu;
+                self.a_node_var[i] += var;
+            }
+        }
+    }
 }
 
-/// The reduced-space objective `F(S)` with adjoint gradients, implementing
-/// [`GradFn`] for the projected L-BFGS solver.
+/// What [`SmoothFn::prepare_hess`] records for the Hessian-vector
+/// products at one point: the tape and first-order adjoints there, reduced
+/// to the weights the second-order adjoint sweep needs, so that each
+/// product is one forward tangent sweep and one reverse sweep with no
+/// special-function call.
+#[derive(Debug, Clone, Default)]
+struct HessCache {
+    tape: Tape,
+    s: Vec<f64>,
+    /// Per max node, `ā_μ·∇²μ_c + ā_v·∇²v_c` over its inputs `[μ_a, v_a,
+    /// μ_b, v_b]`: the node's Clark Hessians weighted by its adjoints.
+    w: Vec<[[f64; 4]; 4]>,
+    /// Per max node, whether its adjoint is nonzero (else `w` is zero).
+    live: Vec<bool>,
+    /// Per gate, the first-order adjoints of `μ_t` and `v_t`.
+    a_mt: Vec<f64>,
+    a_vt: Vec<f64>,
+    /// Second derivatives `[∂²/∂μ², ∂²/∂μ∂v, ∂²/∂v²]` of the objective
+    /// and of each active penalty in the moments of the value they read.
+    seeds: Vec<(OpRef, [f64; 3])>,
+    /// Per gate, `L̇ = Σ_j C_in,j v_j` over its fanouts.
+    load_dot: Vec<f64>,
+    /// Tangents of every value along the product's direction.
+    tan: AdjointBufs,
+    /// Tangents of every adjoint along the product's direction.
+    adt: AdjointBufs,
+    /// Gradient scratch for the adjoint sweep.
+    g: Vec<f64>,
+}
+
+/// The reduced-space objective `F(S)` with adjoint gradients and
+/// second-order adjoint Hessian-vector products, implementing
+/// [`SmoothFn`] for the projected truncated-Newton solver.
 #[derive(Debug)]
 pub struct ReducedObjective<'a> {
     circuit: &'a Circuit,
@@ -129,12 +203,13 @@ pub struct ReducedObjective<'a> {
     kappa2: f64,
     eps: f64,
     input_arrivals: Option<Vec<sgs_statmath::Normal>>,
-    // Per-evaluation scratch, reused across the L-BFGS iterations.
+    // Per-evaluation scratch, reused across the Newton iterations.
     scratch: Tape,
     /// The point `scratch` was recorded at (empty before the first
     /// sweep). The tape depends on neither `penalty_weight` nor `theta`.
     taped_at: Vec<f64>,
     adj: AdjointBufs,
+    hess: HessCache,
 }
 
 impl<'a> ReducedObjective<'a> {
@@ -158,6 +233,7 @@ impl<'a> ReducedObjective<'a> {
             scratch: Tape::default(),
             taped_at: Vec::new(),
             adj: AdjointBufs::default(),
+            hess: HessCache::default(),
         }
     }
 
@@ -199,8 +275,8 @@ impl<'a> ReducedObjective<'a> {
     }
 
     /// The scratch tape at `x`: the recorded one when `x` is bitwise the
-    /// point it was taped at (L-BFGS asks for the gradient at the point
-    /// whose value it just accepted), else a fresh forward sweep.
+    /// point it was taped at (the line search asks for the gradient at the
+    /// point whose value it just accepted), else a fresh forward sweep.
     fn take_tape(&mut self, x: &[f64]) -> Tape {
         let mut tape = std::mem::take(&mut self.scratch);
         let same = self.taped_at.len() == x.len()
@@ -414,7 +490,114 @@ impl<'a> ReducedObjective<'a> {
     }
 }
 
-impl GradFn for ReducedObjective<'_> {
+impl ReducedObjective<'_> {
+    /// First-order reverse sweep over `tape` (recorded at `x`): fills the
+    /// adjoints in `adj` and writes `dF/dS` into `g`.
+    fn adjoint(&self, x: &[f64], tape: &Tape, adj: &mut AdjointBufs, g: &mut [f64]) {
+        let n = self.circuit.num_gates();
+        g.fill(0.0);
+        adj.reset(n, tape.nodes.len());
+
+        let (mut dmu, mut dvar) = self.objective_seeds(tape, g);
+        // Penalty seeds: on the circuit delay's moments, or directly on a
+        // constrained output's arrival.
+        let w = self.penalty_weight;
+        self.each_constraint(tape, |i, c, dc_dvar, at| {
+            let a = 2.0 * w * self.residual(i, c);
+            match at {
+                _ if a == 0.0 => {}
+                Some(o) => adj.add(OpRef::Arr(o), a, a * dc_dvar),
+                None => {
+                    dmu += a;
+                    dvar += a * dc_dvar;
+                }
+            }
+        });
+        debug_assert!(
+            !matches!(tape.tmax, OpRef::Const { .. }),
+            "tmax is never constant"
+        );
+        adj.add(tape.tmax, dmu, dvar);
+
+        // Reverse event sweep.
+        for ev in tape.events.iter().rev() {
+            match *ev {
+                Event::Node(i) => {
+                    let node = &tape.nodes[i];
+                    let (amu, avar) = (adj.a_node_mu[i], adj.a_node_var[i]);
+                    if amu == 0.0 && avar == 0.0 {
+                        continue;
+                    }
+                    let (dm, dv) = (&node.grad.dmu, &node.grad.dvar);
+                    let part = |k: usize| amu * dm[k] + avar * dv[k];
+                    adj.add(node.a, part(0), part(1));
+                    adj.add(node.b, part(2), part(3));
+                }
+                Event::Arr { gate, u } => {
+                    let (amu, avar) = (adj.a_arr_mu[gate], adj.a_arr_var[gate]);
+                    adj.a_mt[gate] += amu;
+                    adj.a_vt[gate] += avar;
+                    adj.add(u, amu, avar);
+                }
+            }
+        }
+
+        // Gate-delay adjoints -> speed factors.
+        // var_t = kappa2 mu_t^2; mu_t = t_int + c L / S with
+        // L = C_static + sum C_in,j S_j.
+        let c = self.model.c();
+        for (id, _) in self.circuit.gates() {
+            let gi = id.index();
+            let amt = adj.a_mt[gi] + adj.a_vt[gi] * 2.0 * self.kappa2 * tape.mu_t[gi];
+            if amt == 0.0 {
+                continue;
+            }
+            g[gi] += amt * (-c * tape.load[gi] / (x[gi] * x[gi]));
+            for &j in self.model.fanouts(id) {
+                g[j.index()] += amt * c * self.model.c_in(j) / x[gi];
+            }
+        }
+    }
+
+    /// Second derivatives of the objective and of each active penalty in
+    /// the `(mu, var)` of the value they read, pushed onto `seeds`.
+    fn seed_hessians(&self, tape: &Tape, seeds: &mut Vec<(OpRef, [f64; 3])>) {
+        seeds.clear();
+        // d²σ/dv² = −1/(4σ³), with σ² the floored variance.
+        let d2sigma = |v: f64| -0.25 / v.max(1e-18).powf(1.5);
+        let hvv = match &self.objective {
+            Objective::MeanPlusKSigma(k) => k * d2sigma(tape.var_tmax),
+            Objective::Sigma => d2sigma(tape.var_tmax),
+            Objective::NegSigma => -d2sigma(tape.var_tmax),
+            _ => 0.0,
+        };
+        if hvv != 0.0 {
+            seeds.push((tape.tmax, [0.0, 0.0, hvv]));
+        }
+        // w r² with r = μ + kσ − d + θ: 2w∇r∇rᵀ + 2w r∇²r while active.
+        let w = self.penalty_weight;
+        let eq = self.equality();
+        self.each_constraint(tape, |i, c, dc_dvar, at| {
+            let r = self.residual(i, c);
+            if !eq && r <= 0.0 {
+                return;
+            }
+            let v = at.map_or(tape.var_tmax, |o| tape.arr[o].1);
+            let c_vv = -dc_dvar / (2.0 * v.max(1e-18));
+            let op = at.map_or(tape.tmax, OpRef::Arr);
+            seeds.push((
+                op,
+                [
+                    2.0 * w,
+                    2.0 * w * dc_dvar,
+                    2.0 * w * (dc_dvar * dc_dvar + r * c_vv),
+                ],
+            ));
+        });
+    }
+}
+
+impl SmoothFn for ReducedObjective<'_> {
     fn n(&self) -> usize {
         self.circuit.num_gates()
     }
@@ -429,124 +612,180 @@ impl GradFn for ReducedObjective<'_> {
     }
 
     fn grad(&mut self, x: &[f64], g: &mut [f64]) {
-        let n = self.circuit.num_gates();
         let tape = self.take_tape(x);
         let mut adj = std::mem::take(&mut self.adj);
-        g.fill(0.0);
+        self.adjoint(x, &tape, &mut adj, g);
+        self.scratch = tape;
+        self.adj = adj;
+    }
 
-        // Adjoints, in buffers reused across evaluations.
-        adj.reset(n, tape.nodes.len());
-        let AdjointBufs {
-            a_arr_mu,
-            a_arr_var,
-            a_node_mu,
-            a_node_var,
+    /// Runs the taped forward sweep and the first-order adjoint at `x`,
+    /// then weights each max node's Clark Hessians by its adjoints.
+    fn prepare_hess(&mut self, x: &[f64]) {
+        let n = self.circuit.num_gates();
+        let mut tape = self.take_tape(x);
+        let mut adj = std::mem::take(&mut self.adj);
+        let mut h = std::mem::take(&mut self.hess);
+        h.g.resize(n, 0.0);
+        self.adjoint(x, &tape, &mut adj, &mut h.g);
+
+        h.w.clear();
+        h.live.clear();
+        for (i, node) in tape.nodes.iter().enumerate() {
+            let (amu, avar) = (adj.a_node_mu[i], adj.a_node_var[i]);
+            let live = amu != 0.0 || avar != 0.0;
+            let mut w = [[0.0; 4]; 4];
+            if live {
+                let (ma, va) = tape.value(node.a);
+                let (mb, vb) = tape.value(node.b);
+                let hs = clark::max_hess(ma, va, mb, vb, self.eps);
+                for (r, row) in w.iter_mut().enumerate() {
+                    for (k, e) in row.iter_mut().enumerate() {
+                        *e = amu * hs.hmu[r][k] + avar * hs.hvar[r][k];
+                    }
+                }
+            }
+            h.w.push(w);
+            h.live.push(live);
+        }
+        h.a_mt.clone_from(&adj.a_mt);
+        h.a_vt.clone_from(&adj.a_vt);
+        self.seed_hessians(&tape, &mut h.seeds);
+        h.s.clear();
+        h.s.extend_from_slice(x);
+        h.load_dot.resize(n, 0.0);
+        h.tan.reset(n, tape.nodes.len());
+        h.adt.reset(n, tape.nodes.len());
+
+        // The products read the tape at `x`: keep it in the cache, and
+        // let the next evaluation re-record the scratch buffers.
+        std::mem::swap(&mut h.tape, &mut tape);
+        self.scratch = tape;
+        self.taped_at.clear();
+        self.adj = adj;
+        self.hess = h;
+    }
+
+    /// One forward tangent sweep along `v`, then one reverse sweep of the
+    /// adjoint tangents, with the node weights `prepare_hess` cached.
+    fn hess_vec(&mut self, v: &[f64], out: &mut [f64]) {
+        let HessCache {
+            tape,
+            s,
+            w,
+            live,
             a_mt,
             a_vt,
-        } = &mut adj;
+            seeds,
+            load_dot,
+            tan,
+            adt,
+            ..
+        } = &mut self.hess;
+        let n = self.circuit.num_gates();
+        let c = self.model.c();
+        let k2 = 2.0 * self.kappa2;
 
-        let (mut dmu, mut dvar) = self.objective_seeds(&tape, g);
-        // Penalty seeds: on the circuit delay's moments, or directly on a
-        // constrained output's arrival.
-        let w = self.penalty_weight;
-        self.each_constraint(&tape, |i, c, dc_dvar, at| {
-            let a = 2.0 * w * self.residual(i, c);
-            match at {
-                _ if a == 0.0 => {}
-                Some(o) => {
-                    a_arr_mu[o] += a;
-                    a_arr_var[o] += a * dc_dvar;
-                }
-                None => {
-                    dmu += a;
-                    dvar += a * dc_dvar;
-                }
+        // Gate-delay tangents: mu_t = t_int + c L / S, v_t = kappa2 mu_t².
+        tan.reset(n, tape.nodes.len());
+        for (id, _) in self.circuit.gates() {
+            let gi = id.index();
+            let mut ld = 0.0;
+            for &j in self.model.fanouts(id) {
+                ld += self.model.c_in(j) * v[j.index()];
             }
-        });
-        match tape.tmax {
-            OpRef::Arr(gt) => {
-                a_arr_mu[gt] += dmu;
-                a_arr_var[gt] += dvar;
-            }
-            OpRef::Node(i) => {
-                a_node_mu[i] += dmu;
-                a_node_var[i] += dvar;
-            }
-            OpRef::Const { .. } => unreachable!("tmax is never constant"),
+            load_dot[gi] = ld;
+            let dm = c * ld / s[gi] - c * tape.load[gi] / (s[gi] * s[gi]) * v[gi];
+            tan.a_mt[gi] = dm;
+            tan.a_vt[gi] = k2 * tape.mu_t[gi] * dm;
         }
-
-        // Reverse event sweep.
-        for ev in tape.events.iter().rev() {
+        // Forward tangent sweep over the recorded events.
+        for ev in &tape.events {
             match *ev {
                 Event::Node(i) => {
                     let node = &tape.nodes[i];
-                    let (amu, avar) = (a_node_mu[i], a_node_var[i]);
-                    if amu == 0.0 && avar == 0.0 {
-                        continue;
-                    }
-                    let mut add = |r: OpRef, slot_mu: usize, slot_var: usize| match r {
-                        OpRef::Const { .. } => {}
-                        OpRef::Arr(g2) => {
-                            a_arr_mu[g2] +=
-                                amu * node.grad.dmu[slot_mu] + avar * node.grad.dvar[slot_mu];
-                            a_arr_var[g2] +=
-                                amu * node.grad.dmu[slot_var] + avar * node.grad.dvar[slot_var];
-                        }
-                        OpRef::Node(j) => {
-                            a_node_mu[j] +=
-                                amu * node.grad.dmu[slot_mu] + avar * node.grad.dvar[slot_mu];
-                            a_node_var[j] +=
-                                amu * node.grad.dmu[slot_var] + avar * node.grad.dvar[slot_var];
-                        }
-                    };
-                    add(node.a, 0, 1);
-                    add(node.b, 2, 3);
+                    let (am, av) = tan.get(node.a);
+                    let (bm, bv) = tan.get(node.b);
+                    let x = [am, av, bm, bv];
+                    let (dm, dv) = (&node.grad.dmu, &node.grad.dvar);
+                    tan.a_node_mu[i] = (0..4).map(|k| dm[k] * x[k]).sum();
+                    tan.a_node_var[i] = (0..4).map(|k| dv[k] * x[k]).sum();
                 }
                 Event::Arr { gate, u } => {
-                    let (amu, avar) = (a_arr_mu[gate], a_arr_var[gate]);
-                    a_mt[gate] += amu;
-                    a_vt[gate] += avar;
-                    match u {
-                        OpRef::Const { .. } => {}
-                        OpRef::Arr(g2) => {
-                            a_arr_mu[g2] += amu;
-                            a_arr_var[g2] += avar;
-                        }
-                        OpRef::Node(i) => {
-                            a_node_mu[i] += amu;
-                            a_node_var[i] += avar;
-                        }
-                    }
+                    let (um, uv) = tan.get(u);
+                    tan.a_arr_mu[gate] = um + tan.a_mt[gate];
+                    tan.a_arr_var[gate] = uv + tan.a_vt[gate];
                 }
             }
         }
 
-        // Gate-delay adjoints -> speed factors.
-        // var_t = kappa2 mu_t^2; mu_t = t_int + c L / S with
-        // L = C_static + sum C_in,j S_j.
-        for (id, _) in self.circuit.gates() {
-            let gi = id.index();
-            let amt = a_mt[gi] + a_vt[gi] * 2.0 * self.kappa2 * tape.mu_t[gi];
-            if amt == 0.0 {
-                continue;
-            }
-            let c = self.model.c();
-            g[gi] += amt * (-c * tape.load[gi] / (x[gi] * x[gi]));
-            for &j in self.model.fanouts(id) {
-                g[j.index()] += amt * c * self.model.c_in(j) / x[gi];
+        // Reverse sweep of the adjoint tangents, seeded by the objective's
+        // and the penalties' second derivatives.
+        adt.reset(n, tape.nodes.len());
+        for &(op, [hmm, hmv, hvv]) in seeds.iter() {
+            let (tm, tv) = tan.get(op);
+            adt.add(op, hmm * tm + hmv * tv, hmv * tm + hvv * tv);
+        }
+        for ev in tape.events.iter().rev() {
+            match *ev {
+                Event::Node(i) => {
+                    let (bm, bv) = (adt.a_node_mu[i], adt.a_node_var[i]);
+                    if !live[i] && bm == 0.0 && bv == 0.0 {
+                        continue;
+                    }
+                    let node = &tape.nodes[i];
+                    let (am, av) = tan.get(node.a);
+                    let (cm, cv) = tan.get(node.b);
+                    let x = [am, av, cm, cv];
+                    let (dm, dv) = (&node.grad.dmu, &node.grad.dvar);
+                    let wi = &w[i];
+                    let part = |k: usize| {
+                        bm * dm[k]
+                            + bv * dv[k]
+                            + wi[k][0] * x[0]
+                            + wi[k][1] * x[1]
+                            + wi[k][2] * x[2]
+                            + wi[k][3] * x[3]
+                    };
+                    adt.add(node.a, part(0), part(1));
+                    adt.add(node.b, part(2), part(3));
+                }
+                Event::Arr { gate, u } => {
+                    let (bm, bv) = (adt.a_arr_mu[gate], adt.a_arr_var[gate]);
+                    adt.a_mt[gate] += bm;
+                    adt.a_vt[gate] += bv;
+                    adt.add(u, bm, bv);
+                }
             }
         }
 
-        self.scratch = tape;
-        self.adj = adj;
+        // Gate level: the tangent of A = ā_mt + 2 kappa2 mu_t ā_vt through
+        // the first derivatives of mu_t, plus A through its second ones.
+        out.fill(0.0);
+        for (id, _) in self.circuit.gates() {
+            let gi = id.index();
+            let mu_t = tape.mu_t[gi];
+            let a = a_mt[gi] + a_vt[gi] * k2 * mu_t;
+            let a_dot = adt.a_mt[gi] + adt.a_vt[gi] * k2 * mu_t + a_vt[gi] * k2 * tan.a_mt[gi];
+            if a == 0.0 && a_dot == 0.0 {
+                continue;
+            }
+            let (si, load) = (s[gi], tape.load[gi]);
+            out[gi] += a_dot * (-c * load / (si * si))
+                + a * (2.0 * c * load * v[gi] / (si * si * si) - c * load_dot[gi] / (si * si));
+            for &j in self.model.fanouts(id) {
+                let cj = c * self.model.c_in(j) / si;
+                out[j.index()] += a_dot * cj - a * cj * v[gi] / si;
+            }
+        }
     }
 }
 
 /// Options for [`solve_reduced`].
 #[derive(Debug, Clone)]
 pub struct ReducedOptions {
-    /// Inner L-BFGS settings.
-    pub lbfgs: LbfgsOptions,
+    /// Inner truncated-Newton settings.
+    pub newton: NewtonOptions,
     /// Delay-constraint violation tolerance for the multiplier loop.
     pub tol_viol: f64,
     /// Penalty growth factor for a round whose violation fell by less.
@@ -558,10 +797,10 @@ pub struct ReducedOptions {
 impl Default for ReducedOptions {
     fn default() -> Self {
         ReducedOptions {
-            lbfgs: LbfgsOptions {
+            newton: NewtonOptions {
                 tol: 1e-7,
                 max_iter: 400,
-                memory: 12,
+                max_cg: 50,
             },
             tol_viol: 1e-6,
             penalty_mult: 10.0,
@@ -589,7 +828,7 @@ pub struct ReducedResult {
     pub objective: f64,
     /// Final delay-constraint violation.
     pub violation: f64,
-    /// Total L-BFGS iterations over all rounds.
+    /// Total Newton iterations over all rounds.
     pub iterations: usize,
     /// The multipliers `s` was minimised under (before the last round's
     /// update): restarting the loop from `s` and these reproduces `s`.
@@ -597,7 +836,7 @@ pub struct ReducedResult {
 }
 
 /// Solves the reduced-space problem with a method-of-multipliers loop
-/// around projected L-BFGS.
+/// around projected truncated Newton.
 pub fn solve_reduced(
     circuit: &Circuit,
     lib: &Library,
@@ -649,8 +888,8 @@ pub fn solve_reduced_with_arrivals(
         1
     };
     for _ in 0..rounds {
-        let r = lbfgs::minimize(&mut red, &s, &l, &u, &opts.lbfgs);
-        count_work(&r);
+        let r = newton::minimize(&mut red, &s, &l, &u, &opts.newton);
+        count_work(&r, opts.newton.max_iter);
         s = r.x;
         iters += r.iterations;
         under.theta.clone_from(&red.theta);
@@ -658,7 +897,7 @@ pub fn solve_reduced_with_arrivals(
         let viol = red.multiplier_step(&s);
         // A round cut at the iteration cap is no minimiser of its
         // subproblem, however feasible: it is never the answer.
-        if viol <= opts.tol_viol && r.iterations < opts.lbfgs.max_iter {
+        if viol <= opts.tol_viol && r.iterations < opts.newton.max_iter {
             break;
         }
         // The penalty grows only when the multipliers stall; the shift
@@ -679,14 +918,18 @@ pub fn solve_reduced_with_arrivals(
     }
 }
 
-/// Adds one round (its L-BFGS run's iterations and evaluations) to the
-/// metrics registry.
-fn count_work(r: &lbfgs::LbfgsResult) {
+/// Adds one round (its Newton run's iterations, evaluations and
+/// Hessian-vector products) to the metrics registry.
+fn count_work(r: &newton::NewtonResult, max_iter: usize) {
     use sgs_metrics::{add, Counter};
     add(Counter::ReducedRounds, 1);
-    add(Counter::ReducedLbfgsIterations, r.iterations as u64);
+    add(Counter::ReducedNewtonIterations, r.iterations as u64);
     add(Counter::ReducedEvalsValue, r.evals_value as u64);
     add(Counter::ReducedEvalsGrad, r.evals_grad as u64);
+    add(Counter::ReducedHessVecs, r.hess_vecs as u64);
+    if !r.converged && r.iterations == max_iter {
+        add(Counter::ReducedCapHits, 1);
+    }
 }
 
 #[cfg(test)]
@@ -779,6 +1022,168 @@ mod tests {
                         "{spec:?} at theta {theta}: dS[{i}] = {} vs fd {num}",
                         g[i]
                     );
+                }
+            }
+        }
+    }
+
+    /// Every objective under every spec form, at zero and at a nonzero
+    /// deadline shift, on `circuit` at sizes `s`. Deadlines sit 4% below
+    /// the delay at `s`, so every inequality penalty is active.
+    fn hessian_cases(c: &Circuit, s: &[f64]) -> Vec<(Objective, DelaySpec, f64)> {
+        let n = c.num_gates();
+        let outs = c.outputs().len();
+        let r = sgs_ssta::ssta(c, &lib(), s);
+        let (mu, sd) = (r.delay.mean(), r.delay.sigma());
+        let specs = [
+            (DelaySpec::None, 0.0),
+            (DelaySpec::MaxMean(0.96 * mu), 0.2),
+            (DelaySpec::ExactMean(0.96 * mu), -0.3),
+            (
+                DelaySpec::MaxMeanPlusKSigma {
+                    k: 3.0,
+                    d: 0.96 * (mu + 3.0 * sd),
+                },
+                0.4,
+            ),
+            (
+                DelaySpec::PerOutput {
+                    k: 3.0,
+                    d: c.outputs()
+                        .iter()
+                        .map(|o| 0.96 * r.arrivals[o.index()].mean_plus_k_sigma(3.0))
+                        .collect(),
+                },
+                0.25,
+            ),
+        ];
+        let objectives = [
+            Objective::Area,
+            Objective::WeightedArea((0..n).map(|i| 1.0 + 0.1 * i as f64).collect()),
+            Objective::MeanDelay,
+            Objective::MeanPlusKSigma(3.0),
+            Objective::Sigma,
+            Objective::NegSigma,
+        ];
+        assert!(outs >= 1);
+        let mut cases = Vec::new();
+        for obj in &objectives {
+            for (spec, shift) in &specs {
+                for theta in [0.0, *shift] {
+                    cases.push((obj.clone(), spec.clone(), theta));
+                }
+            }
+        }
+        cases
+    }
+
+    fn battery_circuits() -> Vec<(Circuit, Vec<f64>)> {
+        vec![
+            (generate::tree7(), vec![1.5, 1.2, 2.0, 1.4, 1.9, 2.5, 2.8]),
+            (generate::fig2(), vec![1.3, 1.6, 1.1, 2.2]),
+        ]
+    }
+
+    fn evaluator<'c>(
+        c: &'c Circuit,
+        obj: &Objective,
+        spec: &DelaySpec,
+        theta: f64,
+    ) -> ReducedObjective<'c> {
+        let mut red = ReducedObjective::new(c, &lib(), obj.clone(), spec.clone());
+        red.penalty_weight = 50.0;
+        red.theta.iter_mut().for_each(|t| *t = theta);
+        red
+    }
+
+    /// A deterministic direction with entries of both signs.
+    fn direction(n: usize, seed: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i * 7 + seed * 3) % 11) as f64 / 5.0 - 1.0)
+            .collect()
+    }
+
+    #[test]
+    fn hessian_vector_products_match_differenced_gradients() {
+        for (c, s) in battery_circuits() {
+            let n = c.num_gates();
+            for (obj, spec, theta) in hessian_cases(&c, &s) {
+                let mut red = evaluator(&c, &obj, &spec, theta);
+                for seed in 0..3 {
+                    let v = direction(n, seed);
+                    red.prepare_hess(&s);
+                    let mut hv = vec![0.0; n];
+                    red.hess_vec(&v, &mut hv);
+                    let h = 1e-5;
+                    let (mut gp, mut gm) = (vec![0.0; n], vec![0.0; n]);
+                    let sp: Vec<f64> = s.iter().zip(&v).map(|(a, b)| a + h * b).collect();
+                    let sm: Vec<f64> = s.iter().zip(&v).map(|(a, b)| a - h * b).collect();
+                    red.grad(&sp, &mut gp);
+                    red.grad(&sm, &mut gm);
+                    let scale = 1.0 + hv.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+                    for i in 0..n {
+                        let num = (gp[i] - gm[i]) / (2.0 * h);
+                        assert!(
+                            (hv[i] - num).abs() < 1e-6 * scale,
+                            "{} {obj} {spec:?} theta {theta}: (Hv)[{i}] = {} vs fd {num}",
+                            c.name(),
+                            hv[i]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hessian_vector_products_are_symmetric() {
+        for (c, s) in battery_circuits() {
+            let n = c.num_gates();
+            for (obj, spec, theta) in hessian_cases(&c, &s) {
+                let mut red = evaluator(&c, &obj, &spec, theta);
+                red.prepare_hess(&s);
+                let (u, v) = (direction(n, 1), direction(n, 4));
+                let (mut hu, mut hv) = (vec![0.0; n], vec![0.0; n]);
+                red.hess_vec(&u, &mut hu);
+                red.hess_vec(&v, &mut hv);
+                let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+                let (uhv, vhu) = (dot(&u, &hv), dot(&v, &hu));
+                assert!(
+                    (uhv - vhu).abs() <= 1e-10 * uhv.abs().max(vhu.abs()).max(1e-300),
+                    "{} {obj} {spec:?} theta {theta}: u'Hv {uhv} vs v'Hu {vhu}",
+                    c.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn node_weights_match_hyper_dual_clark_hessians() {
+        for (c, s) in battery_circuits() {
+            for (obj, spec, theta) in hessian_cases(&c, &s) {
+                let mut red = evaluator(&c, &obj, &spec, theta);
+                red.prepare_hess(&s);
+                let h = &red.hess;
+                let mut adj = AdjointBufs::default();
+                let mut g = vec![0.0; c.num_gates()];
+                red.adjoint(&s, &h.tape, &mut adj, &mut g);
+                assert_eq!(h.w.len(), h.tape.nodes.len());
+                for (i, node) in h.tape.nodes.iter().enumerate() {
+                    let (ma, va) = h.tape.value(node.a);
+                    let (mb, vb) = h.tape.value(node.b);
+                    let d = clark::max_hess_dual(ma, va, mb, vb, red.eps);
+                    let (amu, avar) = (adj.a_node_mu[i], adj.a_node_var[i]);
+                    for r in 0..4 {
+                        for k in 0..4 {
+                            let want = amu * d.hmu[r][k] + avar * d.hvar[r][k];
+                            assert!(
+                                (h.w[i][r][k] - want).abs() <= 1e-9 * (1.0 + want.abs()),
+                                "{} {obj} {spec:?} node {i} [{r}][{k}]: {} vs {want}",
+                                c.name(),
+                                h.w[i][r][k]
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -893,7 +1298,7 @@ mod tests {
         let c = generate::tree7();
         let spec = DelaySpec::MaxMean(100.0);
         let mut opts = ReducedOptions::default();
-        opts.lbfgs.max_iter = 3;
+        opts.newton.max_iter = 3;
         let solve = |opts: &ReducedOptions| {
             solve_reduced(
                 &c,

@@ -23,7 +23,8 @@ pub enum SolverChoice {
     /// augmented-Lagrangian solve (the paper's formulation). Default.
     #[default]
     FullSpace,
-    /// Reduced-space (adjoint + projected L-BFGS with penalty) only — the
+    /// Reduced-space (adjoint + projected truncated Newton with penalty)
+    /// only — the
     /// baseline alternative.
     ReducedSpace,
 }
@@ -127,7 +128,8 @@ pub struct SizingResult {
     /// Outer (augmented-Lagrangian) iterations of the last AL solve, also
     /// when another candidate won; 0 for reduced-space runs.
     pub outer_iterations: usize,
-    /// Inner iterations (trust-region, or L-BFGS for reduced-space runs).
+    /// Inner iterations (trust-region, or truncated-Newton for
+    /// reduced-space runs).
     pub inner_iterations: usize,
     /// Residual of the reported candidate: the AL's constraint violation,
     /// the seed's delay-spec violation, or 0 for the greedy point (its
@@ -136,7 +138,7 @@ pub struct SizingResult {
     /// Wall-clock seconds spent in the solver.
     pub seconds: f64,
     /// Underlying NLP evaluations performed by the full-space solve
-    /// (zeros for reduced-space runs, which count L-BFGS iterations
+    /// (zeros for reduced-space runs, which count Newton iterations
     /// instead).
     pub evals: EvalCounts,
     /// How many Clark-max evaluations clamped a negative variance to zero
@@ -363,8 +365,9 @@ impl<'a> Sizer<'a> {
     }
 
     /// The reduced-space seed from `s0` and, when given, a previous run's
-    /// multipliers: adjoint-gradient projected L-BFGS inside a
-    /// method-of-multipliers loop on shifted deadlines (see [`reduced`]).
+    /// multipliers: projected truncated Newton with adjoint gradients and
+    /// Hessian-vector products inside a method-of-multipliers loop on
+    /// shifted deadlines (see [`reduced`]).
     pub(crate) fn reduced_seed(&self, s0: &[f64], start: Option<&Multipliers>) -> ReducedResult {
         let _ph = sgs_metrics::phase(sgs_metrics::Phase::ReducedSpace);
         reduced::solve_reduced_with_arrivals(

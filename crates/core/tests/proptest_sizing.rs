@@ -8,8 +8,8 @@ use sgs_core::reduced::ReducedObjective;
 use sgs_core::{DelaySpec, Objective};
 use sgs_netlist::generate::{self, RandomDagSpec};
 use sgs_netlist::Library;
-use sgs_nlp::lbfgs::GradFn;
 use sgs_nlp::problem::check_derivatives;
+use sgs_nlp::tr::SmoothFn;
 use sgs_nlp::NlpProblem;
 
 fn small_circuit() -> impl Strategy<Value = sgs_netlist::Circuit> {

@@ -110,15 +110,20 @@ metric_enum! {
         AnswerSeed => "answer_seed",
         /// Cold-solve answers carried by the greedy fallback.
         AnswerGreedy => "answer_greedy",
-        /// Multiplier rounds (one L-BFGS run each) of the reduced-space
-        /// pass.
+        /// Multiplier rounds (one truncated-Newton run each) of the
+        /// reduced-space pass.
         ReducedRounds => "reduced_rounds",
-        /// Projected L-BFGS iterations of the reduced-space pass.
-        ReducedLbfgsIterations => "reduced_lbfgs_iterations",
+        /// Projected truncated-Newton iterations of the reduced-space pass.
+        ReducedNewtonIterations => "reduced_newton_iterations",
         /// Reduced-space objective-value evaluations.
         ReducedEvalsValue => "reduced_evals_value",
         /// Reduced-space adjoint-gradient evaluations.
         ReducedEvalsGrad => "reduced_evals_grad",
+        /// Reduced-space Hessian-vector products (CG iterations).
+        ReducedHessVecs => "reduced_hess_vecs",
+        /// Multiplier rounds whose Newton run stopped at its iteration
+        /// cap.
+        ReducedCapHits => "reduced_cap_hits",
         /// Clark max variance clamps fired during solves.
         ClarkVarClamps => "clark_var_clamps",
         /// Warm-started re-solves performed by `Resolver`.

@@ -17,8 +17,9 @@
 //!   Steihaug-Toint), the SBMIN-style inner minimiser;
 //! * [`auglag`] — the augmented-Lagrangian outer loop with
 //!   Conn-Gould-Toint multiplier/penalty schedules;
-//! * [`lbfgs`] — a projected L-BFGS bound-constrained solver used for
-//!   reduced-space (variable-eliminated) formulations and warm starts;
+//! * [`newton`] — a projected truncated-Newton bound-constrained solver
+//!   used for reduced-space (variable-eliminated) formulations, which
+//!   seed the full-space solves;
 //! * [`test_problems`] — classic problems (Rosenbrock, Hock-Schittkowski
 //!   instances) with known optima used by the test-suite and benches.
 //!
@@ -36,7 +37,7 @@
 
 pub mod auglag;
 pub mod cache;
-pub mod lbfgs;
+pub mod newton;
 pub mod problem;
 pub mod sparse;
 pub mod test_problems;

@@ -4,7 +4,7 @@
 //! quadratics (solution via KKT).
 
 use proptest::prelude::*;
-use sgs_nlp::lbfgs::{self, GradFn, LbfgsOptions};
+use sgs_nlp::newton::{self, NewtonOptions};
 use sgs_nlp::tr::{self, SmoothFn, TrOptions};
 use sgs_nlp::NlpProblem;
 
@@ -39,18 +39,6 @@ impl SmoothFn for SepQuad {
     }
 }
 
-impl GradFn for SepQuad {
-    fn n(&self) -> usize {
-        self.w.len()
-    }
-    fn value(&mut self, x: &[f64]) -> f64 {
-        SmoothFn::value(self, x)
-    }
-    fn grad(&mut self, x: &[f64], g: &mut [f64]) {
-        SmoothFn::grad(self, x, g)
-    }
-}
-
 fn quad_instance() -> impl Strategy<Value = (SepQuad, Vec<f64>, Vec<f64>, Vec<f64>)> {
     (1usize..8).prop_flat_map(|n| {
         (
@@ -82,9 +70,9 @@ proptest! {
     }
 
     #[test]
-    fn lbfgs_solves_separable_box_quadratics((q, l, u, x0) in quad_instance()) {
+    fn newton_solves_separable_box_quadratics((q, l, u, x0) in quad_instance()) {
         let mut f = q.clone();
-        let r = lbfgs::minimize(&mut f, &x0, &l, &u, &LbfgsOptions { tol: 1e-9, max_iter: 2000, memory: 8 });
+        let r = newton::minimize(&mut f, &x0, &l, &u, &NewtonOptions { tol: 1e-9, max_iter: 2000, ..Default::default() });
         prop_assert!(r.converged, "{r:?}");
         for i in 0..q.c.len() {
             let want = q.c[i].max(l[i]).min(u[i]);

@@ -21,14 +21,14 @@
 //! Dirty gates are drained level by level through the counting-sort
 //! [`LevelSchedule`]. Fan-ins sit at strictly lower
 //! levels, so every dirty fan-in settles before its reader, and each
-//! recomputation calls the *same* pure [`gate_arrival`] left fold the full
+//! recomputation calls the *same* pure `gate_arrival` left fold the full
 //! analysis uses — identical operands in identical order give identical
 //! bits. Early termination is exact, not tolerance-based: propagation
 //! stops through a gate only when its recomputed `(mean, var)` is
 //! **bitwise unchanged**, in which case every downstream quantity reads
 //! exactly the operands it read before and cannot change either. The
 //! output max fold is re-run only when some primary-output arrival
-//! changed, again through the shared [`delay_from_arrivals`]. The
+//! changed, again through the shared `delay_from_arrivals`. The
 //! differential oracle battery in `tests/oracle_incremental.rs` pins this
 //! contract with `to_bits()` equality against fresh [`crate::ssta`] runs.
 

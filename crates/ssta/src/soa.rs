@@ -10,7 +10,7 @@ use sgs_statmath::Normal;
 
 /// Read access to per-gate arrival distributions, indexed by gate id.
 ///
-/// Lets the pure propagation functions ([`crate::analysis::gate_arrival`]
+/// Lets the pure propagation functions (`analysis::gate_arrival`
 /// and friends) run unchanged over both the legacy array-of-structs form
 /// (`[Normal]`, as held in an [`crate::SstaReport`]) and the contiguous
 /// [`ArrivalSoa`] the full pass and the incremental engine use internally.

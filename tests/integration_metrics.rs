@@ -119,8 +119,8 @@ fn counters_agree_with_the_sizing_result() {
 #[test]
 fn reduced_iterations_count_every_multiplier_round() {
     // rdag40 area s.t. mu <= 0.9 x unsized takes several multiplier
-    // rounds, one L-BFGS run each; the reported iteration count must sum
-    // them, as the registry counter does.
+    // rounds, one truncated-Newton run each; the reported iteration count
+    // must sum them, as the registry counter does.
     let _g = LOCK.lock().unwrap();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
     let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
@@ -137,11 +137,106 @@ fn reduced_iterations_count_every_multiplier_round() {
         .solver(SolverChoice::ReducedSpace)
         .solve()
         .expect("reduced-space sizing succeeds");
-    let counted = sgs_metrics::counter_value(Counter::ReducedLbfgsIterations);
+    let counted = sgs_metrics::counter_value(Counter::ReducedNewtonIterations);
     let rounds = sgs_metrics::counter_value(Counter::ReducedRounds);
     sgs_metrics::disable();
     assert!(rounds > 1, "{rounds} round(s)");
     assert_eq!(r.inner_iterations as u64, counted);
+}
+
+/// Value, gradient and Hessian-vector calls of the reduced seed summed
+/// over the fourteen cold Table 1 rows the `size_cold` benchmark solves
+/// (rdag40, apex2 and generated DAGs of 40-120 gates; deadlines at 0.9x
+/// the unsized delay). Projected L-BFGS took 5,793 calls here; the
+/// truncated-Newton seed must take at most half.
+#[test]
+fn cold_rows_take_at_most_half_the_seed_calls_of_lbfgs() {
+    #[derive(Clone, Copy)]
+    enum Form {
+        MinMu,
+        MinMu3s,
+        AreaMu,
+        AreaMu3s,
+    }
+    use Form::*;
+    let _g = LOCK.lock().unwrap();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
+    let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
+    let mut circuits = vec![blif::parse(&text).expect("rdag40.blif parses")];
+    circuits.extend(
+        generate::benchmark_suite()
+            .into_iter()
+            .filter(|c| c.name() == "apex2"),
+    );
+    for (i, cells) in [40, 60, 80, 100, 120].into_iter().enumerate() {
+        circuits.push(generate::random_dag(&RandomDagSpec {
+            name: format!("dag{cells}"),
+            cells,
+            inputs: 8 + cells / 8,
+            depth: 6 + cells / 20,
+            seed: 1000 + i as u64,
+            ..Default::default()
+        }));
+    }
+    let cases = [
+        (0, MinMu),
+        (0, MinMu3s),
+        (0, AreaMu),
+        (0, AreaMu3s),
+        (1, AreaMu),
+        (1, AreaMu3s),
+        (2, MinMu),
+        (2, AreaMu),
+        (2, AreaMu3s),
+        (3, AreaMu),
+        (3, AreaMu3s),
+        (4, AreaMu),
+        (5, AreaMu),
+        (6, AreaMu),
+    ];
+    let lb = lib();
+    sgs_metrics::reset();
+    sgs_metrics::enable();
+    for (ci, form) in cases {
+        let c = &circuits[ci];
+        let unsized_delay = sgs_ssta::ssta(c, &lb, &vec![1.0; c.num_gates()]).delay;
+        let (objective, spec) = match form {
+            MinMu => (Objective::MeanDelay, DelaySpec::None),
+            MinMu3s => (Objective::MeanPlusKSigma(3.0), DelaySpec::None),
+            AreaMu => (
+                Objective::Area,
+                DelaySpec::MaxMean(0.9 * unsized_delay.mean()),
+            ),
+            AreaMu3s => (
+                Objective::Area,
+                DelaySpec::MaxMeanPlusKSigma {
+                    k: 3.0,
+                    d: 0.9 * unsized_delay.mean_plus_k_sigma(3.0),
+                },
+            ),
+        };
+        Sizer::new(c, &lb)
+            .objective(objective)
+            .delay_spec(spec)
+            .solve()
+            .expect("cold row solves");
+    }
+    let get = sgs_metrics::counter_value;
+    let calls = get(Counter::ReducedEvalsValue)
+        + get(Counter::ReducedEvalsGrad)
+        + get(Counter::ReducedHessVecs);
+    let iterations = get(Counter::ReducedNewtonIterations);
+    sgs_metrics::disable();
+    eprintln!(
+        "CALLS {calls} value {} grad {} hv {} iters {iterations}",
+        get(Counter::ReducedEvalsValue),
+        get(Counter::ReducedEvalsGrad),
+        get(Counter::ReducedHessVecs)
+    );
+    assert!(
+        calls <= 5_793 / 2,
+        "{calls} seed calls, {iterations} Newton iterations"
+    );
 }
 
 #[test]
