@@ -34,6 +34,7 @@ fn bench_solvers(c: &mut Criterion) {
             b.iter(|| {
                 Sizer::new(&circ, &lib)
                     .objective(Objective::MeanPlusKSigma(3.0))
+                    .solver(SolverChoice::FullSpace)
                     .solve()
                     .expect("sizes")
             })

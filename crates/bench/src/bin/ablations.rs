@@ -166,7 +166,9 @@ fn solver_comparison(trace: &TraceArg) {
         "solver", "objective", "area", "seconds"
     );
     let t = Instant::now();
-    let mut sizer = Sizer::new(&circuit, &lib).objective(Objective::MeanPlusKSigma(3.0));
+    let mut sizer = Sizer::new(&circuit, &lib)
+        .objective(Objective::MeanPlusKSigma(3.0))
+        .solver(SolverChoice::FullSpace);
     if let Some(sink) = trace.sink() {
         sizer = sizer.trace(sink);
     }

@@ -3,7 +3,7 @@
 //! ```text
 //! size_blif <netlist.blif> [--objective mu|mu+1s|mu+3s|area|sigma]
 //!           [--deadline D [--confidence 0|1|3]] [--pin-mean D]
-//!           [--reduced] [--analyze[=deny]] [--out sized.blif.tsv]
+//!           [--full-space] [--analyze[=deny]] [--out sized.blif.tsv]
 //!           [--trace run.jsonl] [--metrics run.json] [--metrics-prom run.prom]
 //!           [--threads N]
 //! ```
@@ -12,7 +12,8 @@
 //! which this repository cannot redistribute) or a structural Verilog
 //! netlist (`.v`), sizes it under the statistical delay model, prints the
 //! resulting delay distribution and area, and optionally writes a
-//! `gate<TAB>speed-factor` table.
+//! `gate<TAB>speed-factor` table. `--full-space` runs the paper's
+//! full-space augmented-Lagrangian solve after the reduced-space seed.
 
 use sgs_bench::BenchArgs;
 use sgs_core::{DelaySpec, Objective, Sizer, SolverChoice};
@@ -28,7 +29,7 @@ static GLOBAL: sgs_metrics::alloc::CountingAllocator = sgs_metrics::alloc::Count
 fn usage() -> ExitCode {
     eprintln!(
         "usage: size_blif <netlist.blif> [--objective mu|mu+1s|mu+3s|area|sigma] \
-         [--deadline D [--confidence 0|1|3]] [--pin-mean D] [--reduced] \
+         [--deadline D [--confidence 0|1|3]] [--pin-mean D] [--full-space] \
          [--analyze[=deny]] [--out FILE] [--trace FILE] [--metrics FILE] \
          [--metrics-prom FILE] [--threads N]"
     );
@@ -53,7 +54,7 @@ fn main() -> ExitCode {
     let mut spec = DelaySpec::None;
     let mut deadline: Option<f64> = None;
     let mut confidence = 3.0f64;
-    let mut reduced = false;
+    let mut full_space = false;
     let mut analyze: Option<bool> = None;
     let mut out: Option<String> = None;
 
@@ -86,7 +87,7 @@ fn main() -> ExitCode {
                 Some(d) => spec = DelaySpec::ExactMean(d),
                 None => return usage(),
             },
-            "--reduced" => reduced = true,
+            "--full-space" => full_space = true,
             "--analyze" => analyze = Some(false),
             "--analyze=deny" => analyze = Some(true),
             "--out" => out = it.next().cloned(),
@@ -139,8 +140,8 @@ fn main() -> ExitCode {
     let mut sizer = Sizer::new(&circuit, &lib)
         .objective(objective)
         .delay_spec(spec);
-    if reduced {
-        sizer = sizer.solver(SolverChoice::ReducedSpace);
+    if full_space {
+        sizer = sizer.solver(SolverChoice::FullSpace);
     }
     let gate = analyze.map(|deny| sgs_analyze::AnalyzerGate {
         deny,

@@ -11,14 +11,14 @@
 //! differ from the paper's, and an absolute or unsized-ratio scaling can
 //! land outside the feasible range entirely.
 //!
-//! Run with `cargo run -p sgs-bench --bin table1 --release` (about 10 s
-//! for all three circuits on a 2-vCPU host; pass a circuit name to run
-//! one). `results_table1.txt` holds its output.
+//! Run with `cargo run -p sgs-bench --bin table1 --release` (about 14 s
+//! for all three circuits on a 2-vCPU host, most of it in k2's min rows;
+//! pass a circuit name to run one). `results_table1.txt` holds its
+//! output.
 
 use sgs_bench::{print_table, BenchArgs, Row};
 use sgs_core::{DelaySpec, Objective, Sizer};
 use sgs_netlist::{generate, Library};
-use sgs_nlp::auglag::AugLagOptions;
 
 struct PaperRef {
     d: f64,
@@ -100,7 +100,6 @@ fn main() {
         // mu_min), taken from the paper's own numbers (rows 1 and 2).
         let probe = Sizer::new(&circuit, &lib)
             .objective(Objective::MeanDelay)
-            .solver(sgs_core::SolverChoice::ReducedSpace)
             .solve()
             .expect("min-delay probe sizes");
         let frac = (pref.d - pref.rows[1].0) / (pref.rows[0].0 - pref.rows[1].0);
@@ -117,15 +116,8 @@ fn main() {
             paper: Some(pref.rows[0]),
         });
 
-        let al = AugLagOptions {
-            max_outer: 8,
-            ..Default::default()
-        };
         let mut run = |obj: Objective, spec: DelaySpec, label: (&str, String), paper| {
-            let mut sizer = Sizer::new(&circuit, &lib)
-                .objective(obj)
-                .delay_spec(spec)
-                .al_options(al.clone());
+            let mut sizer = Sizer::new(&circuit, &lib).objective(obj).delay_spec(spec);
             if let Some(sink) = trace.sink() {
                 sizer = sizer.trace(sink);
             }

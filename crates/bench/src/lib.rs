@@ -323,12 +323,12 @@ mod tests {
         let mut args: Vec<String> = vec![
             "circuit.blif".into(),
             format!("--trace={}", dir.display()),
-            "--reduced".into(),
+            "--full-space".into(),
         ];
         let t = TraceArg::extract("test_bin", &mut args).unwrap();
         assert_eq!(
             args,
-            vec!["circuit.blif".to_string(), "--reduced".to_string()]
+            vec!["circuit.blif".to_string(), "--full-space".to_string()]
         );
         assert!(t.sink().is_some());
         assert!(t.tracer().enabled());

@@ -175,7 +175,7 @@ pub fn greedy_size(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Sizer, SolverChoice};
+    use crate::Sizer;
     use sgs_netlist::generate;
     use sgs_ssta::{ssta, sta_deterministic};
 
@@ -204,7 +204,6 @@ mod tests {
             let greedy = greedy_size(&c, &lib(), &obj, &GreedyOptions::default());
             let nlp = Sizer::new(&c, &lib())
                 .objective(obj.clone())
-                .solver(SolverChoice::ReducedSpace)
                 .solve()
                 .expect("sizes");
             assert!(

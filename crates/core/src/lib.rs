@@ -18,13 +18,15 @@
 //!   sigma_Tmax` (slack variables turn inequalities into the
 //!   bound-constrained equality form LANCELOT expects),
 //!
-//! and solves it with the augmented-Lagrangian / trust-region Newton-CG
-//! solver of [`sgs_nlp`] — the same algorithm family as LANCELOT, which the
-//! paper used. A [`resolve::Resolver`] runs every solve; a
-//! reduced-space adjoint evaluator ([`reduced`]) provides its seed and an
-//! independent baseline, and a TILOS-style greedy
-//! sensitivity sizer ([`greedy`]) supplies the classic pre-NLP comparison
-//! point.
+//! and, under [`SolverChoice::FullSpace`], solves it with the
+//! augmented-Lagrangian / trust-region Newton-CG solver of [`sgs_nlp`] —
+//! the same algorithm family as LANCELOT, which the paper used. A
+//! [`resolve::Resolver`] runs every solve. By default the solve is the
+//! reduced-space seed alone ([`reduced`]): the same objective and delay
+//! constraints over the speed factors only, with the Clark max's exact
+//! first and second derivatives carried by adjoint sweeps. A TILOS-style
+//! greedy sensitivity sizer ([`greedy`]) supplies the classic pre-NLP
+//! comparison point.
 //!
 //! # Quickstart
 //!

@@ -481,58 +481,6 @@ impl SizingProblem {
         self.hess_drop = Some(k);
     }
 
-    /// Rewrites the deadline scalar `D` of every delay-cap constraint in
-    /// place, returning how many caps were updated (`0` means the
-    /// formulation has no delay constraint and nothing changed).
-    ///
-    /// Only the right-hand-side constant moves: the variable set, bounds,
-    /// sparsity patterns and constraint order are untouched, so a solution
-    /// of the old problem remains a dimension-compatible warm start for
-    /// the new one. This is what lets [`crate::resolve::Resolver`] re-solve
-    /// a deadline perturbation without rebuilding the formulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is not finite.
-    pub fn set_deadline(&mut self, d: f64) -> usize {
-        assert!(d.is_finite(), "deadline must be finite, got {d}");
-        let mut updated = 0;
-        for con in &mut self.cons {
-            if let Con::DelayCap { d: cap, .. } = con {
-                *cap = d;
-                updated += 1;
-            }
-        }
-        updated
-    }
-
-    /// Rewrites the sigma multiplier `k` of a
-    /// [`Objective::MeanPlusKSigma`] objective in place, for robustness
-    /// (`mu + k sigma`) sweeps.
-    ///
-    /// Only the scalar inside the existing objective moves: the variable
-    /// set, bounds, constraint set and — crucially — the Hessian sparsity
-    /// pattern are untouched (the objective contributes its
-    /// `(var_Tmax, var_Tmax)` Hessian slot for *every* `k`, including 0,
-    /// because the slot is keyed on the objective variant, not the
-    /// value), so a solution of the old problem remains a
-    /// dimension-compatible warm start for the new one. Contrast the
-    /// *constraint-side* `k` of [`crate::DelaySpec::MaxMeanPlusKSigma`],
-    /// whose Hessian slot vanishes at `k = 0` — that one is deliberately
-    /// not rewritable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the objective is not [`Objective::MeanPlusKSigma`] or
-    /// `k` is not finite.
-    pub fn set_objective_k(&mut self, k: f64) {
-        assert!(k.is_finite(), "objective k must be finite, got {k}");
-        match &mut self.objective {
-            Objective::MeanPlusKSigma(cur) => *cur = k,
-            other => panic!("set_objective_k needs a mu + k sigma objective, got {other}"),
-        }
-    }
-
     /// Variable index of gate `g`'s speed factor.
     pub fn s_index(&self, g: usize) -> usize {
         self.idx_s[g]
@@ -1496,41 +1444,6 @@ mod tests {
         assert_eq!(n_pairs, n_maxmu);
         let covered: usize = p.groups.iter().map(|&(_, len)| len).sum();
         assert_eq!(covered, p.cons.len());
-    }
-
-    #[test]
-    fn set_objective_k_preserves_structure_and_values_track() {
-        let circuit = generate::tree7();
-        let mut p = SizingProblem::build(
-            &circuit,
-            &lib(),
-            Objective::MeanPlusKSigma(3.0),
-            DelaySpec::MaxMean(8.0),
-        );
-        let jac = p.jacobian_structure();
-        let hess = p.hessian_structure();
-        let x = p.initial_point(&[1.3; 7]);
-        for k in [1.0, 0.0, 4.5] {
-            p.set_objective_k(k);
-            // Same sparsity for every k, including 0 (variant-keyed slot).
-            assert_eq!(p.jacobian_structure(), jac);
-            assert_eq!(p.hessian_structure(), hess);
-            // The objective and its derivatives read the new k.
-            let mu = x[p.mu_tmax_index()];
-            let sigma = x[p.var_tmax_index()].sqrt();
-            assert!((p.objective(&x) - (mu + k * sigma)).abs() < 1e-12);
-            let lambda = vec![0.1; p.num_constraints()];
-            let r = check_derivatives(&p, &x, &lambda, 1e-6);
-            assert!(r.within(5e-5), "k = {k}: {r:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "mu + k sigma objective")]
-    fn set_objective_k_rejects_other_objectives() {
-        let circuit = generate::tree7();
-        let mut p = SizingProblem::build(&circuit, &lib(), Objective::Area, DelaySpec::None);
-        p.set_objective_k(2.0);
     }
 
     #[test]

@@ -15,20 +15,23 @@
 //! fixed penalty `w` instead of `w` climbing until the violation `λ/2w`
 //! is small. The loop can start from a previous run's [`Multipliers`],
 //! which is how a warm re-solve reuses the last answer's multiplier
-//! estimates. This solver:
+//! estimates. Each round is traced as one outer-iteration record, the
+//! whole loop as one `solve_done` record.
 //!
-//! * provides warm starts for the full-space augmented-Lagrangian solve
-//!   (mirroring how one would drive LANCELOT well), and
-//! * serves as the comparison baseline in the benches — it is the natural
-//!   "just use adjoints and Newton–CG" alternative to the paper's full
-//!   NLP.
+//! This solver is the default sizing pipeline
+//! ([`crate::SolverChoice::ReducedSpace`]), and under
+//! [`crate::SolverChoice::FullSpace`] the seed of the paper's full-space
+//! augmented-Lagrangian solve (mirroring how one would drive LANCELOT
+//! well).
 
 use crate::spec::{DelaySpec, Objective};
 use sgs_netlist::{Circuit, Library, Signal};
+use sgs_nlp::auglag::SolveStatus;
 use sgs_nlp::newton::{self, NewtonOptions};
 use sgs_nlp::tr::SmoothFn;
 use sgs_ssta::DelayModel;
 use sgs_statmath::clark::{self, ClarkGrad};
+use sgs_trace::{EvalReport, OuterRecord, SolveRecord, TraceEvent, Tracer};
 
 /// Reference to a stochastic value flowing through the forward tape.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -830,6 +833,14 @@ pub struct ReducedResult {
     pub violation: f64,
     /// Total Newton iterations over all rounds.
     pub iterations: usize,
+    /// Multiplier rounds run.
+    pub rounds: usize,
+    /// [`SolveStatus::Converged`] when the loop ended on its convergence
+    /// test (violation at most `tol_viol` after a round that stopped
+    /// short of the Newton iteration cap), else
+    /// [`SolveStatus::MaxIterations`]: the last round hit the cap, or the
+    /// rounds ran out.
+    pub status: SolveStatus,
     /// The multipliers `s` was minimised under (before the last round's
     /// update): restarting the loop from `s` and these reproduces `s`.
     pub multipliers: Multipliers,
@@ -845,12 +856,13 @@ pub fn solve_reduced(
     s0: &[f64],
     opts: &ReducedOptions,
 ) -> ReducedResult {
-    solve_reduced_with_arrivals(circuit, lib, objective, spec, s0, opts, None, None)
+    let none = Tracer::none();
+    solve_reduced_with_arrivals(circuit, lib, objective, spec, s0, opts, None, None, none)
 }
 
 /// [`solve_reduced`] with explicit primary-input arrival distributions,
 /// starting the multiplier loop from `start` (default: no shift, weight
-/// 10).
+/// 10), and tracing each round to `tracer`.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_reduced_with_arrivals(
     circuit: &Circuit,
@@ -861,6 +873,7 @@ pub fn solve_reduced_with_arrivals(
     opts: &ReducedOptions,
     input_arrivals: Option<&[sgs_statmath::Normal]>,
     start: Option<&Multipliers>,
+    tracer: Tracer<'_>,
 ) -> ReducedResult {
     let n = circuit.num_gates();
     assert_eq!(s0.len(), n, "one speed factor per gate");
@@ -880,24 +893,46 @@ pub fn solve_reduced_with_arrivals(
         weight: red.penalty_weight,
     };
     let mut s = s0.to_vec();
-    let mut iters = 0usize;
+    let (mut iters, mut rounds, mut converged) = (0usize, 0usize, false);
+    let mut evals = EvalReport::default();
     let mut last = f64::INFINITY;
-    let rounds = if red.spec.is_some() {
+    let max_rounds = if red.spec.is_some() {
         opts.max_rounds
     } else {
         1
     };
-    for _ in 0..rounds {
+    while rounds < max_rounds {
         let r = newton::minimize(&mut red, &s, &l, &u, &opts.newton);
         count_work(&r, opts.newton.max_iter);
         s = r.x;
         iters += r.iterations;
+        evals.objective += r.evals_value as u64;
+        evals.gradient += r.evals_grad as u64;
         under.theta.clone_from(&red.theta);
         under.weight = red.penalty_weight;
         let viol = red.multiplier_step(&s);
+        tracer.emit(|| {
+            TraceEvent::Outer(OuterRecord {
+                outer: rounds,
+                merit: r.f,
+                c_norm: viol,
+                pg_norm: r.pg_norm,
+                rho: under.weight,
+                lambda_norm: under
+                    .theta
+                    .iter()
+                    .fold(0.0f64, |a, &t| a.max((2.0 * under.weight * t).abs())),
+                inner_iterations: r.iterations,
+                cg_iterations: r.hess_vecs,
+                step_accepted: r.iterations > 0,
+                inner_converged: r.converged,
+            })
+        });
+        rounds += 1;
         // A round cut at the iteration cap is no minimiser of its
         // subproblem, however feasible: it is never the answer.
         if viol <= opts.tol_viol && r.iterations < opts.newton.max_iter {
+            converged = true;
             break;
         }
         // The penalty grows only when the multipliers stall; the shift
@@ -909,13 +944,31 @@ pub fn solve_reduced_with_arrivals(
         last = viol;
     }
     let tape = red.forward(&s);
-    ReducedResult {
+    let status = if converged {
+        SolveStatus::Converged
+    } else {
+        SolveStatus::MaxIterations
+    };
+    let result = ReducedResult {
         objective: red.objective_from(&s, &tape),
         violation: red.violation(&s),
         s,
         iterations: iters,
+        rounds,
+        status,
         multipliers: under,
-    }
+    };
+    tracer.emit(|| {
+        TraceEvent::SolveDone(SolveRecord {
+            status: status.as_str().to_string(),
+            objective: result.objective,
+            c_norm: result.violation,
+            outer_iterations: rounds,
+            inner_iterations: iters,
+            evals,
+        })
+    });
+    result
 }
 
 /// Adds one round (its Newton run's iterations, evaluations and
@@ -1323,5 +1376,28 @@ mod tests {
             r.objective,
             first.objective
         );
+    }
+
+    #[test]
+    fn a_loop_that_misses_its_convergence_test_reports_max_iterations() {
+        let c = generate::tree7();
+        let solve = |spec: DelaySpec, opts: &ReducedOptions| {
+            let objective = Objective::MeanPlusKSigma(3.0);
+            solve_reduced(&c, &lib(), objective, spec, &[1.0; 7], opts)
+        };
+        let mut capped = ReducedOptions::default();
+        capped.newton.max_iter = 3;
+        let r = solve(DelaySpec::None, &capped);
+        assert_eq!((r.rounds, r.iterations), (1, 3), "the one round is capped");
+        assert_eq!(r.status, SolveStatus::MaxIterations);
+        let free = solve(DelaySpec::None, &ReducedOptions::default());
+        assert!(free.iterations > 3, "{} iterations", free.iterations);
+        assert_eq!(free.status, SolveStatus::Converged);
+        // Below the minimum delay every round ends infeasible, so the
+        // rounds run out.
+        let short = solve(DelaySpec::MaxMean(4.0), &ReducedOptions::default());
+        assert!(short.violation > 1e-3, "violation {}", short.violation);
+        assert_eq!(short.rounds, ReducedOptions::default().max_rounds);
+        assert_eq!(short.status, SolveStatus::MaxIterations);
     }
 }

@@ -2,24 +2,23 @@
 //!
 //! A [`Resolver`] runs every sizing solve: [`Sizer::solve`] is a fresh
 //! resolver's cold solve, and the daemon and the sweep engine keep
-//! resolvers alive. Each holds the built [`SizingProblem`] (a deadline
-//! change only rewrites its cap constants), an [`IncrementalSsta`] engine
-//! at the current sizes (an edit re-times only its dirty cone), and the
-//! last accepted answer's sizes and seed multipliers as its warm state.
+//! resolvers alive. Each holds an [`IncrementalSsta`] engine at the
+//! current sizes (an edit re-times only its dirty cone) and the last
+//! accepted answer's sizes and seed multipliers as its warm state.
 //!
 //! Every solve, cold or warm, runs one pipeline:
 //!
 //! 1. the reduced-space seed ([`crate::reduced`]);
-//! 2. the augmented Lagrangian from the seed's exactly feasible point,
-//!    with least-squares multipliers
+//! 2. under [`SolverChoice::FullSpace`] only (the paper's path), the
+//!    augmented Lagrangian on the full formulation, a [`SizingProblem`]
+//!    built from the current task, started from the seed's exactly
+//!    feasible point with least-squares multipliers
 //!    ([`SizingProblem::multiplier_estimate`]) and penalty `rho0`;
-//! 3. after a [`SolveStatus::Diverged`] AL, up to two retries from
-//!    deterministically perturbed seeds;
-//! 4. a pick between the AL's point and the seed by clean objective and
-//!    spec violation, read off the engine (bit for bit a full SSTA), so
-//!    AL residuals never reach the reported sizing;
-//! 5. if neither meets the spec, a greedy descent ([`crate::greedy`])
-//!    before [`SizeError::SolverFailed`].
+//! 3. scoring on the engine, bit for bit a full SSTA. The answer is the
+//!    seed, or under `FullSpace` the better of the AL's point and the
+//!    seed by clean objective and spec violation, so AL residuals never
+//!    reach the reported sizing. An answer that misses the delay spec is
+//!    [`SizeError::SolverFailed`].
 //!
 //! A **cold** solve (no answer accepted yet) starts the seed from the
 //! engine's sizes with no deadline shift. A **warm** re-solve starts it
@@ -27,28 +26,23 @@
 //! [`Resolver::resolve_sizes`], the engine's perturbed ones) and the
 //! shifts `θ` and weight `w` that answer's seed was minimised under, so
 //! the multipliers `λ = 2wθ` carry over and a re-solve at an unchanged
-//! spec is a fixed point. The winner becomes the warm state and
-//! [`SizingResult::source`] names it; each escalation emits a
-//! [`TraceEvent::Restart`]. A failed solve leaves the warm state
-//! untouched. The stages' spans tile [`SizingResult::seconds`].
+//! spec is a fixed point. The answer becomes the warm state and
+//! [`SizingResult::source`] names it. A failed solve leaves the warm
+//! state untouched. The stages' spans tile [`SizingResult::seconds`].
 //! [`Resolver::what_if`] evaluates an edit without solving.
 
-use crate::greedy::{self, GreedyOptions};
 use crate::problem::SizingProblem;
-use crate::reduced::Multipliers;
-use crate::sizer::{self, AnswerSource, SizeError, Sizer, SizingResult};
+use crate::reduced::{Multipliers, ReducedResult};
+use crate::sizer::{self, AnswerSource, SizeError, Sizer, SizingResult, SolverChoice};
 use crate::spec::{DelaySpec, Objective};
 use sgs_netlist::{Circuit, GateId, Library};
 use sgs_nlp::auglag::{self, SolveResult, SolveStatus};
-use sgs_nlp::NlpProblem;
+use sgs_nlp::{EvalCounts, NlpProblem};
 use sgs_ssta::{IncrementalSsta, UpdateStats};
 use sgs_statmath::Normal;
 use sgs_trace::{RequestContext, TraceEvent, Tracer};
 use std::cell::Cell;
 use std::time::Instant;
-
-/// Perturbed-restart attempts after a diverged cold AL solve.
-const MAX_RESTARTS: usize = 2;
 
 /// Result of an evaluation-only what-if query ([`Resolver::what_if`]).
 #[derive(Debug, Clone, Copy)]
@@ -86,12 +80,18 @@ struct WarmStart {
     multipliers: Multipliers,
 }
 
-/// The answer a solve settled on, before it becomes a [`SizingResult`].
+/// The answer a solve settled on, before it becomes a [`SizingResult`],
+/// with the figures of the solver that reports it (the seed, or the AL
+/// under [`SolverChoice::FullSpace`]).
 struct Picked {
     s: Vec<f64>,
     objective: f64,
     c_norm: f64,
     source: AnswerSource,
+    outer_iterations: usize,
+    inner_iterations: usize,
+    evals: EvalCounts,
+    status: SolveStatus,
 }
 
 /// Runs every solve, cold or warm. Construct via [`Sizer::resolver`]
@@ -122,7 +122,6 @@ pub struct Resolver<'a> {
     /// The task and its options; `objective` and `delay_spec` follow the
     /// warm moves.
     config: Sizer<'a>,
-    problem: SizingProblem,
     inc: IncrementalSsta<'a>,
     warm: Option<WarmStart>,
     /// Clark variance clamps of building the engine, charged to the next
@@ -138,25 +137,17 @@ impl<'a> Resolver<'a> {
         Sizer::new(circuit, lib).resolver()
     }
 
-    /// Builds the formulation and the incremental engine at the
-    /// configured starting sizes (all ones unless [`Sizer::initial_s`]).
+    /// Builds the incremental engine at the configured starting sizes
+    /// (all ones unless [`Sizer::initial_s`]).
     pub(crate) fn configured(config: Sizer<'a>) -> Self {
         let clamps_before = sgs_statmath::clark::var_clamp_count();
         let _sp = config.tracer().span("build_problem");
         let _ph = sgs_metrics::phase(sgs_metrics::Phase::BuildProblem);
         let arrivals = config.input_arrivals.as_deref();
-        let problem = SizingProblem::build_with_arrivals(
-            config.circuit,
-            config.lib,
-            config.objective.clone(),
-            config.delay_spec.clone(),
-            arrivals,
-        );
         let s0 = (config.s0.clone()).unwrap_or_else(|| vec![1.0; config.circuit.num_gates()]);
         let inc = IncrementalSsta::with_arrivals(config.circuit, config.lib, &s0, arrivals);
         Resolver {
             config,
-            problem,
             inc,
             warm: None,
             unreported_clamps: sgs_statmath::clark::var_clamp_count().saturating_sub(clamps_before),
@@ -170,8 +161,7 @@ impl<'a> Resolver<'a> {
     ///
     /// # Errors
     ///
-    /// [`SizeError::SolverFailed`] when no candidate meets the delay
-    /// spec.
+    /// [`SizeError::SolverFailed`] when the answer misses the delay spec.
     pub fn solve(&mut self) -> Result<ResolveOutcome, SizeError> {
         self.solve_traced(None)
     }
@@ -191,9 +181,7 @@ impl<'a> Resolver<'a> {
     }
 
     /// Moves the deadline of the current single-deadline spec to `d` and
-    /// re-solves warm from the previous solution. Only the cap constants
-    /// inside the existing formulation change
-    /// ([`SizingProblem::set_deadline`]); the seed starts from the
+    /// re-solves warm from the previous solution: the seed starts from the
     /// previous answer's sizes and its deadline shift.
     ///
     /// # Errors
@@ -224,25 +212,20 @@ impl<'a> Resolver<'a> {
         d: f64,
         req: Option<&RequestContext>,
     ) -> Result<ResolveOutcome, SizeError> {
+        assert!(d.is_finite(), "deadline must be finite, got {d}");
         match &mut self.config.delay_spec {
             DelaySpec::MaxMean(cap)
             | DelaySpec::ExactMean(cap)
             | DelaySpec::MaxMeanPlusKSigma { d: cap, .. } => *cap = d,
             other => panic!("resolve_spec needs a single-deadline spec, got {other:?}"),
         }
-        let updated = self.problem.set_deadline(d);
-        debug_assert!(updated > 0, "single-deadline spec must have a cap");
         self.run(false, 0, req)
     }
 
     /// Moves the sigma multiplier of a [`Objective::MeanPlusKSigma`]
-    /// objective to `k` and re-solves warm from the previous solution.
-    /// Only the scalar inside the existing formulation changes
-    /// ([`SizingProblem::set_objective_k`] — the objective's Hessian slot
-    /// is keyed on the variant, not the value, so the sparsity pattern is
-    /// identical for every `k`), and the seed starts from the previous
-    /// answer. This is the robustness-sweep twin of
-    /// [`Resolver::resolve_spec`].
+    /// objective to `k` and re-solves warm from the previous solution: the
+    /// seed starts from the previous answer. This is the robustness-sweep
+    /// twin of [`Resolver::resolve_spec`].
     ///
     /// # Errors
     ///
@@ -253,11 +236,11 @@ impl<'a> Resolver<'a> {
     /// Panics if the configured objective is not
     /// [`Objective::MeanPlusKSigma`], or if `k` is not finite.
     pub fn resolve_objective_k(&mut self, k: f64) -> Result<ResolveOutcome, SizeError> {
+        assert!(k.is_finite(), "objective k must be finite, got {k}");
         match &mut self.config.objective {
             Objective::MeanPlusKSigma(cur) => *cur = k,
             other => panic!("resolve_objective_k needs a mu + k sigma objective, got {other}"),
         }
-        self.problem.set_objective_k(k);
         self.run(false, 0, None)
     }
 
@@ -363,7 +346,7 @@ impl<'a> Resolver<'a> {
             name: "gates_recomputed",
             value: gates_recomputed as u64,
         });
-        let (al, picked, multipliers) = solved?;
+        let (picked, multipliers) = solved?;
         let warm_start_hit = self.warm.is_some();
         self.warm = Some(WarmStart {
             s: picked.s.clone(),
@@ -377,145 +360,162 @@ impl<'a> Resolver<'a> {
                 objective: picked.objective,
                 s: picked.s,
                 delay: self.inc.delay(),
-                outer_iterations: al.outer_iterations,
-                inner_iterations: al.inner_iterations,
+                outer_iterations: picked.outer_iterations,
+                inner_iterations: picked.inner_iterations,
                 c_norm: picked.c_norm,
                 seconds,
-                evals: al.evals,
+                evals: picked.evals,
                 clark_var_clamps: sizer::clamp_delta(tracer, clamps_before),
                 source: picked.source,
-                status: Some(al.status),
+                status: picked.status,
             },
         })
     }
 
-    /// The pipeline (module docs): seed from the warm state (or the
-    /// engine's sizes), seeded AL with perturbed restarts, clean pick,
-    /// greedy fallback. Each stage is a span starting where the previous
-    /// one ended on `clock`. Leaves the engine at the winner's sizes, and
-    /// returns the multipliers the seed was minimised under.
+    /// The pipeline (module docs): the seed from the warm state (or the
+    /// engine's sizes), the AL under [`SolverChoice::FullSpace`], the pick.
+    /// Each stage is a span starting where the previous one ended on
+    /// `clock`. Only the solver that reports the answer traces its
+    /// iterations. Leaves the engine at the answer's sizes, and returns
+    /// the multipliers the seed was minimised under.
     fn pipeline(
         &mut self,
         from_engine: bool,
         tracer: Tracer<'_>,
         clock: &mut Instant,
         gates: &mut usize,
-    ) -> Result<(SolveResult, Picked, Multipliers), SizeError> {
+    ) -> Result<(Picked, Multipliers), SizeError> {
         let warm = self.warm.as_ref();
         let s0 = match warm {
             Some(w) if !from_engine => &w.s[..],
             _ => self.inc.sizes(),
         };
+        let full_space = self.config.solver == SolverChoice::FullSpace;
+        let seed_tracer = if full_space { Tracer::none() } else { tracer };
         let red = tracer.stage("reduced_space", clock, || {
-            self.config.reduced_seed(s0, warm.map(|w| &w.multipliers))
+            self.config
+                .reduced_seed(s0, warm.map(|w| &w.multipliers), seed_tracer)
         });
-        let mut al = self.seeded_auglag(&red.s, tracer, clock);
-        let mut attempt = 0;
-        while al.status == SolveStatus::Diverged && attempt < MAX_RESTARTS {
-            attempt += 1;
-            sgs_metrics::incr(sgs_metrics::Counter::SizerRestarts);
-            tracer.emit(|| TraceEvent::Restart {
-                attempt,
-                reason: format!(
-                    "full-space solve diverged; perturbed restart {attempt}/{MAX_RESTARTS}"
-                ),
-            });
-            let s = perturb(&red.s, attempt, self.config.lib.s_limit);
-            al = self.seeded_auglag(&s, tracer, clock);
-        }
+        let al = full_space.then(|| self.full_space(&red.s, tracer, clock));
         let picked = tracer.stage("evaluate", clock, || {
             let _ph = sgs_metrics::phase(sgs_metrics::Phase::Evaluate);
-            let s_al = self.problem.extract_s(&al.x);
-            // The AL's point usually wins, so it is scored last.
-            let seed_score = self.score(&red.s, gates);
-            let al_score = self.score(&s_al, gates);
-            let tol = sizer::spec_tolerance(&self.config.delay_spec);
-            let (al_ok, seed_ok) = (al_score.1 <= tol, seed_score.1 <= tol);
-            match (al_ok && (!seed_ok || al_score.0 <= seed_score.0), seed_ok) {
-                (true, _) => Ok(Picked {
-                    s: s_al,
-                    objective: al_score.0,
-                    c_norm: al.c_norm,
-                    source: AnswerSource::AugLag,
-                }),
-                (false, true) => {
-                    *gates += self.inc.set_sizes(&red.s).gates_recomputed;
-                    Ok(Picked {
-                        s: red.s.clone(),
-                        objective: seed_score.0,
-                        c_norm: red.violation,
-                        source: AnswerSource::Seed,
-                    })
-                }
-                (false, false) => Err(al_score.1.min(seed_score.1)),
-            }
-        });
-        let picked = match picked {
-            Ok(picked) => picked,
-            Err(c_norm) => {
-                tracer.emit(|| TraceEvent::Restart {
-                    attempt: attempt + 1,
-                    reason: "no feasible candidate; greedy fallback".to_string(),
-                });
-                let fallback = tracer.stage("greedy_fallback", clock, || {
-                    let _ph = sgs_metrics::phase(sgs_metrics::Phase::GreedyFallback);
-                    sgs_metrics::incr(sgs_metrics::Counter::SizerGreedyFallbacks);
-                    self.greedy_fallback(gates)
-                });
-                let Some((s, objective)) = fallback else {
-                    return Err(SizeError::SolverFailed {
-                        status: al.status.as_str().to_string(),
-                        c_norm,
-                    });
-                };
-                Picked {
-                    s,
-                    objective,
-                    c_norm: 0.0,
-                    source: AnswerSource::Greedy,
-                }
-            }
-        };
+            self.pick(&red, al, gates)
+        })?;
         sgs_metrics::incr(match picked.source {
             AnswerSource::AugLag => sgs_metrics::Counter::AnswerAugLag,
             AnswerSource::Seed => sgs_metrics::Counter::AnswerSeed,
-            AnswerSource::Greedy => sgs_metrics::Counter::AnswerGreedy,
         });
-        Ok((al, picked, red.multipliers))
+        Ok((picked, red.multipliers))
     }
 
-    /// One AL attempt as an `auglag` stage on `clock`: from the exactly
-    /// feasible point at speed factors `s`, with least-squares
-    /// multipliers from one adjoint sweep (LANCELOT's first-order
-    /// estimate) and penalty `rho0`. With lambda = 0 the AL has no
-    /// curvature along the constraint tangent and walks off a seed that
-    /// is already nearly optimal.
-    fn seeded_auglag(&self, s: &[f64], tracer: Tracer<'_>, clock: &mut Instant) -> SolveResult {
+    /// The AL stage of [`SolverChoice::FullSpace`], an `auglag` stage on
+    /// `clock`: builds the full formulation of the current task and solves
+    /// it from the exactly feasible point at speed factors `s`, with
+    /// least-squares multipliers from one adjoint sweep (LANCELOT's
+    /// first-order estimate) and penalty `rho0`. With lambda = 0 the AL
+    /// has no curvature along the constraint tangent and walks off a seed
+    /// that is already nearly optimal. Returns the AL's result and the
+    /// speed factors of its point. Goes through the fault-injection
+    /// wrapper when [`Sizer::poison_nan_after`] is set.
+    fn full_space(
+        &self,
+        s: &[f64],
+        tracer: Tracer<'_>,
+        clock: &mut Instant,
+    ) -> (SolveResult, Vec<f64>) {
         tracer.stage("auglag", clock, || {
             let _ph = sgs_metrics::phase(sgs_metrics::Phase::Auglag);
-            let x = self.problem.initial_point(s);
+            let c = &self.config;
+            let problem = SizingProblem::build_with_arrivals(
+                c.circuit,
+                c.lib,
+                c.objective.clone(),
+                c.delay_spec.clone(),
+                c.input_arrivals.as_deref(),
+            );
+            let x = problem.initial_point(s);
             let start = auglag::WarmStart {
-                lambda: self.problem.multiplier_estimate(&x),
+                lambda: problem.multiplier_estimate(&x),
                 x,
-                rho: self.config.al_options.rho0,
+                rho: c.al_options.rho0,
             };
-            self.auglag(&start.x, &start, tracer)
+            let (x0, opts) = (&start.x, &c.al_options);
+            let al = match c.poison_nan_after {
+                Some(after) => auglag::solve_warm_traced(
+                    &PoisonNanAfter::new(&problem, after),
+                    x0,
+                    Some(&start),
+                    opts,
+                    tracer,
+                ),
+                None => auglag::solve_warm_traced(&problem, x0, Some(&start), opts, tracer),
+            };
+            let s_al = problem.extract_s(&al.x);
+            (al, s_al)
         })
     }
 
-    /// One augmented-Lagrangian solve, through the fault-injection
-    /// wrapper when [`Sizer::poison_nan_after`] is set.
-    fn auglag(&self, x0: &[f64], warm: &auglag::WarmStart, tracer: Tracer<'_>) -> SolveResult {
-        let opts = &self.config.al_options;
-        match self.config.poison_nan_after {
-            Some(after) => auglag::solve_warm_traced(
-                &PoisonNanAfter::new(&self.problem, after),
-                x0,
-                Some(warm),
-                opts,
-                tracer,
-            ),
-            None => auglag::solve_warm_traced(&self.problem, x0, Some(warm), opts, tracer),
+    /// Scores the candidates on the engine and picks the answer: the seed,
+    /// or the AL's point when there is one that meets the spec and is no
+    /// worse than the seed (or the seed misses the spec). A diverged AL's
+    /// point is no candidate. The AL's point usually wins, so it is scored
+    /// last. Leaves the engine at the answer's sizes.
+    fn pick(
+        &mut self,
+        red: &ReducedResult,
+        al: Option<(SolveResult, Vec<f64>)>,
+        gates: &mut usize,
+    ) -> Result<Picked, SizeError> {
+        let tol = sizer::spec_tolerance(&self.config.delay_spec);
+        let seed_score = self.score(&red.s, gates);
+        let seed_ok = seed_score.1 <= tol;
+        let seed = Picked {
+            s: red.s.clone(),
+            objective: seed_score.0,
+            c_norm: red.violation,
+            source: AnswerSource::Seed,
+            outer_iterations: red.rounds,
+            inner_iterations: red.iterations,
+            evals: EvalCounts::default(),
+            status: red.status,
+        };
+        let Some((al, s_al)) = al else {
+            if seed_ok {
+                return Ok(seed);
+            }
+            return Err(SizeError::SolverFailed {
+                status: red.status.as_str().to_string(),
+                c_norm: seed_score.1,
+            });
+        };
+        let al_score = match al.status {
+            SolveStatus::Diverged => (f64::INFINITY, f64::INFINITY),
+            _ => self.score(&s_al, gates),
+        };
+        let al_ok = al_score.1 <= tol;
+        let seed = Picked {
+            outer_iterations: al.outer_iterations,
+            inner_iterations: al.inner_iterations,
+            evals: al.evals,
+            status: al.status,
+            ..seed
+        };
+        if al_ok && (!seed_ok || al_score.0 <= seed_score.0) {
+            Ok(Picked {
+                s: s_al,
+                objective: al_score.0,
+                c_norm: al.c_norm,
+                source: AnswerSource::AugLag,
+                ..seed
+            })
+        } else if seed_ok {
+            *gates += self.inc.set_sizes(&red.s).gates_recomputed;
+            Ok(seed)
+        } else {
+            Err(SizeError::SolverFailed {
+                status: al.status.as_str().to_string(),
+                c_norm: al_score.1.min(seed_score.1),
+            })
         }
     }
 
@@ -545,29 +545,7 @@ impl<'a> Resolver<'a> {
         )
     }
 
-    /// Last-resort fallback: greedy descent of the delay metric implied by
-    /// the spec, accepted only if the result actually meets the spec.
-    /// Returns the speed factors and their clean objective value, and
-    /// leaves the engine at them.
-    pub(crate) fn greedy_fallback(&mut self, gates: &mut usize) -> Option<(Vec<f64>, f64)> {
-        let metric = match &self.config.delay_spec {
-            DelaySpec::None => self.config.objective.clone(),
-            DelaySpec::MaxMean(_) | DelaySpec::ExactMean(_) => Objective::MeanDelay,
-            DelaySpec::MaxMeanPlusKSigma { k, .. } | DelaySpec::PerOutput { k, .. } => {
-                Objective::MeanPlusKSigma(*k)
-            }
-        };
-        let g = greedy::greedy_size(
-            self.config.circuit,
-            self.config.lib,
-            &metric,
-            &GreedyOptions::default(),
-        );
-        let (objective, viol) = self.score(&g.s, gates);
-        (viol <= sizer::spec_tolerance(&self.config.delay_spec)).then_some((g.s, objective))
-    }
-
-    /// The library the formulation was built against.
+    /// The library the task was built against.
     pub fn library(&self) -> &'a Library {
         self.config.lib
     }
@@ -593,26 +571,6 @@ impl<'a> Resolver<'a> {
     pub fn delay_spec(&self) -> &DelaySpec {
         &self.config.delay_spec
     }
-}
-
-/// Deterministic multiplicative jitter for restart warm starts: attempt
-/// `a` scales each factor by up to `±0.1 a` (splitmix64 stream keyed on
-/// the attempt number), clamped to the sizing range. No RNG state is
-/// carried between calls, so restarts are reproducible run to run.
-pub(crate) fn perturb(s: &[f64], attempt: usize, s_limit: f64) -> Vec<f64> {
-    let mut state = (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
-    let spread = 0.1 * attempt as f64;
-    s.iter()
-        .map(|&v| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            let u = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-            (v * (1.0 + spread * (2.0 * u - 1.0))).clamp(1.0, s_limit)
-        })
-        .collect()
 }
 
 /// Fault-injection wrapper behind [`Sizer::poison_nan_after`]: delegates

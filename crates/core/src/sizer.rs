@@ -1,8 +1,8 @@
 //! Sizing configuration and results. [`Sizer::solve`] is a fresh
-//! [`Resolver`]'s cold solve (see [`crate::resolve`]), so a one-shot solve
-//! and a session's first solve (the daemon's `/solve`, a sweep's anchor)
-//! give the same bits. Every [`SizingResult`] names the candidate it
-//! reports ([`AnswerSource`]).
+//! [`Resolver`]'s cold solve (see [`crate::resolve`]) under either
+//! [`SolverChoice`], so a one-shot solve and a session's first solve (the
+//! daemon's `/solve`, a sweep's anchor) give the same bits. Every
+//! [`SizingResult`] names the candidate it reports ([`AnswerSource`]).
 
 use crate::reduced::{self, Multipliers, ReducedOptions, ReducedResult};
 use crate::resolve::Resolver;
@@ -14,19 +14,19 @@ use sgs_statmath::Normal;
 use sgs_trace::{TraceEvent, TraceSink, Tracer};
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 /// Which solver carries the optimisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverChoice {
-    /// Reduced-space warm start followed by the full-space
-    /// augmented-Lagrangian solve (the paper's formulation). Default.
+    /// The reduced-space seed alone (adjoint gradients and exact
+    /// Hessian-vector products in projected truncated Newton, delay
+    /// constraints by a multiplier loop; see [`crate::reduced`]). Default.
     #[default]
-    FullSpace,
-    /// Reduced-space (adjoint + projected truncated Newton with penalty)
-    /// only — the
-    /// baseline alternative.
     ReducedSpace,
+    /// The paper's path: the seed, then the full-space
+    /// augmented-Lagrangian solve of the NLP (Eq. 17/18) from it, then a
+    /// pick between the two by clean objective and spec violation.
+    FullSpace,
 }
 
 /// Errors from [`Sizer::solve`].
@@ -91,15 +91,13 @@ pub trait Preflight {
 /// Which candidate of the solve pipeline a [`SizingResult`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnswerSource {
-    /// The augmented-Lagrangian solve's point.
+    /// The augmented-Lagrangian solve's point
+    /// ([`SolverChoice::FullSpace`] only).
     AugLag,
-    /// The reduced-space seed: every [`SolverChoice::ReducedSpace`] run,
-    /// and a cold full-space solve whose AL point is infeasible or no
+    /// The reduced-space seed: every [`SolverChoice::ReducedSpace`]
+    /// answer, and a full-space one whose AL point is infeasible or no
     /// better.
     Seed,
-    /// The greedy fallback, when neither the AL's point nor the seed
-    /// meets the delay spec.
-    Greedy,
 }
 
 impl AnswerSource {
@@ -108,7 +106,6 @@ impl AnswerSource {
         match self {
             AnswerSource::AugLag => "auglag",
             AnswerSource::Seed => "seed",
-            AnswerSource::Greedy => "greedy",
         }
     }
 }
@@ -125,21 +122,21 @@ pub struct SizingResult {
     pub area: f64,
     /// Objective value reached.
     pub objective: f64,
-    /// Outer (augmented-Lagrangian) iterations of the last AL solve, also
-    /// when another candidate won; 0 for reduced-space runs.
+    /// Outer iterations: the seed's multiplier rounds under
+    /// [`SolverChoice::ReducedSpace`], the AL's outer iterations under
+    /// [`SolverChoice::FullSpace`] (also when the seed won).
     pub outer_iterations: usize,
-    /// Inner iterations (trust-region, or truncated-Newton for
-    /// reduced-space runs).
+    /// Inner iterations: the seed's truncated-Newton iterations, or the
+    /// AL's trust-region iterations.
     pub inner_iterations: usize,
     /// Residual of the reported candidate: the AL's constraint violation,
-    /// the seed's delay-spec violation, or 0 for the greedy point (its
-    /// re-propagated formulation is exactly feasible).
+    /// or the seed's delay-spec violation.
     pub c_norm: f64,
     /// Wall-clock seconds spent in the solver.
     pub seconds: f64,
     /// Underlying NLP evaluations performed by the full-space solve
-    /// (zeros for reduced-space runs, which count Newton iterations
-    /// instead).
+    /// (zeros under [`SolverChoice::ReducedSpace`], which counts Newton
+    /// iterations instead).
     pub evals: EvalCounts,
     /// How many Clark-max evaluations clamped a negative variance to zero
     /// during this solve (delta of
@@ -149,9 +146,13 @@ pub struct SizingResult {
     pub clark_var_clamps: u64,
     /// Which candidate this answer is.
     pub source: AnswerSource,
-    /// How the last augmented-Lagrangian solve ended, also when another
-    /// candidate won (`None` for reduced-space runs, which run no AL).
-    pub status: Option<SolveStatus>,
+    /// How the solver that sets `outer_iterations` ended: for the seed,
+    /// [`SolveStatus::Converged`] when its multiplier loop ended on its
+    /// convergence test, else [`SolveStatus::MaxIterations`] (the last
+    /// round hit the Newton iteration cap, or the rounds ran out; see
+    /// [`reduced::ReducedResult::status`]); for the AL, its own status,
+    /// also when the seed won.
+    pub status: SolveStatus,
 }
 
 impl SizingResult {
@@ -182,7 +183,9 @@ pub struct Sizer<'a> {
     pub(crate) lib: &'a Library,
     pub(crate) objective: Objective,
     pub(crate) delay_spec: DelaySpec,
-    solver: SolverChoice,
+    pub(crate) solver: SolverChoice,
+    /// The AL's options under [`SolverChoice::FullSpace`]; its seeded
+    /// start uses `rho0` as the penalty parameter.
     pub(crate) al_options: AugLagOptions,
     pub(crate) s0: Option<Vec<f64>>,
     pub(crate) input_arrivals: Option<Vec<Normal>>,
@@ -216,7 +219,7 @@ impl<'a> Sizer<'a> {
             lib,
             objective: Objective::MeanDelay,
             delay_spec: DelaySpec::None,
-            solver: SolverChoice::FullSpace,
+            solver: SolverChoice::default(),
             al_options: AugLagOptions {
                 tol_feas: 1e-6,
                 tol_opt: 1e-4,
@@ -239,19 +242,22 @@ impl<'a> Sizer<'a> {
     }
 
     /// Attaches a trace sink. The solve then emits phase spans
-    /// (`build_problem`, `reduced_space`, `auglag`, `evaluate`,
-    /// `greedy_fallback`), the augmented-Lagrangian outer-iteration
-    /// records, and restart / divergence events. The default is no sink,
-    /// which costs nothing on the hot path.
+    /// (`build_problem` when the resolver is built, then `reduced_space`,
+    /// `evaluate`, and `auglag` under [`SolverChoice::FullSpace`]), one
+    /// outer-iteration record per round of the reporting solver (the
+    /// seed's multiplier loop, or the AL) and its `solve_done` record,
+    /// and the AL's divergence events. The default is no sink, which
+    /// costs nothing on the hot path.
     pub fn trace(mut self, sink: &'a dyn TraceSink) -> Self {
         self.trace = Some(sink);
         self
     }
 
     /// Fault injection for robustness tests: the full-space NLP objective
-    /// returns `NaN` from its `n`-th evaluation onward (per solve
-    /// attempt). Exercises the divergence-detection and restart/fallback
-    /// machinery deterministically; never use outside tests.
+    /// returns `NaN` from its `n`-th evaluation onward (per solve).
+    /// Exercises the AL's divergence detection and the pick of the seed
+    /// under [`SolverChoice::FullSpace`] deterministically; never use
+    /// outside tests.
     pub fn poison_nan_after(mut self, n: usize) -> Self {
         self.poison_nan_after = Some(n);
         self
@@ -272,13 +278,6 @@ impl<'a> Sizer<'a> {
     /// Selects the solver.
     pub fn solver(mut self, solver: SolverChoice) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Overrides the augmented-Lagrangian options. The seeded start of
-    /// every attempt uses `rho0` as its penalty parameter.
-    pub fn al_options(mut self, opts: AugLagOptions) -> Self {
-        self.al_options = opts;
         self
     }
 
@@ -303,15 +302,14 @@ impl<'a> Sizer<'a> {
         Resolver::configured(self)
     }
 
-    /// Runs the optimisation: the pre-solve gate, then the reduced seed
-    /// alone ([`SolverChoice::ReducedSpace`]) or a [`Resolver`]'s cold
-    /// solve.
+    /// Runs the optimisation: the pre-solve gate, then a [`Resolver`]'s
+    /// cold solve.
     ///
     /// # Errors
     ///
     /// Returns [`SizeError::PreflightFailed`] when the attached gate
-    /// refuses the task, and [`SizeError::SolverFailed`] when neither a
-    /// feasible first-order point nor an acceptable fallback is reached.
+    /// refuses the task, and [`SizeError::SolverFailed`] when no candidate
+    /// meets the delay spec.
     pub fn solve(&self) -> Result<SizingResult, SizeError> {
         sgs_metrics::incr(sgs_metrics::Counter::SizerSolves);
         if let Some(gate) = self.preflight {
@@ -323,52 +321,19 @@ impl<'a> Sizer<'a> {
                     SizeError::PreflightFailed { summary }
                 })?;
         }
-        match self.solver {
-            SolverChoice::FullSpace => Ok(self.clone().resolver().solve()?.result),
-            SolverChoice::ReducedSpace => Ok(self.seed_only()),
-        }
-    }
-
-    /// The [`SolverChoice::ReducedSpace`] run: the seed, reported with a
-    /// clean SSTA of its sizes.
-    fn seed_only(&self) -> SizingResult {
-        let start = Instant::now();
-        let _solve_phase = sgs_metrics::phase(sgs_metrics::Phase::Solve);
-        let tracer = self.tracer();
-        let clamps_before = sgs_statmath::clark::var_clamp_count();
-        let ones = vec![1.0; self.circuit.num_gates()];
-        let red = {
-            let _sp = tracer.span("reduced_space");
-            self.reduced_seed(self.s0.as_deref().unwrap_or(&ones), None)
-        };
-        let delay = sgs_ssta::analysis::ssta_with_arrivals(
-            self.circuit,
-            self.lib,
-            &red.s,
-            self.input_arrivals.as_deref(),
-        )
-        .delay;
-        SizingResult {
-            area: red.s.iter().sum(),
-            objective: red.objective,
-            s: red.s,
-            delay,
-            outer_iterations: 0,
-            inner_iterations: red.iterations,
-            c_norm: red.violation,
-            seconds: start.elapsed().as_secs_f64(),
-            evals: EvalCounts::default(),
-            clark_var_clamps: clamp_delta(tracer, clamps_before),
-            source: AnswerSource::Seed,
-            status: None,
-        }
+        Ok(self.clone().resolver().solve()?.result)
     }
 
     /// The reduced-space seed from `s0` and, when given, a previous run's
     /// multipliers: projected truncated Newton with adjoint gradients and
     /// Hessian-vector products inside a method-of-multipliers loop on
-    /// shifted deadlines (see [`reduced`]).
-    pub(crate) fn reduced_seed(&self, s0: &[f64], start: Option<&Multipliers>) -> ReducedResult {
+    /// shifted deadlines (see [`reduced`]), its rounds traced to `tracer`.
+    pub(crate) fn reduced_seed(
+        &self,
+        s0: &[f64],
+        start: Option<&Multipliers>,
+        tracer: Tracer<'_>,
+    ) -> ReducedResult {
         let _ph = sgs_metrics::phase(sgs_metrics::Phase::ReducedSpace);
         reduced::solve_reduced_with_arrivals(
             self.circuit,
@@ -379,6 +344,7 @@ impl<'a> Sizer<'a> {
             &ReducedOptions::default(),
             self.input_arrivals.as_deref(),
             start,
+            tracer,
         )
     }
 
@@ -486,11 +452,11 @@ mod tests {
     #[test]
     fn full_and_reduced_agree_on_min_delay() {
         let c = generate::tree7();
-        let full = Sizer::new(&c, &lib()).solve().unwrap();
-        let red = Sizer::new(&c, &lib())
-            .solver(SolverChoice::ReducedSpace)
+        let full = Sizer::new(&c, &lib())
+            .solver(SolverChoice::FullSpace)
             .solve()
             .unwrap();
+        let red = Sizer::new(&c, &lib()).solve().unwrap();
         assert!(
             (full.delay.mean() - red.delay.mean()).abs() < 0.02,
             "full {} vs reduced {}",
@@ -570,16 +536,17 @@ mod tests {
 
     #[test]
     fn poisoned_full_space_recovers_and_traces_restarts() {
-        // Every full-space attempt is poisoned to NaN mid-solve; the run
-        // must still return a feasible sizing (via restarts, the reduced
-        // candidate or the greedy fallback) and leave evidence in the
-        // trace rather than failing or silently returning garbage.
+        // The full-space solve is poisoned to NaN mid-solve; the run must
+        // still return a feasible sizing (the reduced seed) and leave
+        // evidence of the divergence in the trace rather than failing or
+        // silently returning garbage.
         let c = generate::tree7();
         let l = lib();
         let sink = MemorySink::new();
         let r = Sizer::new(&c, &l)
             .objective(Objective::Area)
             .delay_spec(DelaySpec::MaxMean(6.5))
+            .solver(SolverChoice::FullSpace)
             .poison_nan_after(0)
             .trace(&sink)
             .solve()
@@ -587,20 +554,14 @@ mod tests {
         assert!(r.delay.mean() <= 6.5 + 1e-3, "mu {}", r.delay.mean());
         assert!(r.s.iter().all(|v| v.is_finite() && *v >= 1.0));
         let diverged = sink.count(|e| matches!(e, TraceEvent::Diverged { .. }));
-        let restarts = sink.count(|e| matches!(e, TraceEvent::Restart { .. }));
         assert!(diverged >= 1, "expected divergence evidence in the trace");
-        assert!(
-            restarts >= 2,
-            "expected perturbed-restart records, got {restarts}"
-        );
-        // Every AL attempt diverged, so the answer is the reduced seed's,
-        // and so must be the residual reported with it.
+        // The AL diverged, so the answer is the reduced seed's, and so
+        // must be the residual reported with it.
         assert_eq!(r.source, AnswerSource::Seed);
-        assert_eq!(r.status, Some(SolveStatus::Diverged));
+        assert_eq!(r.status, SolveStatus::Diverged);
         let seed = Sizer::new(&c, &l)
             .objective(Objective::Area)
             .delay_spec(DelaySpec::MaxMean(6.5))
-            .solver(SolverChoice::ReducedSpace)
             .solve()
             .unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -615,38 +576,20 @@ mod tests {
     }
 
     #[test]
-    fn greedy_fallback_meets_deadline() {
-        let c = generate::tree7();
-        let l = lib();
-        let spec = DelaySpec::MaxMean(6.5);
-        let mut resolver = Sizer::new(&c, &l)
-            .objective(Objective::Area)
-            .delay_spec(spec.clone())
-            .resolver();
-        let (s, obj) = resolver
-            .greedy_fallback(&mut 0)
-            .expect("greedy can meet 6.5 on tree7");
-        // The engine's score is a clean SSTA's, bit for bit.
-        let report = sgs_ssta::ssta(&c, &l, &s);
-        let obj2 = objective_value(&Objective::Area, &s, report.delay);
-        assert_eq!(obj.to_bits(), obj2.to_bits());
-        let viol = spec_violation(&spec, &c, &report.arrivals, report.delay);
-        assert!(viol <= spec_tolerance(&spec), "viol {viol}");
-    }
-
-    #[test]
     fn traced_solve_matches_untraced_bitwise() {
         let c = generate::tree7();
         let l = lib();
         let plain = Sizer::new(&c, &l)
             .delay_spec(DelaySpec::MaxMean(6.5))
             .objective(Objective::Area)
+            .solver(SolverChoice::FullSpace)
             .solve()
             .unwrap();
         let sink = MemorySink::new();
         let traced = Sizer::new(&c, &l)
             .delay_spec(DelaySpec::MaxMean(6.5))
             .objective(Objective::Area)
+            .solver(SolverChoice::FullSpace)
             .trace(&sink)
             .solve()
             .unwrap();
@@ -666,9 +609,11 @@ mod tests {
     fn rdag40_seed_is_certified_in_one_outer_iteration() {
         // The four forms `size_cold` runs on rdag40, and the bitident
         // golden's area s.t. mu+3sigma <= 20: the reduced seed is
-        // first-order and feasible to the AL's tolerances, so the AL only
-        // has to certify it. (With lambda = 0, min mu+3sigma ran all 40
-        // outer iterations and then reported the seed.)
+        // first-order and feasible to the AL's tolerances, so the
+        // full-space AL only has to certify it, and the default (the seed
+        // alone) gives the same answer bit for bit. (With lambda = 0, min
+        // mu+3sigma ran all 40 outer iterations and then reported the
+        // seed.)
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
         let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
         let c = sgs_netlist::blif::parse(&text).expect("rdag40.blif parses");
@@ -693,31 +638,27 @@ mod tests {
                 DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 20.0 },
             ),
         ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (objective, spec) in forms {
             let label = format!("{objective} s.t. {spec:?}");
-            let r = Sizer::new(&c, &l)
-                .objective(objective)
-                .delay_spec(spec)
+            let sizer = Sizer::new(&c, &l).objective(objective).delay_spec(spec);
+            let r = sizer
+                .clone()
+                .solver(SolverChoice::FullSpace)
                 .solve()
                 .unwrap();
             assert_eq!(r.outer_iterations, 1, "{label}");
             // The AL certifies the seed without moving off it, and a tie
             // goes to the AL.
             assert_eq!(r.source, AnswerSource::AugLag, "{label}");
-            assert_eq!(r.status, Some(SolveStatus::Converged), "{label}");
-        }
-    }
-
-    #[test]
-    fn perturb_is_deterministic_and_in_bounds() {
-        use crate::resolve::perturb;
-        let s = vec![1.0, 1.7, 2.9, 3.0];
-        let a = perturb(&s, 1, 3.0);
-        let b = perturb(&s, 1, 3.0);
-        assert_eq!(a, b);
-        assert_ne!(a, perturb(&s, 2, 3.0));
-        for v in perturb(&s, 2, 3.0) {
-            assert!((1.0..=3.0).contains(&v));
+            assert_eq!(r.status, SolveStatus::Converged, "{label}");
+            let seed = sizer.solve().unwrap();
+            assert_eq!(seed.source, AnswerSource::Seed, "{label}");
+            assert_eq!(seed.status, SolveStatus::Converged, "{label}");
+            assert_eq!(bits(&seed.s), bits(&r.s), "{label}");
+            assert_eq!(seed.objective.to_bits(), r.objective.to_bits(), "{label}");
+            assert_eq!(seed.delay.mean().to_bits(), r.delay.mean().to_bits());
+            assert_eq!(seed.delay.var().to_bits(), r.delay.var().to_bits());
         }
     }
 }

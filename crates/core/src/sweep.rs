@@ -3,8 +3,8 @@
 //! The paper reports one `(area, deadline)` point per benchmark; a
 //! production flow wants the whole curve. [`SweepEngine`] drives a
 //! [`Resolver`] session along a deadline grid — each step a warm
-//! [`Resolver::resolve_spec`] re-solve of the *same* formulation with a
-//! rewritten cap — and assembles the resulting area-vs-deadline
+//! [`Resolver::resolve_spec`] re-solve of the *same* task with a moved
+//! deadline — and assembles the resulting area-vs-deadline
 //! [`Frontier`]. Three sweep families share the machinery:
 //!
 //! * **Deadline frontiers** ([`SweepEngine::deadline_frontier`]): walk an
@@ -41,7 +41,7 @@
 //! 2. **Solver tier** (oracle tests): an independent *cold* solve at the
 //!    same spec agrees on feasibility and lands on the same frontier
 //!    within a small relative tolerance. Warm and cold trajectories are
-//!    different iterates of the same NLP, so bit-equality is not expected
+//!    different iterates of the same problem, so bit-equality is not expected
 //!    at this tier — only agreement of the optimum they converge to.
 //!
 //! Exactly repeated deadlines are answered from the last traced point
@@ -122,7 +122,8 @@ pub struct FrontierPoint {
     pub area: f64,
     /// Objective value at the accepted sizes.
     pub objective: f64,
-    /// Outer (augmented-Lagrangian) iterations of this point's solve.
+    /// Outer iterations of this point's solve (multiplier rounds of the
+    /// reduced seed; see [`SizingResult::outer_iterations`]).
     pub outer_iterations: usize,
     /// Inner (Newton-CG) iterations of this point's solve.
     pub inner_iterations: usize,

@@ -4,9 +4,9 @@
 //! attaching a `RingSink` (and a `RequestContext`) to a solve changes
 //! *what is recorded*, never *what is computed*. Objective, every sized
 //! iterate, and the evaluation counts are compared bit-for-bit via
-//! `f64::to_bits`.
+//! `f64::to_bits`, on both solver paths.
 
-use sgs_core::{DelaySpec, Objective, Sizer};
+use sgs_core::{DelaySpec, Objective, Sizer, SolverChoice};
 use sgs_netlist::generate::{self, RandomDagSpec};
 use sgs_netlist::Library;
 use sgs_trace::{RequestContext, RingSink};
@@ -21,7 +21,7 @@ struct SolveFingerprint {
     evals: (usize, usize, usize, usize, usize),
 }
 
-fn run(trace: Option<(&RingSink, &RequestContext)>) -> SolveFingerprint {
+fn run(solver: SolverChoice, trace: Option<(&RingSink, &RequestContext)>) -> SolveFingerprint {
     let c = generate::random_dag(&RandomDagSpec {
         cells: 40,
         inputs: 8,
@@ -32,7 +32,8 @@ fn run(trace: Option<(&RingSink, &RequestContext)>) -> SolveFingerprint {
     let l = Library::paper_default();
     let mut sizer = Sizer::new(&c, &l)
         .objective(Objective::Area)
-        .delay_spec(DelaySpec::MaxMean(20.0));
+        .delay_spec(DelaySpec::MaxMean(20.0))
+        .solver(solver);
     if let Some((ring, _)) = trace {
         sizer = sizer.trace(ring);
     }
@@ -66,28 +67,36 @@ fn run(trace: Option<(&RingSink, &RequestContext)>) -> SolveFingerprint {
 
 #[test]
 fn ring_sink_solve_is_bit_identical_to_nop() {
-    let plain = run(None);
+    // Each path's solver spans: the seed's stage and the scoring on the
+    // default path, the AL's outer and inner solves on the full-space one.
+    for (solver, spans) in [
+        (SolverChoice::ReducedSpace, ["reduced_space", "evaluate"]),
+        (SolverChoice::FullSpace, ["auglag", "inner_tr"]),
+    ] {
+        let plain = run(solver, None);
 
-    let ring = RingSink::new(16);
-    let ctx = RequestContext::new(1);
-    let traced = run(Some((&ring, &ctx)));
+        let ring = RingSink::new(16);
+        let ctx = RequestContext::new(1);
+        let traced = run(solver, Some((&ring, &ctx)));
 
-    assert_eq!(plain.objective, traced.objective, "objective bits differ");
-    assert_eq!(plain.s, traced.s, "sized iterate bits differ");
-    assert_eq!(plain.delay_mean, traced.delay_mean);
-    assert_eq!(plain.delay_var, traced.delay_var);
-    assert_eq!(plain.outer, traced.outer, "outer iteration counts differ");
-    assert_eq!(plain.inner, traced.inner, "inner iteration counts differ");
-    assert_eq!(plain.evals, traced.evals, "evaluation counts differ");
+        assert_eq!(plain.objective, traced.objective, "objective bits differ");
+        assert_eq!(plain.s, traced.s, "sized iterate bits differ");
+        assert_eq!(plain.delay_mean, traced.delay_mean);
+        assert_eq!(plain.delay_var, traced.delay_var);
+        assert_eq!(plain.outer, traced.outer, "outer iteration counts differ");
+        assert_eq!(plain.inner, traced.inner, "inner iteration counts differ");
+        assert_eq!(plain.evals, traced.evals, "evaluation counts differ");
 
-    // The traced run actually observed something: solver events in the
-    // ring's event buffer and solver spans in the request tree.
-    assert!(!ring.events().is_empty(), "ring sink recorded no events");
-    let t = ctx.finish("/solve", 200, "", "", true);
-    assert!(
-        t.spans.iter().any(|s| s.name == "auglag"),
-        "request context missed the auglag span: {:?}",
-        t.spans.iter().map(|s| s.name).collect::<Vec<_>>()
-    );
-    assert!(t.spans.iter().any(|s| s.name == "inner_tr"));
+        // The traced run actually observed something: solver events in
+        // the ring's event buffer and solver spans in the request tree.
+        assert!(!ring.events().is_empty(), "ring sink recorded no events");
+        let t = ctx.finish("/solve", 200, "", "", true);
+        for span in spans {
+            assert!(
+                t.spans.iter().any(|s| s.name == span),
+                "{solver:?}: request context missed the {span} span: {:?}",
+                t.spans.iter().map(|s| s.name).collect::<Vec<_>>()
+            );
+        }
+    }
 }

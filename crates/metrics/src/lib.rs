@@ -97,19 +97,19 @@ metric_enum! {
         NlpEvalsHessian => "nlp_evals_hessian",
         /// `Sizer::solve` invocations.
         SizerSolves => "sizer_solves",
-        /// Perturbed-restart attempts in the divergence-recovery ladder.
+        /// Perturbed-restart attempts. No solve restarts any more, so it
+        /// reads 0; kept for the benchmark's per-layer report.
         SizerRestarts => "sizer_restarts",
-        /// Solves that fell through to the greedy fallback.
+        /// Greedy fallbacks. No solve falls back any more, so it reads 0;
+        /// kept for the benchmark's per-layer report.
         SizerGreedyFallbacks => "sizer_greedy_fallbacks",
         /// Solves rejected by a preflight analyzer gate.
         SizerPreflightRejections => "sizer_preflight_rejections",
-        /// Answers carried by the augmented-Lagrangian point (cold or
-        /// warm solves).
+        /// Answers carried by the augmented-Lagrangian point (full-space
+        /// solves only).
         AnswerAugLag => "answer_auglag",
-        /// Cold-solve answers carried by the reduced-space seed.
+        /// Answers carried by the reduced-space seed.
         AnswerSeed => "answer_seed",
-        /// Cold-solve answers carried by the greedy fallback.
-        AnswerGreedy => "answer_greedy",
         /// Multiplier rounds (one truncated-Newton run each) of the
         /// reduced-space pass.
         ReducedRounds => "reduced_rounds",
@@ -240,21 +240,19 @@ metric_enum! {
         Solve => "solve",
         /// `Sizer::solve`'s pre-solve analyzer gate.
         Preflight => "preflight",
-        /// Reduced-space (adjoint-gradient) sizing pass inside a
-        /// solve: the whole solve under `SolverChoice::ReducedSpace`,
-        /// the full-space solver's warm-start seed otherwise.
+        /// The reduced-space seed inside a solve: the answer under the
+        /// default `SolverChoice::ReducedSpace`, the full-space solver's
+        /// warm start under `SolverChoice::FullSpace`.
         ReducedSpace => "reduced_space",
-        /// Building a `Resolver`: the sizing problem and its incremental
-        /// SSTA engine.
+        /// Building a `Resolver`: its incremental SSTA engine.
         BuildProblem => "build_problem",
-        /// The augmented-Lagrangian optimisation itself.
+        /// The augmented-Lagrangian optimisation of
+        /// `SolverChoice::FullSpace`, building its problem included.
         Auglag => "auglag",
         /// Inner trust-region solves inside `auglag`.
         InnerTr => "inner_tr",
-        /// Scoring the cold solve's candidates on the incremental engine.
+        /// Scoring a solve's candidates on the incremental engine.
         Evaluate => "evaluate",
-        /// Greedy fallback inside a cold solve.
-        GreedyFallback => "greedy_fallback",
         /// Standalone static-analyzer run.
         Analyze => "analyze",
         /// Analyzer stage 1: structural netlist lints.
@@ -286,9 +284,7 @@ impl Phase {
             | Phase::Emit
             | Phase::Sweep => None,
             Phase::SweepPoint => Some(Phase::Sweep),
-            Phase::ReducedSpace | Phase::Auglag | Phase::Evaluate | Phase::GreedyFallback => {
-                Some(Phase::Solve)
-            }
+            Phase::ReducedSpace | Phase::Auglag | Phase::Evaluate => Some(Phase::Solve),
             Phase::InnerTr => Some(Phase::Auglag),
             Phase::AnalyzeLints | Phase::AnalyzeIntervals | Phase::AnalyzeDerivatives => {
                 Some(Phase::Analyze)

@@ -109,7 +109,7 @@ fn debug_trace_export_is_valid_chrome_trace_with_solver_spans() {
     );
     // The solver's own phase spans propagated through the session worker
     // into this request's tree.
-    for name in ["\"handle\"", "\"solve\"", "\"auglag\""] {
+    for name in ["\"handle\"", "\"solve\"", "\"reduced_space\""] {
         assert!(
             resp.body.contains(name),
             "export should contain a {name} span: {}",

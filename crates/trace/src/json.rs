@@ -57,10 +57,6 @@ pub fn to_json(event: &TraceEvent) -> String {
             }
             s.push(']');
         }
-        TraceEvent::Restart { attempt, reason } => {
-            field_usize(&mut s, "attempt", *attempt);
-            field_str(&mut s, "reason", reason);
-        }
         TraceEvent::SolveDone(r) => {
             field_str(&mut s, "status", &r.status);
             field_f64(&mut s, "objective", r.objective);
@@ -510,10 +506,6 @@ mod tests {
                 detail: "objective is NaN".into(),
                 x: vec![1.0, f64::NAN, f64::INFINITY],
             },
-            TraceEvent::Restart {
-                attempt: 1,
-                reason: "perturbed restart after divergence".into(),
-            },
             TraceEvent::WhatIfQuery {
                 query: 4,
                 gates_recomputed: 11,
@@ -597,13 +589,14 @@ mod tests {
 
     #[test]
     fn string_escaping_round_trips() {
-        let line = to_json(&TraceEvent::Restart {
-            attempt: 0,
-            reason: "quote \" backslash \\ newline \n tab \t done".into(),
+        let line = to_json(&TraceEvent::Diverged {
+            outer: 0,
+            detail: "quote \" backslash \\ newline \n tab \t done".into(),
+            x: Vec::new(),
         });
         let v = parse_json(&line).unwrap();
         assert_eq!(
-            v.get("reason").and_then(Json::as_str),
+            v.get("detail").and_then(Json::as_str),
             Some("quote \" backslash \\ newline \n tab \t done")
         );
     }

@@ -1,10 +1,12 @@
 //! Structured solver observability with pluggable sinks.
 //!
-//! The optimisation stack (`sgs-nlp::auglag`, `sgs-core::sizer`,
-//! `sgs-ssta`) reports its progress as typed [`TraceEvent`]s — one
-//! convergence record per augmented-Lagrangian outer iteration, one
-//! [`TraceEvent::PhaseSpan`] per instrumented wall-clock phase, counters,
-//! divergence/restart records, and a final machine-readable run report —
+//! The optimisation stack (`sgs-nlp::auglag`, `sgs-core::reduced`,
+//! `sgs-core::resolve`, `sgs-ssta`) reports its progress as typed
+//! [`TraceEvent`]s — one convergence record per outer iteration (an
+//! augmented-Lagrangian outer iteration or a reduced-space multiplier
+//! round), one [`TraceEvent::PhaseSpan`] per instrumented wall-clock
+//! phase, counters, divergence records, and a final machine-readable run
+//! report —
 //! delivered to a caller-supplied [`TraceSink`]:
 //!
 //! - [`NopSink`]: the default. Reports itself as disabled, so every event
@@ -166,13 +168,6 @@ pub enum TraceEvent {
         /// The offending iterate.
         x: Vec<f64>,
     },
-    /// A multi-start restart or fallback decision by the sizing driver.
-    Restart {
-        /// Attempt number (1-based; 0 is the original attempt).
-        attempt: usize,
-        /// Strategy (`"perturbed"`, `"greedy_fallback"`) and reason.
-        reason: String,
-    },
     /// Final record of a solver invocation.
     SolveDone(SolveRecord),
     /// One incremental what-if query served by the `what_if` bench bin.
@@ -221,7 +216,6 @@ impl TraceEvent {
             TraceEvent::PhaseSpan { .. } => "phase_span",
             TraceEvent::Counter { .. } => "counter",
             TraceEvent::Diverged { .. } => "diverged",
-            TraceEvent::Restart { .. } => "restart",
             TraceEvent::SolveDone(_) => "solve_done",
             TraceEvent::WhatIfQuery { .. } => "what_if_query",
             TraceEvent::ServeRequest { .. } => "serve_request",

@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run -p sgs-core --example robust_sizing --release`.
 
-use sgs_core::{Objective, Sizer, SolverChoice};
+use sgs_core::{Objective, Sizer};
 use sgs_netlist::generate::RandomDagSpec;
 use sgs_netlist::{generate, Library};
 use sgs_ssta::{monte_carlo, sta_deterministic, McOptions};
@@ -34,11 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mean_sized = Sizer::new(&circuit, &lib)
         .objective(Objective::MeanDelay)
-        .solver(SolverChoice::ReducedSpace)
         .solve()?;
     let robust_sized = Sizer::new(&circuit, &lib)
         .objective(Objective::MeanPlusKSigma(3.0))
-        .solver(SolverChoice::ReducedSpace)
         .solve()?;
 
     let mc_opts = McOptions {

@@ -18,7 +18,7 @@
 //! The registry is process-global, so every test here serialises on one
 //! mutex (the same discipline as the `sgs-metrics` unit tests).
 
-use sgs_core::{DelaySpec, Objective, Sizer, SolverChoice};
+use sgs_core::{DelaySpec, Objective, SizeError, Sizer, SolverChoice};
 use sgs_metrics::{Counter, Gauge, Metadata, Snapshot};
 use sgs_netlist::generate::{self, RandomDagSpec};
 use sgs_netlist::{blif, Circuit, Library};
@@ -236,6 +236,41 @@ fn cold_rows_take_at_most_half_the_seed_calls_of_lbfgs() {
     assert!(
         calls <= 5_793 / 2,
         "{calls} seed calls, {iterations} Newton iterations"
+    );
+}
+
+/// The sweep's probe below rdag40's minimum delay: a warm re-solve at
+/// d = 15.74 fails on the seed alone, with no full-space work, and leaves
+/// the warm state to the last accepted answer.
+#[test]
+fn infeasible_warm_resolve_fails_without_full_space_work() {
+    let _g = LOCK.lock().unwrap();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
+    let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
+    let c = blif::parse(&text).expect("rdag40.blif parses");
+    let lb = lib();
+    let mut r = Sizer::new(&c, &lb)
+        .objective(Objective::Area)
+        .delay_spec(DelaySpec::MaxMean(17.0))
+        .resolver();
+    let held = r.solve().expect("17.0 is feasible").result;
+    sgs_metrics::reset();
+    sgs_metrics::enable();
+    let err = r.resolve_spec(15.74);
+    let get = sgs_metrics::counter_value;
+    let (cg, solves) = (get(Counter::NlpCgIterations), get(Counter::NlpSolves));
+    sgs_metrics::disable();
+    assert!(
+        matches!(err, Err(SizeError::SolverFailed { .. })),
+        "{err:?}"
+    );
+    assert_eq!((cg, solves), (0, 0), "CG iterations and NLP solves");
+    let again = r.resolve_spec(17.0).expect("17.0 is feasible").result;
+    assert!(
+        (again.area - held.area).abs() <= 1e-6 * held.area,
+        "{} against {}",
+        again.area,
+        held.area
     );
 }
 
