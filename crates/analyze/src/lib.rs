@@ -58,7 +58,9 @@
 //! most a **Warning**. Only Errors block a denying [`AnalyzerGate`].
 
 use sgs_core::{DelaySpec, Objective, Preflight};
+use sgs_metrics::Phase;
 use sgs_netlist::{blif, Circuit, Library, NetlistError};
+use sgs_trace::Tracer;
 use std::fmt;
 
 pub mod stage1;
@@ -301,7 +303,8 @@ impl Default for AnalyzerOptions {
     }
 }
 
-/// Runs all enabled stages over an already-elaborated circuit.
+/// Runs all enabled stages over an already-elaborated circuit, timing
+/// the run and each stage as phases to `tracer`.
 ///
 /// Stage 2 and stage 3 build the same [`sgs_core::SizingProblem`] the
 /// solver would, so constraint indices in the diagnostics match the
@@ -312,12 +315,13 @@ pub fn analyze(
     objective: &Objective,
     delay_spec: &DelaySpec,
     opts: &AnalyzerOptions,
+    tracer: Tracer<'_>,
 ) -> Report {
-    let _phase = sgs_metrics::phase(sgs_metrics::Phase::Analyze);
+    let _phase = sgs_metrics::phase(tracer, Phase::Analyze);
     sgs_metrics::incr(sgs_metrics::Counter::AnalyzeRuns);
     let mut report = Report::default();
     if opts.structural {
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::AnalyzeLints);
+        let _ph = sgs_metrics::phase(tracer, Phase::AnalyzeLints);
         report.extend(stage1::circuit_lints(circuit, lib));
     }
     // A structurally broken library would poison the numeric stages with
@@ -329,11 +333,11 @@ pub fn analyze(
     let problem =
         sgs_core::SizingProblem::build(circuit, lib, objective.clone(), delay_spec.clone());
     if opts.intervals {
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::AnalyzeIntervals);
+        let _ph = sgs_metrics::phase(tracer, Phase::AnalyzeIntervals);
         report.extend(stage2::interval_checks(circuit, lib, &problem, opts));
     }
     if opts.derivatives {
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::AnalyzeDerivatives);
+        let _ph = sgs_metrics::phase(tracer, Phase::AnalyzeDerivatives);
         let nv = sgs_nlp::NlpProblem::num_vars(&problem);
         if nv > opts.max_derivative_vars {
             report.diagnostics.push(Diagnostic {
@@ -368,13 +372,15 @@ fn record_findings(report: &Report) {
 
 /// Runs the analyzer over raw BLIF text: the tolerant stage-1 scanner
 /// first (it reports *all* structural issues, not just the first), then —
-/// if the netlist elaborates — the circuit-level stages of [`analyze`].
+/// if the netlist elaborates — the circuit-level stages of [`analyze`],
+/// timed to `tracer`.
 pub fn analyze_blif_text(
     text: &str,
     lib: &Library,
     objective: &Objective,
     delay_spec: &DelaySpec,
     opts: &AnalyzerOptions,
+    tracer: Tracer<'_>,
 ) -> Report {
     let mut report = Report::default();
     if opts.structural {
@@ -382,7 +388,7 @@ pub fn analyze_blif_text(
     }
     match blif::parse(text) {
         Ok(circuit) => {
-            let mut inner = analyze(&circuit, lib, objective, delay_spec, opts);
+            let mut inner = analyze(&circuit, lib, objective, delay_spec, opts, tracer);
             report.diagnostics.append(&mut inner.diagnostics);
         }
         Err(err) => {
@@ -443,8 +449,9 @@ impl Preflight for AnalyzerGate {
         lib: &Library,
         objective: &Objective,
         delay_spec: &DelaySpec,
+        tracer: Tracer<'_>,
     ) -> Result<(), String> {
-        let report = analyze(circuit, lib, objective, delay_spec, &self.options);
+        let report = analyze(circuit, lib, objective, delay_spec, &self.options, tracer);
         if self.verbose && !report.diagnostics.is_empty() {
             eprintln!("{report}");
         }

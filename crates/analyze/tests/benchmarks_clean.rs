@@ -5,6 +5,7 @@
 use sgs_analyze::{analyze, analyze_blif_text, AnalyzerOptions};
 use sgs_core::{DelaySpec, Objective};
 use sgs_netlist::{generate, Library};
+use sgs_trace::Tracer;
 
 fn opts() -> AnalyzerOptions {
     AnalyzerOptions::default()
@@ -27,6 +28,7 @@ fn committed_blif_benchmarks_are_clean() {
             &Objective::MeanPlusKSigma(3.0),
             &DelaySpec::None,
             &opts(),
+            Tracer::none(),
         );
         assert!(
             report.is_clean(),
@@ -57,6 +59,7 @@ fn generated_paper_circuits_are_clean() {
                 &Objective::MeanPlusKSigma(3.0),
                 &spec,
                 &opts(),
+                Tracer::none(),
             );
             assert!(
                 report.is_clean(),

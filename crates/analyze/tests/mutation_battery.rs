@@ -14,6 +14,7 @@ use sgs_analyze::{analyze, AnalyzerOptions, Diagnostic, Severity};
 use sgs_core::{DelaySpec, Objective, SizingProblem};
 use sgs_netlist::{generate, Library};
 use sgs_nlp::NlpProblem;
+use sgs_trace::Tracer;
 
 fn lib() -> Library {
     Library::paper_default()
@@ -92,6 +93,7 @@ fn uncorrupted_kernels_certify_clean_end_to_end() {
         &Objective::MeanPlusKSigma(3.0),
         &DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 60.0 },
         &AnalyzerOptions::default(),
+        Tracer::none(),
     );
     assert!(report.is_clean(), "{report}");
     for d in &report.diagnostics {

@@ -6,6 +6,7 @@
 use sgs_analyze::AnalyzerGate;
 use sgs_core::{DelaySpec, Objective, Preflight, SizeError, Sizer};
 use sgs_netlist::{generate, Library};
+use sgs_trace::Tracer;
 
 #[test]
 fn denying_gate_blocks_broken_library() {
@@ -67,6 +68,7 @@ fn gate_check_surfaces_error_summary_directly() {
             &lib,
             &Objective::Area,
             &DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 10.0 },
+            Tracer::none(),
         )
         .unwrap_err();
     assert!(err.contains("error"), "{err}");

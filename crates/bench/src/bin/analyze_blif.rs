@@ -151,6 +151,7 @@ fn main() -> ExitCode {
     }
 
     let lib = Library::paper_default();
+    let tracer = bench.trace().tracer();
     let mut errors = 0usize;
     for target in &targets {
         let report = if std::path::Path::new(target).is_file() {
@@ -161,9 +162,9 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            analyze_blif_text(&text, &lib, &objective, &spec, &opts)
+            analyze_blif_text(&text, &lib, &objective, &spec, &opts, tracer)
         } else if let Some(circuit) = generated(target) {
-            analyze(&circuit, &lib, &objective, &spec, &opts)
+            analyze(&circuit, &lib, &objective, &spec, &opts, tracer)
         } else {
             eprintln!("analyze_blif: {target}: no such file or generated circuit");
             return usage();

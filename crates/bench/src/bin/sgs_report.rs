@@ -2,7 +2,7 @@
 //! snapshots.
 //!
 //! ```text
-//! sgs_report render <metrics.json> [--trace run.jsonl]
+//! sgs_report render <metrics.json>
 //! sgs_report lint <metrics.json>...
 //! sgs_report timeline <run.jsonl> [--out FILE]
 //! sgs_report timeline-lint <chrome.json> [--min-coverage=F]
@@ -10,9 +10,7 @@
 //!
 //! `render` prints the human-readable run report: provenance header,
 //! hierarchical phase profile (total/self wall-clock per phase), latency
-//! histogram tables and the counter/gauge summary; `--trace` additionally
-//! aggregates the phase spans of a `--trace` JSONL file for
-//! cross-checking the in-process profile against the trace's view.
+//! histogram tables and the counter/gauge summary.
 //!
 //! `lint` validates snapshot files structurally (schema version, bucket
 //! sums, quantile ordering, phase-parent closure) the way `trace_lint`
@@ -30,7 +28,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: sgs_report render <metrics.json> [--trace run.jsonl]\n\
+        "usage: sgs_report render <metrics.json>\n\
          \x20      sgs_report lint <metrics.json>...\n\
          \x20      sgs_report timeline <run.jsonl> [--out FILE]\n\
          \x20      sgs_report timeline-lint <chrome.json> [--min-coverage=F]"
@@ -44,54 +42,22 @@ fn load(path: &str) -> Result<Snapshot, String> {
 }
 
 fn render(args: &[String]) -> ExitCode {
-    let mut snapshot_path: Option<&str> = None;
-    let mut trace_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if let Some(p) = arg.strip_prefix("--trace=") {
-            trace_path = Some(p.to_string());
-        } else if arg == "--trace" {
-            match it.next() {
-                Some(p) => trace_path = Some(p.clone()),
-                None => return usage(),
-            }
-        } else if arg.starts_with("--") || snapshot_path.is_some() {
-            return usage();
-        } else {
-            snapshot_path = Some(arg);
-        }
-    }
-    let Some(path) = snapshot_path else {
+    let [path] = args else {
         return usage();
     };
-    let snap = match load(path) {
-        Ok(s) => s,
+    if path.starts_with("--") {
+        return usage();
+    }
+    match load(path) {
+        Ok(snap) => {
+            print!("{}", sgs_metrics::report::render(&snap));
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("sgs_report: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let spans = match &trace_path {
-        Some(p) => {
-            let text = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("sgs_report: cannot read {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match sgs_metrics::report::aggregate_trace_spans(&text) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("sgs_report: {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
-    print!("{}", sgs_metrics::report::render(&snap, spans.as_ref()));
-    ExitCode::SUCCESS
+    }
 }
 
 fn lint(args: &[String]) -> ExitCode {

@@ -17,6 +17,7 @@
 
 use sgs_bench::BenchArgs;
 use sgs_core::{DelaySpec, Objective, Sizer, SolverChoice};
+use sgs_metrics::Phase;
 use sgs_netlist::{blif, Library};
 use std::process::ExitCode;
 
@@ -103,7 +104,7 @@ fn main() -> ExitCode {
     }
 
     let circuit = {
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::Load);
+        let _ph = sgs_metrics::phase(trace.tracer(), Phase::Load);
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -127,7 +128,7 @@ fn main() -> ExitCode {
     let lib = Library::paper_default();
     println!("{circuit}");
     {
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::Baseline);
+        let _ph = sgs_metrics::phase(trace.tracer(), Phase::Baseline);
         let unit_speeds = vec![1.0; circuit.num_gates()];
         let baseline = sgs_ssta::ssta(&circuit, &lib, &unit_speeds);
         println!(
@@ -182,7 +183,7 @@ fn main() -> ExitCode {
     );
 
     if let Some(out) = out {
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::Emit);
+        let _ph = sgs_metrics::phase(trace.tracer(), Phase::Emit);
         let mut body = String::from("# gate\tspeed_factor\n");
         for ((_, gate), s) in circuit.gates().zip(&result.s) {
             body.push_str(&format!("{}\t{:.6}\n", gate.name, s));

@@ -16,7 +16,7 @@ use std::time::Instant;
 use sgs_bench::BenchArgs;
 use sgs_core::{Objective, Sizer};
 use sgs_netlist::{generate, Library};
-use sgs_ssta::{monte_carlo, monte_carlo_traced, ssta, McOptions};
+use sgs_ssta::{monte_carlo, ssta, McOptions};
 use sgs_statmath::{clark, mc, Normal};
 
 fn main() {
@@ -109,7 +109,7 @@ fn main() {
     }
     let r = sizer.solve().expect("tree sizing converges");
     let t0 = Instant::now();
-    let m = monte_carlo_traced(
+    let m = monte_carlo(
         &c,
         &lib,
         &r.s,
@@ -119,7 +119,6 @@ fn main() {
             criticality: false,
             ..Default::default()
         },
-        trace.tracer(),
     );
     println!(
         "(200k trials in {:.1} ms)",

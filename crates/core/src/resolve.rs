@@ -28,13 +28,15 @@
 //! the multipliers `λ = 2wθ` carry over and a re-solve at an unchanged
 //! spec is a fixed point. The answer becomes the warm state and
 //! [`SizingResult::source`] names it. A failed solve leaves the warm
-//! state untouched. The stages' spans tile [`SizingResult::seconds`].
+//! state untouched. A solve is one `solve` phase whose seconds are
+//! [`SizingResult::seconds`], tiled by its stages' phases.
 //! [`Resolver::what_if`] evaluates an edit without solving.
 
 use crate::problem::SizingProblem;
 use crate::reduced::{Multipliers, ReducedResult};
 use crate::sizer::{self, AnswerSource, SizeError, Sizer, SizingResult, SolverChoice};
 use crate::spec::{DelaySpec, Objective};
+use sgs_metrics::Phase;
 use sgs_netlist::{Circuit, GateId, Library};
 use sgs_nlp::auglag::{self, SolveResult, SolveStatus};
 use sgs_nlp::{EvalCounts, NlpProblem};
@@ -141,8 +143,7 @@ impl<'a> Resolver<'a> {
     /// (all ones unless [`Sizer::initial_s`]).
     pub(crate) fn configured(config: Sizer<'a>) -> Self {
         let clamps_before = sgs_statmath::clark::var_clamp_count();
-        let _sp = config.tracer().span("build_problem");
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::BuildProblem);
+        let _ph = sgs_metrics::phase(config.tracer(), Phase::BuildProblem);
         let arrivals = config.input_arrivals.as_deref();
         let s0 = (config.s0.clone()).unwrap_or_else(|| vec![1.0; config.circuit.num_gates()]);
         let inc = IncrementalSsta::with_arrivals(config.circuit, config.lib, &s0, arrivals);
@@ -332,15 +333,17 @@ impl<'a> Resolver<'a> {
         pre_recomputed: usize,
         req: Option<&RequestContext>,
     ) -> Result<ResolveOutcome, SizeError> {
-        let start = Instant::now();
-        let _solve_phase = sgs_metrics::phase(sgs_metrics::Phase::Solve);
         sgs_metrics::incr(sgs_metrics::Counter::ResolveSolves);
         let tracer = self.config.tracer().attach(req);
         let clamps_before = sgs_statmath::clark::var_clamp_count()
             .saturating_sub(std::mem::take(&mut self.unreported_clamps));
         let mut gates_recomputed = pre_recomputed;
+        let start = Instant::now();
         let mut clock = start;
-        let solved = self.pipeline(from_engine, tracer, &mut clock, &mut gates_recomputed);
+        let solved = sgs_metrics::stage(tracer, Phase::Solve, &mut clock, || {
+            let mut at = start;
+            self.pipeline(from_engine, tracer, &mut at, &mut gates_recomputed)
+        });
         let seconds = clock.duration_since(start).as_secs_f64();
         tracer.emit(|| TraceEvent::Counter {
             name: "gates_recomputed",
@@ -392,13 +395,12 @@ impl<'a> Resolver<'a> {
         };
         let full_space = self.config.solver == SolverChoice::FullSpace;
         let seed_tracer = if full_space { Tracer::none() } else { tracer };
-        let red = tracer.stage("reduced_space", clock, || {
+        let red = sgs_metrics::stage(tracer, Phase::ReducedSpace, clock, || {
             self.config
                 .reduced_seed(s0, warm.map(|w| &w.multipliers), seed_tracer)
         });
         let al = full_space.then(|| self.full_space(&red.s, tracer, clock));
-        let picked = tracer.stage("evaluate", clock, || {
-            let _ph = sgs_metrics::phase(sgs_metrics::Phase::Evaluate);
+        let picked = sgs_metrics::stage(tracer, Phase::Evaluate, clock, || {
             self.pick(&red, al, gates)
         })?;
         sgs_metrics::incr(match picked.source {
@@ -423,8 +425,7 @@ impl<'a> Resolver<'a> {
         tracer: Tracer<'_>,
         clock: &mut Instant,
     ) -> (SolveResult, Vec<f64>) {
-        tracer.stage("auglag", clock, || {
-            let _ph = sgs_metrics::phase(sgs_metrics::Phase::Auglag);
+        sgs_metrics::stage(tracer, Phase::Auglag, clock, || {
             let c = &self.config;
             let problem = SizingProblem::build_with_arrivals(
                 c.circuit,

@@ -72,7 +72,8 @@ impl Error for SizeError {}
 /// failing check aborts [`Sizer::solve`] with
 /// [`SizeError::PreflightFailed`] and costs no solver iterations.
 pub trait Preflight {
-    /// Checks the exact task the sizer is about to run. `Err` carries a
+    /// Checks the exact task the sizer is about to run, timing its
+    /// phases to `tracer` (the sizer's own). `Err` carries a
     /// human-readable summary of the blocking findings.
     ///
     /// # Errors
@@ -85,6 +86,7 @@ pub trait Preflight {
         lib: &Library,
         objective: &Objective,
         delay_spec: &DelaySpec,
+        tracer: Tracer<'_>,
     ) -> Result<(), String>;
 }
 
@@ -241,9 +243,11 @@ impl<'a> Sizer<'a> {
         self
     }
 
-    /// Attaches a trace sink. The solve then emits phase spans
-    /// (`build_problem` when the resolver is built, then `reduced_space`,
-    /// `evaluate`, and `auglag` under [`SolverChoice::FullSpace`]), one
+    /// Attaches a trace sink. The solve then emits phase spans (the
+    /// gate's `analyze` and its stages under [`Sizer::preflight`],
+    /// `build_problem` when the resolver is built, then `solve` around
+    /// `reduced_space`, `evaluate`, and under [`SolverChoice::FullSpace`]
+    /// `auglag` with one `inner_tr` per outer iteration), one
     /// outer-iteration record per round of the reporting solver (the
     /// seed's multiplier loop, or the AL) and its `solve_done` record,
     /// and the AL's divergence events. The default is no sink, which
@@ -313,13 +317,17 @@ impl<'a> Sizer<'a> {
     pub fn solve(&self) -> Result<SizingResult, SizeError> {
         sgs_metrics::incr(sgs_metrics::Counter::SizerSolves);
         if let Some(gate) = self.preflight {
-            let _sp = self.tracer().span("preflight");
-            let _ph = sgs_metrics::phase(sgs_metrics::Phase::Preflight);
-            gate.check(self.circuit, self.lib, &self.objective, &self.delay_spec)
-                .map_err(|summary| {
-                    sgs_metrics::incr(sgs_metrics::Counter::SizerPreflightRejections);
-                    SizeError::PreflightFailed { summary }
-                })?;
+            gate.check(
+                self.circuit,
+                self.lib,
+                &self.objective,
+                &self.delay_spec,
+                self.tracer(),
+            )
+            .map_err(|summary| {
+                sgs_metrics::incr(sgs_metrics::Counter::SizerPreflightRejections);
+                SizeError::PreflightFailed { summary }
+            })?;
         }
         Ok(self.clone().resolver().solve()?.result)
     }
@@ -334,7 +342,6 @@ impl<'a> Sizer<'a> {
         start: Option<&Multipliers>,
         tracer: Tracer<'_>,
     ) -> ReducedResult {
-        let _ph = sgs_metrics::phase(sgs_metrics::Phase::ReducedSpace);
         reduced::solve_reduced_with_arrivals(
             self.circuit,
             self.lib,

@@ -24,8 +24,8 @@
 //!
 //! Every traced point carries provenance — warm/cold/cache, outer
 //! iterations, eval counts, Clark clamp counts, wall-clock seconds — and
-//! the whole walk is wrapped in the `sweep` / `sweep_point` metric phases,
-//! so a `--metrics` snapshot breaks the cost down per point and
+//! its seconds feed the `sweep_point_seconds` histogram, so a `--metrics`
+//! snapshot breaks the cost down per point, and
 //! `tests/sweep_contracts.rs` pins the counts of a whole rdag40 scenario.
 //!
 //! # Warm-vs-cold equivalence contract (two tiers)
@@ -530,7 +530,6 @@ impl<'a> SweepEngine<'a> {
     /// deadline to be infeasible against).
     pub fn k_sweep(&self, ks: &[f64]) -> Result<Vec<KPoint>, SizeError> {
         assert!(!ks.is_empty(), "k_sweep needs at least one k");
-        let _sweep = sgs_metrics::phase(sgs_metrics::Phase::Sweep);
         let mut resolver = Sizer::new(self.circuit, self.lib)
             .objective(Objective::MeanPlusKSigma(ks[0]))
             .resolver();
@@ -549,15 +548,16 @@ impl<'a> SweepEngine<'a> {
                     continue;
                 }
             }
-            let _point = sgs_metrics::phase(sgs_metrics::Phase::SweepPoint);
-            let _timer = sgs_metrics::time_hist(sgs_metrics::HistId::SweepPointSeconds);
             sgs_metrics::incr(sgs_metrics::Counter::SweepPoints);
             let start = Instant::now();
             let out = if i == 0 {
-                resolver.solve()?
+                resolver.solve()
             } else {
-                resolver.resolve_objective_k(k)?
+                resolver.resolve_objective_k(k)
             };
+            let seconds = start.elapsed().as_secs_f64();
+            sgs_metrics::observe(sgs_metrics::HistId::SweepPointSeconds, seconds);
+            let out = out?;
             if out.warm_start_hit {
                 sgs_metrics::incr(sgs_metrics::Counter::SweepWarmHits);
             }
@@ -571,7 +571,7 @@ impl<'a> SweepEngine<'a> {
                 area: out.result.area,
                 objective: out.result.objective,
                 outer_iterations: out.result.outer_iterations,
-                seconds: start.elapsed().as_secs_f64(),
+                seconds,
             });
         }
         Ok(points)
@@ -595,7 +595,6 @@ impl<'a> SweepEngine<'a> {
             !corners.is_empty(),
             "corner_frontier needs at least one corner"
         );
-        let _sweep = sgs_metrics::phase(sgs_metrics::Phase::Sweep);
         // Scale the libraries and derive each corner's bounds in
         // parallel (each needs a min-delay anchor solve).
         type CornerPrep = Result<(Library, (f64, f64)), SizeError>;
@@ -650,7 +649,6 @@ impl<'a> SweepEngine<'a> {
         for &d in deadlines {
             assert!(d.is_finite(), "sweep deadline must be finite, got {d}");
         }
-        let _sweep = sgs_metrics::phase(sgs_metrics::Phase::Sweep);
         let mut resolver = Sizer::new(self.circuit, lib)
             .objective(self.objective.clone())
             .delay_spec(self.spec_for(deadlines[0]))
@@ -733,8 +731,6 @@ impl<'a> SweepEngine<'a> {
         first: bool,
         refined: bool,
     ) -> FrontierPoint {
-        let _point = sgs_metrics::phase(sgs_metrics::Phase::SweepPoint);
-        let _timer = sgs_metrics::time_hist(sgs_metrics::HistId::SweepPointSeconds);
         sgs_metrics::incr(sgs_metrics::Counter::SweepPoints);
         if refined {
             sgs_metrics::incr(sgs_metrics::Counter::SweepRefinements);
@@ -745,22 +741,18 @@ impl<'a> SweepEngine<'a> {
         } else {
             resolver.resolve_spec(d)
         };
+        let seconds = start.elapsed().as_secs_f64();
+        sgs_metrics::observe(sgs_metrics::HistId::SweepPointSeconds, seconds);
         match outcome {
             Ok(out) => {
                 if out.warm_start_hit {
                     sgs_metrics::incr(sgs_metrics::Counter::SweepWarmHits);
                 }
-                FrontierPoint::from_result(
-                    d,
-                    &out.result,
-                    out.warm_start_hit,
-                    refined,
-                    start.elapsed().as_secs_f64(),
-                )
+                FrontierPoint::from_result(d, &out.result, out.warm_start_hit, refined, seconds)
             }
             Err(_) => {
                 sgs_metrics::incr(sgs_metrics::Counter::SweepInfeasible);
-                FrontierPoint::infeasible(d, refined, start.elapsed().as_secs_f64())
+                FrontierPoint::infeasible(d, refined, seconds)
             }
         }
     }
@@ -968,9 +960,20 @@ mod tests {
         assert!(counter("sweep_infeasible_points") >= 1, "probe must count");
         let refined = f.points.iter().filter(|p| p.refined).count() as u64;
         assert_eq!(counter("sweep_refinements"), refined);
+        // The histogram observes each solved point's own seconds.
+        let solved: Vec<f64> = f
+            .points
+            .iter()
+            .filter(|p| !p.cache_hit)
+            .map(|p| p.seconds)
+            .collect();
+        let h = &snap.hists["sweep_point_seconds"];
+        assert_eq!(h.count, solved.len() as u64);
+        let total: f64 = solved.iter().sum();
         assert!(
-            snap.phases.contains_key("sweep") && snap.phases.contains_key("sweep_point"),
-            "sweep phases missing from snapshot"
+            (h.sum - total).abs() <= 1e-9 * total,
+            "{} against {total}",
+            h.sum
         );
     }
 }

@@ -10,9 +10,10 @@
 //! Design rules:
 //!
 //! - **Disabled by default, one relaxed load to stay that way.** Every
-//!   hot-path entry point ([`add`], [`observe`], [`set_gauge`], [`phase`],
-//!   [`time_hist`]) checks a single `AtomicBool` and returns; the disabled
-//!   path reads no clock, takes no lock and allocates nothing
+//!   hot-path entry point ([`add`], [`observe`], [`set_gauge`],
+//!   [`time_hist`]) checks a single `AtomicBool` and returns ([`phase`]
+//!   also asks its tracer); the disabled path reads no clock, takes no
+//!   lock and allocates nothing
 //!   (`tests/alloc_disabled.rs` pins this with a counting global
 //!   allocator). Instrumented solver code therefore never changes
 //!   behaviour or numerics — metrics only *observe*.
@@ -42,6 +43,8 @@ pub mod window;
 pub use hist::{HistSnapshot, Histogram};
 pub use snapshot::{Metadata, PhaseSnap, Snapshot, SCHEMA_VERSION};
 
+use sgs_trace::request::OpenSpan;
+use sgs_trace::{RequestContext, TraceEvent, Tracer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -228,18 +231,18 @@ metric_enum! {
 metric_enum! {
     /// Hierarchical wall-clock profile phases.
     ///
-    /// Names deliberately match the `sgs-trace` phase-span names where a
-    /// span already exists, so trace JSONL and metrics snapshots agree.
+    /// Each phase is timed by one guard ([`phase`] or [`stage`]) that
+    /// feeds the registry, the trace's `phase_span` events and the request
+    /// timeline under this name, so the three views agree by construction.
     Phase {
         /// Circuit/library loading (binary-level).
         Load => "load",
         /// Unsized baseline SSTA and its reporting (binary-level).
         Baseline => "baseline",
         /// One sizing solve: a `Resolver` cold solve (which is what
-        /// `Sizer::solve` runs) or warm re-solve, or a reduced-space run.
+        /// `Sizer::solve` runs) or warm re-solve. Its seconds are the
+        /// `SizingResult::seconds` of the solves it timed.
         Solve => "solve",
-        /// `Sizer::solve`'s pre-solve analyzer gate.
-        Preflight => "preflight",
         /// The reduced-space seed inside a solve: the answer under the
         /// default `SolverChoice::ReducedSpace`, the full-space solver's
         /// warm start under `SolverChoice::FullSpace`.
@@ -253,7 +256,8 @@ metric_enum! {
         InnerTr => "inner_tr",
         /// Scoring a solve's candidates on the incremental engine.
         Evaluate => "evaluate",
-        /// Standalone static-analyzer run.
+        /// One static-analyzer run, standalone or as `Sizer::solve`'s
+        /// pre-solve gate.
         Analyze => "analyze",
         /// Analyzer stage 1: structural netlist lints.
         AnalyzeLints => "analyze_lints",
@@ -263,10 +267,6 @@ metric_enum! {
         AnalyzeDerivatives => "analyze_derivatives",
         /// Output emission: tables, reports, snapshot files (binary-level).
         Emit => "emit",
-        /// One whole `SweepEngine` frontier/k/corner sweep.
-        Sweep => "sweep",
-        /// One frontier point inside `sweep` (warm re-solve + scoring).
-        SweepPoint => "sweep_point",
     }
 }
 
@@ -277,13 +277,10 @@ impl Phase {
         match self {
             Phase::Load
             | Phase::Baseline
-            | Phase::Preflight
             | Phase::BuildProblem
             | Phase::Solve
             | Phase::Analyze
-            | Phase::Emit
-            | Phase::Sweep => None,
-            Phase::SweepPoint => Some(Phase::Sweep),
+            | Phase::Emit => None,
             Phase::ReducedSpace | Phase::Auglag | Phase::Evaluate => Some(Phase::Solve),
             Phase::InnerTr => Some(Phase::Auglag),
             Phase::AnalyzeLints | Phase::AnalyzeIntervals | Phase::AnalyzeDerivatives => {
@@ -390,34 +387,80 @@ pub fn hist_snapshot(h: HistId) -> HistSnapshot {
     HISTS[h as usize].snapshot(h.name())
 }
 
-/// RAII guard accumulating wall-clock time into a [`Phase`].
+/// RAII guard timing one [`Phase`] into every view that is on.
 ///
-/// Created by [`phase`]; on the disabled path it holds no start time and
-/// its drop is free — no clock is ever read.
+/// Created by [`phase`] or [`stage`]. From one pair of clock readings it
+/// adds to the registry when that is enabled and emits a
+/// [`TraceEvent::PhaseSpan`] when the tracer's sink is; it also opens and
+/// closes the phase's span in the tracer's request context, if any. With
+/// all three off it reads no clock, and neither it nor its drop
+/// allocates.
 #[must_use = "a phase guard records time only when it is dropped"]
-pub struct PhaseGuard {
+pub struct PhaseGuard<'a> {
     id: Phase,
+    tracer: Tracer<'a>,
+    metered: bool,
     start: Option<Instant>,
+    open: Option<(&'a RequestContext, OpenSpan)>,
 }
 
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            PHASE_NANOS[self.id as usize].fetch_add(nanos, Ordering::Relaxed);
-            PHASE_COUNTS[self.id as usize].fetch_add(1, Ordering::Relaxed);
+impl<'a> PhaseGuard<'a> {
+    fn begin(tracer: Tracer<'a>, id: Phase, start: impl FnOnce() -> Instant) -> Self {
+        let metered = enabled();
+        let open = tracer.request().map(|ctx| (ctx, ctx.open(id.name())));
+        PhaseGuard {
+            id,
+            tracer,
+            metered,
+            start: (metered || tracer.enabled()).then(start),
+            open,
+        }
+    }
+
+    /// Records the phase as ending at `end` (once).
+    fn end(&mut self, end: impl FnOnce() -> Instant) {
+        if let Some(start) = self.start.take() {
+            let elapsed = end().duration_since(start);
+            if self.metered {
+                let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+                PHASE_NANOS[self.id as usize].fetch_add(nanos, Ordering::Relaxed);
+                PHASE_COUNTS[self.id as usize].fetch_add(1, Ordering::Relaxed);
+            }
+            let (phase, seconds) = (self.id.name(), elapsed.as_secs_f64());
+            self.tracer
+                .emit(|| TraceEvent::PhaseSpan { phase, seconds });
+        }
+        if let Some((ctx, open)) = self.open.take() {
+            ctx.close(open);
         }
     }
 }
 
-/// Starts timing a profile phase; the elapsed wall-clock is accumulated
-/// when the returned guard drops. Free while disabled.
-#[inline]
-pub fn phase(id: Phase) -> PhaseGuard {
-    PhaseGuard {
-        id,
-        start: enabled().then(Instant::now),
+impl Drop for PhaseGuard<'_> {
+    fn drop(&mut self) {
+        self.end(Instant::now);
     }
+}
+
+/// Starts timing a profile phase into the registry, `tracer`'s sink and
+/// its request context (see [`PhaseGuard`]); the phase ends when the
+/// guard drops. Free while all three are off.
+#[inline]
+pub fn phase(tracer: Tracer<'_>, id: Phase) -> PhaseGuard<'_> {
+    PhaseGuard::begin(tracer, id, Instant::now)
+}
+
+/// Runs `f` as phase `id` starting at `*clock` rather than now, then moves
+/// `*clock` to the reading the phase ended at. Stages run through one
+/// clock this way tile its wall clock with no gap between them. The clock
+/// is read even when nothing records the phase.
+pub fn stage<T>(tracer: Tracer<'_>, id: Phase, clock: &mut Instant, f: impl FnOnce() -> T) -> T {
+    let mut guard = PhaseGuard::begin(tracer, id, || *clock);
+    let out = f();
+    let end = Instant::now();
+    guard.end(|| end);
+    *clock = end;
+    out
 }
 
 /// RAII guard recording an elapsed-seconds observation into a histogram.
@@ -520,6 +563,7 @@ pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 mod tests {
     use super::*;
     use crate::TEST_LOCK as LOCK;
+    use sgs_trace::MemorySink;
 
     #[test]
     fn disabled_path_records_nothing() {
@@ -529,7 +573,7 @@ mod tests {
         add(Counter::NlpSolves, 3);
         set_gauge(Gauge::RunSeconds, 1.5);
         observe(HistId::NlpOuterSeconds, 0.25);
-        drop(phase(Phase::Solve));
+        drop(phase(Tracer::none(), Phase::Solve));
         drop(time_hist(HistId::WhatIfSeconds));
         assert_eq!(counter_value(Counter::NlpSolves), 0);
         assert_eq!(gauge_value(Gauge::RunSeconds), 0.0);
@@ -547,7 +591,7 @@ mod tests {
         set_gauge(Gauge::NlpLastCNorm, 1e-9);
         observe(HistId::SstaIncrementalGates, 7.0);
         {
-            let _p = phase(Phase::Auglag);
+            let _p = phase(Tracer::none(), Phase::Auglag);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         assert_eq!(counter_value(Counter::NlpSolves), 3);
@@ -559,6 +603,75 @@ mod tests {
         reset();
         assert_eq!(counter_value(Counter::NlpSolves), 0);
         assert_eq!(phase_count(Phase::Auglag), 0);
+    }
+
+    #[test]
+    fn span_records_elapsed_time() {
+        let _g = LOCK.lock().unwrap();
+        enable();
+        reset();
+        let sink = MemorySink::new();
+        let ctx = RequestContext::new(1);
+        {
+            let _p = phase(Tracer::new(&sink).attach(Some(&ctx)), Phase::Analyze);
+            let _c = phase(Tracer::new(&sink).attach(Some(&ctx)), Phase::AnalyzeLints);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        disable();
+        // One reading pair feeds the registry and the sink.
+        for p in [Phase::Analyze, Phase::AnalyzeLints] {
+            assert_eq!(phase_count(p), 1);
+            assert!(sink.span_seconds(p.name()) >= 0.002);
+            assert!((phase_seconds(p) - sink.span_seconds(p.name())).abs() < 1e-9);
+        }
+        // The request context nests the inner phase under the outer one.
+        let t = ctx.finish("/x", 200, "", "", false);
+        let outer = t.spans.iter().find(|s| s.name == "analyze").unwrap();
+        let inner = t.spans.iter().find(|s| s.name == "analyze_lints").unwrap();
+        assert_eq!((outer.parent, inner.parent), (0, outer.id));
+        reset();
+    }
+
+    #[test]
+    fn stages_tile_their_clock() {
+        let _g = LOCK.lock().unwrap();
+        enable();
+        reset();
+        let sink = MemorySink::new();
+        let t = Tracer::new(&sink);
+        let start = Instant::now();
+        let mut clock = start;
+        assert_eq!(stage(t, Phase::ReducedSpace, &mut clock, || 7), 7);
+        // Time between stages is charged to the next one.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        stage(t, Phase::Evaluate, &mut clock, || ());
+        disable();
+        let total = clock.duration_since(start).as_secs_f64();
+        let spans = sink.span_seconds("reduced_space") + sink.span_seconds("evaluate");
+        let metered = phase_seconds(Phase::ReducedSpace) + phase_seconds(Phase::Evaluate);
+        assert!((spans - total).abs() <= 1e-9, "{spans} of {total}");
+        assert!((metered - total).abs() <= 1e-8, "{metered} of {total}");
+        assert!(sink.span_seconds("evaluate") >= 0.002);
+        reset();
+    }
+
+    #[test]
+    fn disabled_span_records_nothing() {
+        let _g = LOCK.lock().unwrap();
+        disable();
+        reset();
+        // A sink alone records the span without touching the registry.
+        let sink = MemorySink::new();
+        drop(phase(Tracer::new(&sink), Phase::Solve));
+        assert_eq!(sink.len(), 1);
+        assert_eq!(phase_count(Phase::Solve), 0);
+        // With everything off the clock still moves for stages; the
+        // allocation-freeness is proven in tests/alloc_disabled.rs.
+        let mut clock = Instant::now();
+        let before = clock;
+        stage(Tracer::none(), Phase::Solve, &mut clock, || ());
+        assert!(clock >= before);
+        assert_eq!(phase_count(Phase::Solve), 0);
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! Human-readable run reports from a snapshot (plus optional trace
-//! JSONL) — what `sgs_report render` prints.
+//! Human-readable run reports from a snapshot — what `sgs_report render`
+//! prints.
 
 use crate::snapshot::Snapshot;
-use sgs_trace::json::{parse_json, Json};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Renders the full run report: header, phase profile tree, histogram
-/// table, counter/gauge summary, and (when supplied) a per-phase
-/// aggregation of trace JSONL spans.
+/// table and counter/gauge summary.
 #[must_use]
-pub fn render(s: &Snapshot, trace_spans: Option<&BTreeMap<String, (f64, u64)>>) -> String {
+pub fn render(s: &Snapshot) -> String {
     let mut out = String::with_capacity(4096);
     let _ = writeln!(
         out,
@@ -81,14 +78,6 @@ pub fn render(s: &Snapshot, trace_spans: Option<&BTreeMap<String, (f64, u64)>>) 
     for (name, v) in &s.gauges {
         let _ = writeln!(out, "{name:<34} {v}");
     }
-
-    if let Some(spans) = trace_spans {
-        out.push_str("\n## trace spans (aggregated from JSONL)\n\n");
-        let _ = writeln!(out, "{:<34} {:>12} {:>7}", "phase", "seconds", "spans");
-        for (name, (secs, count)) in spans {
-            let _ = writeln!(out, "{name:<34} {secs:>12.6} {count:>7}");
-        }
-    }
     out
 }
 
@@ -117,41 +106,11 @@ fn render_phase(s: &Snapshot, name: &str, depth: usize, out: &mut String) {
     }
 }
 
-/// Aggregates `phase_span` events of a trace JSONL document into
-/// per-phase `(total_seconds, span_count)`.
-///
-/// # Errors
-///
-/// Returns a line-annotated message on malformed JSONL.
-pub fn aggregate_trace_spans(text: &str) -> Result<BTreeMap<String, (f64, u64)>, String> {
-    let mut spans: BTreeMap<String, (f64, u64)> = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if v.get("event").and_then(Json::as_str) != Some("phase_span") {
-            continue;
-        }
-        let phase = v
-            .get("phase")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: phase_span without phase", lineno + 1))?;
-        let seconds = v
-            .get("seconds")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("line {}: phase_span without seconds", lineno + 1))?;
-        let e = spans.entry(phase.to_string()).or_insert((0.0, 0));
-        e.0 += seconds;
-        e.1 += 1;
-    }
-    Ok(spans)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::snapshot::{Metadata, PhaseSnap, SCHEMA_VERSION};
+    use std::collections::BTreeMap;
 
     #[test]
     fn render_produces_tree_and_tables() {
@@ -187,21 +146,9 @@ mod tests {
             hists: BTreeMap::new(),
             phases,
         };
-        let text = render(&s, None);
+        let text = render(&s);
         assert!(text.contains("profile coverage 98.0%"), "{text}");
         assert!(text.contains("  auglag"), "{text}");
         assert!(text.contains("    inner_tr"), "{text}");
-    }
-
-    #[test]
-    fn trace_aggregation_sums_spans() {
-        let jsonl = "\
-{\"event\":\"phase_span\",\"phase\":\"auglag\",\"seconds\":0.5}
-{\"event\":\"phase_span\",\"phase\":\"auglag\",\"seconds\":0.25}
-{\"event\":\"counter\",\"name\":\"x\",\"value\":1}
-";
-        let spans = aggregate_trace_spans(jsonl).unwrap();
-        assert_eq!(spans["auglag"], (0.75, 2));
-        assert!(aggregate_trace_spans("garbage\n").is_err());
     }
 }

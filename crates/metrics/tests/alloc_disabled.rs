@@ -1,7 +1,8 @@
 //! Proof of the overhead policy: the metrics hot path — counters,
-//! gauges, histogram observations, phase guards, histogram timers —
-//! performs **zero** heap allocations, whether the registry is disabled
-//! (the default for every solver run without `--metrics`) or enabled.
+//! gauges, histogram observations, phase guards and stages on a disabled
+//! tracer, histogram timers — performs **zero** heap allocations, whether
+//! the registry is disabled (the default for every solver run without
+//! `--metrics`) or enabled.
 //!
 //! Uses the crate's own `CountingAllocator` as the global allocator, so
 //! this test doubles as a check that allocation accounting itself works:
@@ -9,18 +10,26 @@
 
 use sgs_metrics::alloc::{allocation_bytes, allocation_calls, CountingAllocator};
 use sgs_metrics::{Counter, Gauge, HistId, Phase};
+use sgs_trace::Tracer;
+use std::time::Instant;
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn hammer_hot_path(rounds: u64) {
+    let tracer = Tracer::none();
+    let mut clock = Instant::now();
     for i in 0..rounds {
         sgs_metrics::incr(Counter::NlpInnerIterations);
         sgs_metrics::add(Counter::SstaGatesRecomputed, i);
         sgs_metrics::set_gauge(Gauge::NlpLastObjective, i as f64);
         sgs_metrics::observe(HistId::NlpOuterSeconds, 1e-3 + i as f64 * 1e-6);
-        let _outer = sgs_metrics::phase(Phase::Solve);
-        let _inner = sgs_metrics::phase(Phase::Auglag);
+        let _outer = sgs_metrics::phase(tracer, Phase::Solve);
+        let _inner = sgs_metrics::phase(tracer, Phase::Auglag);
+        sgs_metrics::stage(tracer, Phase::Evaluate, &mut clock, || ());
+        // Ported from sgs-trace's `alloc_noop`: a guard dropped at once on
+        // the disabled tracer records nothing.
+        drop(sgs_metrics::phase(tracer, Phase::InnerTr));
         let _timer = sgs_metrics::time_hist(HistId::SstaFullSeconds);
     }
 }

@@ -499,11 +499,9 @@ pub fn solve_cached<P: NlpProblem>(
             ..opts.inner.clone()
         };
         let x_prev = x.clone();
-        let inner_span = tracer.span("inner_tr");
-        let inner_phase = sgs_metrics::phase(sgs_metrics::Phase::InnerTr);
+        let inner_phase = sgs_metrics::phase(tracer, sgs_metrics::Phase::InnerTr);
         let r = tr::minimize_with(&mut al, &x, l, u, &inner_opts, &mut ws);
         drop(inner_phase);
-        inner_span.finish();
         x = r.x;
         inner_total += r.iterations;
         cg_total += r.cg_iterations;

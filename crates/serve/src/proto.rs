@@ -615,6 +615,7 @@ mod tests {
             &Objective::Area,
             &DelaySpec::MaxMean(9.0),
             &sgs_analyze::AnalyzerOptions::default(),
+            sgs_trace::Tracer::none(),
         );
         let body = analyze_result_json(9, &report);
         let summary = validate_jsonl(&body).unwrap();

@@ -21,7 +21,7 @@ use crate::proto::{self, SessionSpec};
 use crate::session::{Job, Op, SessionStore};
 use sgs_trace::json::{push_json_f64, push_json_string};
 use sgs_trace::request::{RequestContext, RequestTrace, SPAN_ADMISSION_WAIT};
-use sgs_trace::{chrome, RingSink, TraceEvent, TraceSink};
+use sgs_trace::{chrome, RingSink, TraceEvent, TraceSink, Tracer};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{BufReader, Write as _};
@@ -654,23 +654,15 @@ fn sizing_request(
 
     if req.path == "/analyze" {
         // Analysis is stateless: no session, no warm state to protect.
-        // The span closes on the error path too, so a bad circuit spec
-        // never leaves a dangling parent in the request tree.
-        let open = ctx.map(|c| c.open("analyze"));
-        let analyzed = spec.build_circuit().map(|circuit| {
-            let lib = sgs_netlist::Library::paper_default();
-            sgs_analyze::analyze(
-                &circuit,
-                &lib,
-                &spec.objective,
-                &spec.spec,
-                &sgs_analyze::AnalyzerOptions::default(),
-            )
-        });
-        if let (Some(c), Some(open)) = (ctx, open) {
-            c.close(open);
-        }
-        let report = analyzed?;
+        let circuit = spec.build_circuit()?;
+        let report = sgs_analyze::analyze(
+            &circuit,
+            &sgs_netlist::Library::paper_default(),
+            &spec.objective,
+            &spec.spec,
+            &sgs_analyze::AnalyzerOptions::default(),
+            Tracer::none().attach(ctx.map(Arc::as_ref)),
+        );
         return Ok(Answer::ok(
             proto::analyze_result_json(id, &report),
             "-".to_string(),

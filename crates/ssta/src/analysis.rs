@@ -88,34 +88,6 @@ pub fn ssta_with_model_and_arrivals(
     report_from_arrivals(circuit, arrivals)
 }
 
-/// [`ssta_with_arrivals`] under a trace span: the whole propagation is
-/// recorded as an `"ssta"` phase span plus an `ssta_gates` counter, so a
-/// run report attributes analysis time separately from solver time. With
-/// a disabled tracer this is exactly [`ssta_with_arrivals`] — same
-/// result, no clock reads, no allocation.
-///
-/// # Panics
-///
-/// Panics if `s.len() != circuit.num_gates()` or the arrival slice length
-/// differs from the input count.
-pub fn ssta_traced(
-    circuit: &Circuit,
-    lib: &Library,
-    s: &[f64],
-    input_arrivals: Option<&[Normal]>,
-    tracer: sgs_trace::Tracer<'_>,
-) -> SstaReport {
-    let report = {
-        let _sp = tracer.span("ssta");
-        ssta_with_arrivals(circuit, lib, s, input_arrivals)
-    };
-    tracer.emit(|| sgs_trace::TraceEvent::Counter {
-        name: "ssta_gates",
-        value: circuit.num_gates() as u64,
-    });
-    report
-}
-
 /// Arrival of `sig` given already-computed gate arrivals (in either
 /// storage layout — see [`ArrivalRead`]).
 #[inline]
@@ -433,29 +405,5 @@ mod tests {
         assert!(
             (r.mean_plus_k_sigma(3.0) - (r.delay.mean() + 3.0 * r.delay.sigma())).abs() < 1e-12
         );
-    }
-
-    #[test]
-    fn traced_ssta_matches_plain_and_records_span() {
-        let c = generate::tree7();
-        let s = [1.5; 7];
-        let plain = ssta(&c, &lib(), &s);
-        let sink = sgs_trace::MemorySink::new();
-        let traced = ssta_traced(&c, &lib(), &s, None, sgs_trace::Tracer::new(&sink));
-        assert_eq!(plain.delay, traced.delay);
-        assert!(sink.span_seconds("ssta") >= 0.0);
-        assert_eq!(
-            sink.count(|e| matches!(
-                e,
-                sgs_trace::TraceEvent::Counter {
-                    name: "ssta_gates",
-                    value: 7
-                }
-            )),
-            1
-        );
-        // Disabled tracer: identical result, empty trace path.
-        let untraced = ssta_traced(&c, &lib(), &s, None, sgs_trace::Tracer::none());
-        assert_eq!(plain.delay, untraced.delay);
     }
 }

@@ -53,13 +53,11 @@ pub mod soa;
 pub mod wire;
 
 pub use analysis::{
-    ssta, ssta_traced, ssta_with_model, ssta_with_model_and_arrivals, sta_deterministic,
+    ssta, ssta_with_model, ssta_with_model_and_arrivals, sta_deterministic,
     sta_deterministic_with_model, SstaReport,
 };
 pub use delay::DelayModel;
 pub use incremental::{IncrementalSsta, UpdateStats};
 pub use levels::LevelSchedule;
-pub use monte_carlo::{
-    monte_carlo, monte_carlo_traced, monte_carlo_with_model, McOptions, McReport,
-};
+pub use monte_carlo::{monte_carlo, monte_carlo_with_model, McOptions, McReport};
 pub use soa::{ArrivalRead, ArrivalSoa};

@@ -209,32 +209,6 @@ pub fn monte_carlo(circuit: &Circuit, lib: &Library, s: &[f64], opts: &McOptions
     monte_carlo_with_model(circuit, &model, s, opts)
 }
 
-/// [`monte_carlo`] under a trace span: the whole sweep is recorded as a
-/// `"monte_carlo"` phase span plus an `mc_samples` counter. With a
-/// disabled tracer this is exactly [`monte_carlo`] — same report, no
-/// clock reads, no allocation.
-///
-/// # Panics
-///
-/// Panics if `s.len() != circuit.num_gates()` or `opts.samples == 0`.
-pub fn monte_carlo_traced(
-    circuit: &Circuit,
-    lib: &Library,
-    s: &[f64],
-    opts: &McOptions,
-    tracer: sgs_trace::Tracer<'_>,
-) -> McReport {
-    let report = {
-        let _sp = tracer.span("monte_carlo");
-        monte_carlo(circuit, lib, s, opts)
-    };
-    tracer.emit(|| sgs_trace::TraceEvent::Counter {
-        name: "mc_samples",
-        value: report.num_samples() as u64,
-    });
-    report
-}
-
 /// Runs a Monte Carlo timing analysis reusing a prebuilt [`DelayModel`].
 ///
 /// The report is a pure function of `(circuit, model, s, opts.samples,
@@ -472,30 +446,5 @@ mod tests {
         let a = monte_carlo(&c, &lib(), &s, &McOptions::default());
         let b = monte_carlo(&c, &lib(), &s, &McOptions::default());
         assert_eq!(a.delay, b.delay);
-    }
-
-    #[test]
-    fn traced_monte_carlo_matches_plain_and_records_span() {
-        let c = generate::tree7();
-        let s = [1.0; 7];
-        let opts = McOptions {
-            samples: 500,
-            ..Default::default()
-        };
-        let plain = monte_carlo(&c, &lib(), &s, &opts);
-        let sink = sgs_trace::MemorySink::new();
-        let traced = monte_carlo_traced(&c, &lib(), &s, &opts, sgs_trace::Tracer::new(&sink));
-        assert_eq!(plain.delay, traced.delay);
-        assert!(sink.span_seconds("monte_carlo") >= 0.0);
-        assert_eq!(
-            sink.count(|e| matches!(
-                e,
-                sgs_trace::TraceEvent::Counter {
-                    name: "mc_samples",
-                    value: 500
-                }
-            )),
-            1
-        );
     }
 }

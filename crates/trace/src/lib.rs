@@ -1,7 +1,7 @@
 //! Structured solver observability with pluggable sinks.
 //!
 //! The optimisation stack (`sgs-nlp::auglag`, `sgs-core::reduced`,
-//! `sgs-core::resolve`, `sgs-ssta`) reports its progress as typed
+//! `sgs-core::resolve`, `sgs-analyze`) reports its progress as typed
 //! [`TraceEvent`]s — one convergence record per outer iteration (an
 //! augmented-Lagrangian outer iteration or a reduced-space multiplier
 //! round), one [`TraceEvent::PhaseSpan`] per instrumented wall-clock
@@ -27,13 +27,12 @@
 //! use sgs_trace::{MemorySink, TraceEvent, Tracer};
 //! let sink = MemorySink::new();
 //! let tracer = Tracer::new(&sink);
-//! {
-//!     let _span = tracer.span("ssta"); // records a PhaseSpan on drop
-//!     tracer.emit(|| TraceEvent::Counter { name: "gates", value: 7 });
-//! }
-//! assert_eq!(sink.len(), 2);
-//! assert!(sink.span_seconds("ssta") >= 0.0);
+//! tracer.emit(|| TraceEvent::Counter { name: "gates", value: 7 });
+//! assert_eq!(sink.len(), 1);
 //! ```
+//!
+//! Phase spans come from `sgs_metrics::phase`, whose one guard feeds the
+//! metrics registry, the sink and the attached request context alike.
 
 pub mod chrome;
 pub mod json;
@@ -48,7 +47,6 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Underlying problem-evaluation counts attached to solve-level events.
 ///
@@ -144,9 +142,10 @@ pub struct RunReport {
 pub enum TraceEvent {
     /// One outer-iteration convergence record.
     Outer(OuterRecord),
-    /// A named wall-clock span, recorded when its guard drops.
+    /// A named wall-clock phase, recorded when its guard drops.
     PhaseSpan {
-        /// Phase name (e.g. `"ssta"`, `"inner_tr"`, `"auglag"`).
+        /// Phase name (an `sgs_metrics::Phase` name, e.g. `"solve"`,
+        /// `"inner_tr"`, `"auglag"`).
         phase: &'static str,
         /// Span duration in seconds.
         seconds: f64,
@@ -384,9 +383,9 @@ impl Drop for JsonlSink {
 /// on the disabled path.
 ///
 /// Besides the sink, a tracer may carry a borrowed
-/// [`request::RequestContext`] (see [`Tracer::attach`]): spans then also
-/// land in the request's span tree, and counter events become request
-/// notes — this is how the daemon attributes solver phases to the HTTP
+/// [`request::RequestContext`] (see [`Tracer::attach`]): phase guards
+/// then also open spans in the request's span tree, and counter events
+/// become request notes — this is how the daemon attributes solver phases to the HTTP
 /// request that triggered them. A tracer with a context is active even
 /// when its sink is [`NopSink`].
 #[derive(Clone, Copy)]
@@ -441,7 +440,7 @@ impl<'a> Tracer<'a> {
 
     /// Whether events will actually be delivered to the *sink* (the
     /// hot-path construction gate; a request context alone also
-    /// activates [`Tracer::emit`] and [`Tracer::span`]).
+    /// activates [`Tracer::emit`]).
     pub fn enabled(&self) -> bool {
         self.sink.enabled()
     }
@@ -463,73 +462,9 @@ impl<'a> Tracer<'a> {
         }
     }
 
-    /// Starts a wall-clock span that records a [`TraceEvent::PhaseSpan`]
-    /// when dropped (and, when a request context is attached, a span in
-    /// the request's tree). Disabled tracers return an inert guard (no
-    /// clock read, no allocation).
-    pub fn span(&self, phase: &'static str) -> Span<'a> {
-        Span {
-            sink: self.sink,
-            phase,
-            start: self.sink.enabled().then(Instant::now),
-            req: self.ctx.map(|c| (c, c.open(phase))),
-        }
-    }
-
-    /// Runs `f` as a span that starts at `*clock` rather than now, then
-    /// moves `*clock` to the reading the span ended at. Stages run through
-    /// one clock this way tile its wall clock with no gap between them,
-    /// and the clock is read even when the tracer is disabled.
-    pub fn stage<T>(&self, phase: &'static str, clock: &mut Instant, f: impl FnOnce() -> T) -> T {
-        let mut span = self.span(phase);
-        let out = f();
-        let end = Instant::now();
-        if span.start.is_some() {
-            span.start = Some(*clock);
-            span.record(end);
-        }
-        *clock = end;
-        out
-    }
-
     /// Flushes the underlying sink.
     pub fn flush(&self) {
         self.sink.flush();
-    }
-}
-
-/// Guard returned by [`Tracer::span`]; records its elapsed wall-clock on
-/// drop.
-pub struct Span<'a> {
-    sink: &'a dyn TraceSink,
-    phase: &'static str,
-    start: Option<Instant>,
-    req: Option<(&'a request::RequestContext, request::OpenSpan)>,
-}
-
-impl Span<'_> {
-    /// Ends the span now (equivalent to dropping it).
-    pub fn finish(self) {}
-
-    /// Records the sink's span as ending at `end` (once).
-    fn record(&mut self, end: Instant) {
-        if let Some(start) = self.start.take() {
-            self.sink.record(&TraceEvent::PhaseSpan {
-                phase: self.phase,
-                seconds: end.duration_since(start).as_secs_f64(),
-            });
-        }
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if self.start.is_some() {
-            self.record(Instant::now());
-        }
-        if let Some((ctx, open)) = self.req.take() {
-            ctx.close(open);
-        }
     }
 }
 
@@ -580,44 +515,6 @@ mod tests {
         });
         assert!(!called);
         assert!(!t.enabled());
-    }
-
-    #[test]
-    fn span_records_elapsed_time() {
-        let sink = MemorySink::new();
-        {
-            let t = Tracer::new(&sink);
-            let _s = t.span("phase_a");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert_eq!(sink.len(), 1);
-        assert!(sink.span_seconds("phase_a") >= 0.001);
-        assert_eq!(sink.span_seconds("phase_b"), 0.0);
-    }
-
-    #[test]
-    fn stages_tile_their_clock() {
-        let sink = MemorySink::new();
-        let t = Tracer::new(&sink);
-        let start = Instant::now();
-        let mut clock = start;
-        assert_eq!(t.stage("a", &mut clock, || 7), 7);
-        // Time between stages is charged to the next one.
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        t.stage("b", &mut clock, || ());
-        let total = clock.duration_since(start).as_secs_f64();
-        let spans = sink.span_seconds("a") + sink.span_seconds("b");
-        assert!((spans - total).abs() <= 1e-9, "{spans} of {total}");
-        assert!(sink.span_seconds("b") >= 0.002);
-    }
-
-    #[test]
-    fn disabled_span_records_nothing() {
-        let t = Tracer::none();
-        let s = t.span("x");
-        drop(s);
-        // Nothing to assert against a NopSink beyond not panicking; the
-        // allocation-freeness is proven in tests/alloc_noop.rs.
     }
 
     #[test]

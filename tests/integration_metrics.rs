@@ -11,17 +11,21 @@
 //!   `SizingResult` fields — the snapshot is the result, not an estimate
 //!   of it;
 //! * the phase profile of an enabled run covers at least 95% of the
-//!   measured wall clock, and the snapshot it produces passes the same
-//!   `Snapshot::lint` gate CI applies to `--metrics` files, round-tripping
-//!   through JSON byte-identically.
+//!   measured wall clock and never more than all of it, and the snapshot
+//!   it produces passes the same `Snapshot::lint` gate CI applies to
+//!   `--metrics` files, round-tripping through JSON byte-identically;
+//! * the registry, the trace sink and the request timeline see the same
+//!   phases, as often and for the same time.
 //!
 //! The registry is process-global, so every test here serialises on one
 //! mutex (the same discipline as the `sgs-metrics` unit tests).
 
-use sgs_core::{DelaySpec, Objective, SizeError, Sizer, SolverChoice};
-use sgs_metrics::{Counter, Gauge, Metadata, Snapshot};
+use sgs_analyze::AnalyzerGate;
+use sgs_core::{DelaySpec, Objective, Preflight, SizeError, Sizer, SolverChoice, SweepEngine};
+use sgs_metrics::{Counter, Gauge, Metadata, Phase, Snapshot};
 use sgs_netlist::generate::{self, RandomDagSpec};
 use sgs_netlist::{blif, Circuit, Library};
+use sgs_trace::{MemorySink, RequestContext, RequestTrace, TraceEvent, Tracer};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -29,6 +33,12 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 fn lib() -> Library {
     Library::paper_default()
+}
+
+fn rdag40() -> Circuit {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
+    let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
+    blif::parse(&text).expect("rdag40.blif parses")
 }
 
 fn dag(cells: usize, seed: u64) -> Circuit {
@@ -122,9 +132,7 @@ fn reduced_iterations_count_every_multiplier_round() {
     // rounds, one truncated-Newton run each; the reported iteration count
     // must sum them, as the registry counter does.
     let _g = LOCK.lock().unwrap();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
-    let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
-    let c = blif::parse(&text).expect("rdag40.blif parses");
+    let c = rdag40();
     let lb = lib();
     let unsized_mu = sgs_ssta::ssta(&c, &lb, &vec![1.0; c.num_gates()])
         .delay
@@ -160,9 +168,7 @@ fn cold_rows_take_at_most_half_the_seed_calls_of_lbfgs() {
     }
     use Form::*;
     let _g = LOCK.lock().unwrap();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
-    let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
-    let mut circuits = vec![blif::parse(&text).expect("rdag40.blif parses")];
+    let mut circuits = vec![rdag40()];
     circuits.extend(
         generate::benchmark_suite()
             .into_iter()
@@ -245,9 +251,7 @@ fn cold_rows_take_at_most_half_the_seed_calls_of_lbfgs() {
 #[test]
 fn infeasible_warm_resolve_fails_without_full_space_work() {
     let _g = LOCK.lock().unwrap();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/rdag40.blif");
-    let text = std::fs::read_to_string(path).expect("benchmarks/rdag40.blif exists");
-    let c = blif::parse(&text).expect("rdag40.blif parses");
+    let c = rdag40();
     let lb = lib();
     let mut r = Sizer::new(&c, &lb)
         .objective(Objective::Area)
@@ -277,37 +281,224 @@ fn infeasible_warm_resolve_fails_without_full_space_work() {
 #[test]
 fn profile_covers_the_wall_clock_and_snapshot_survives_the_lint_gate() {
     let _g = LOCK.lock().unwrap();
-    sgs_metrics::reset();
-    sgs_metrics::enable();
-    let c = dag(40, 11);
-    let t0 = Instant::now();
-    Sizer::new(&c, &lib())
-        .objective(Objective::MeanPlusKSigma(3.0))
-        .solve()
-        .expect("metered sizing converges");
-    sgs_metrics::set_gauge(Gauge::RunSeconds, t0.elapsed().as_secs_f64());
-    let snap = sgs_metrics::snapshot(Metadata {
-        bin: "integration_metrics".into(),
-        circuit: c.name().to_string(),
-        git_sha: "test".into(),
-        threads: 1,
-        timestamp: "0".into(),
+    let lb = lib();
+    let small = dag(40, 11);
+    let rdag40 = rdag40();
+    let gate = AnalyzerGate::denying();
+    let solve = || {
+        Sizer::new(&small, &lb)
+            .objective(Objective::MeanPlusKSigma(3.0))
+            .solve()
+            .expect("metered sizing converges");
+    };
+    let preflighted = || {
+        Sizer::new(&rdag40, &lb)
+            .objective(Objective::Area)
+            .delay_spec(DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 20.0 })
+            .preflight(&gate)
+            .solve()
+            .expect("the gate passes rdag40 and the solve converges");
+    };
+    let sweep = || {
+        SweepEngine::new(&rdag40, &lb)
+            .deadline_frontier()
+            .expect("the rdag40 sweep anchors");
+    };
+    // (label, the run, whether root phases must cover >= 95% of it).
+    let runs: [(&str, &dyn Fn(), bool); 3] = [
+        ("solve", &solve, true),
+        ("preflighted solve", &preflighted, true),
+        ("deadline sweep", &sweep, false),
+    ];
+    for (label, run, covers) in runs {
+        sgs_metrics::reset();
+        sgs_metrics::enable();
+        let t0 = Instant::now();
+        run();
+        sgs_metrics::set_gauge(Gauge::RunSeconds, t0.elapsed().as_secs_f64());
+        let snap = sgs_metrics::snapshot(Metadata {
+            bin: "integration_metrics".into(),
+            circuit: label.into(),
+            git_sha: "test".into(),
+            threads: 1,
+            timestamp: "0".into(),
+        });
+        sgs_metrics::disable();
+
+        let coverage = snap.coverage().expect("run_seconds gauge is set");
+        assert!(
+            !covers || coverage >= 0.95,
+            "{label}: root phases cover {:.1}% of the wall clock",
+            coverage * 100.0
+        );
+        assert!(
+            coverage <= 1.0 + 1e-6,
+            "{label}: coverage {:.1}% over 100%",
+            coverage * 100.0
+        );
+
+        // The in-process snapshot passes the same structural gate as
+        // files. (Struct equality is no use here: untouched histograms
+        // have NaN quantiles, and NaN != NaN — byte-identity of the
+        // serialised form is the stronger, NaN-proof statement.)
+        let text = snap.to_json();
+        let relinted = Snapshot::lint(&text).expect("snapshot passes lint");
+        assert_eq!(relinted.to_json(), text, "round trip is byte-identical");
+    }
+}
+
+/// Per-phase span counts of the registry, in [`Phase::ALL`] order.
+fn registry_counts() -> Vec<u64> {
+    Phase::ALL
+        .iter()
+        .map(|&p| sgs_metrics::phase_count(p))
+        .collect()
+}
+
+/// Checks that the registry (reset before the run) and the sink's
+/// `phase_span` events saw the same phases, as often and for the same
+/// seconds.
+fn assert_sink_agrees(label: &str, sink: &MemorySink) {
+    for p in Phase::ALL {
+        let spans =
+            sink.count(|e| matches!(e, TraceEvent::PhaseSpan { phase, .. } if *phase == p.name()));
+        let name = p.name();
+        assert_eq!(
+            sgs_metrics::phase_count(p),
+            spans as u64,
+            "{label}: {name} spans"
+        );
+        let (metered, traced) = (sgs_metrics::phase_seconds(p), sink.span_seconds(name));
+        assert!(
+            (metered - traced).abs() <= 1e-6,
+            "{label}: {name} {metered} s against {traced} s"
+        );
+    }
+}
+
+/// Checks a request trace against the registry's counts since `before`:
+/// the same phases, as often, each nested under its profile parent (the
+/// nearest enclosing span that is a phase; other spans are transport).
+fn assert_request_agrees(label: &str, trace: &RequestTrace, before: &[u64]) {
+    let phase_of = |name: &str| Phase::ALL.into_iter().find(|p| p.name() == name);
+    for (i, p) in Phase::ALL.into_iter().enumerate() {
+        let spans = trace.spans.iter().filter(|s| s.name == p.name()).count();
+        let metered = sgs_metrics::phase_count(p) - before[i];
+        assert_eq!(metered, spans as u64, "{label}: {} request spans", p.name());
+    }
+    for span in &trace.spans {
+        let Some(p) = phase_of(span.name) else {
+            continue;
+        };
+        let mut parent = span.parent;
+        let ancestor = loop {
+            let Some(up) = trace.spans.iter().find(|s| s.id == parent) else {
+                break None;
+            };
+            if let Some(q) = phase_of(up.name) {
+                break Some(q);
+            }
+            parent = up.parent;
+        };
+        assert_eq!(
+            ancestor,
+            p.parent(),
+            "{label}: {} nests under {ancestor:?}",
+            p.name()
+        );
+    }
+    assert!(!trace.spans.is_empty(), "{label}: empty request trace");
+}
+
+/// One guard times each phase into the registry, the trace sink and the
+/// request timeline, so all three agree on every run: the same phases,
+/// the same span counts, the same seconds (registry and sink read the
+/// same two instants), and the request timeline nests each phase under
+/// its profile parent. `Sizer::solve` and `SweepEngine` take no request
+/// context, so the request timeline is checked on the resolver's traced
+/// entry points: a solve, the preflight gate, each point of a deadline
+/// walk over the sweep's grid, and one re-solve.
+#[test]
+fn one_guard_feeds_the_registry_the_trace_and_the_request_timeline() {
+    let _g = LOCK.lock().unwrap();
+    let lb = lib();
+    let c = rdag40();
+    let spec = DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 20.0 };
+    fn area<'a>(c: &'a Circuit, lb: &'a Library, sink: &'a MemorySink) -> Sizer<'a> {
+        Sizer::new(c, lb)
+            .objective(Objective::Area)
+            .delay_spec(DelaySpec::MaxMeanPlusKSigma { k: 3.0, d: 20.0 })
+            .trace(sink)
+    }
+    let request = |id, op: &mut dyn FnMut(&RequestContext)| {
+        let ctx = RequestContext::new(id);
+        op(&ctx);
+        ctx.finish("/test", 200, "", "", false)
+    };
+    let metered = |label: &str, run: &mut dyn FnMut(&MemorySink)| {
+        let sink = MemorySink::new();
+        sgs_metrics::reset();
+        sgs_metrics::enable();
+        run(&sink);
+        sgs_metrics::disable();
+        assert_sink_agrees(label, &sink);
+    };
+
+    for solver in [SolverChoice::ReducedSpace, SolverChoice::FullSpace] {
+        let label = format!("{solver:?} solve");
+        metered(&label, &mut |sink| {
+            let mut r = area(&c, &lb, sink).solver(solver).resolver();
+            let before = registry_counts();
+            let trace = request(1, &mut |ctx| {
+                r.solve_traced(Some(ctx)).expect("rdag40 sizes");
+            });
+            assert_request_agrees(&label, &trace, &before);
+        });
+    }
+
+    let gate = AnalyzerGate::denying();
+    metered("preflighted solve", &mut |sink| {
+        area(&c, &lb, sink)
+            .preflight(&gate)
+            .solve()
+            .expect("rdag40 passes and sizes");
+        let before = registry_counts();
+        let trace = request(2, &mut |ctx| {
+            let tracer = Tracer::new(sink).attach(Some(ctx));
+            gate.check(&c, &lb, &Objective::Area, &spec, tracer)
+                .expect("rdag40 passes");
+        });
+        assert_request_agrees("preflight gate", &trace, &before);
     });
-    sgs_metrics::disable();
 
-    let coverage = snap.coverage().expect("run_seconds gauge is set");
-    assert!(
-        coverage >= 0.95,
-        "root phases cover {:.1}% of the wall clock",
-        coverage * 100.0
-    );
-    assert!(coverage <= 1.0 + 1e-6, "coverage {coverage} over 100%");
+    let grid = SweepEngine::new(&c, &lb)
+        .objective(Objective::Area)
+        .grid()
+        .expect("the rdag40 grid anchors");
+    metered("deadline sweep", &mut |sink| {
+        let mut r = Sizer::new(&c, &lb)
+            .objective(Objective::Area)
+            .delay_spec(DelaySpec::MaxMean(grid[0]))
+            .trace(sink)
+            .resolver();
+        for (i, &d) in grid.iter().enumerate() {
+            let before = registry_counts();
+            let trace = request(10 + i as u64, &mut |ctx| {
+                // Points below the minimum delay fail; they still trace.
+                let _ = r.resolve_spec_traced(d, Some(ctx));
+            });
+            assert_request_agrees(&format!("sweep point {d}"), &trace, &before);
+        }
+    });
 
-    // The in-process snapshot passes the same structural gate as files.
-    // (Struct equality is no use here: untouched histograms have NaN
-    // quantiles, and NaN != NaN — byte-identity of the serialised form is
-    // the stronger, NaN-proof statement.)
-    let text = snap.to_json();
-    let relinted = Snapshot::lint(&text).expect("snapshot passes lint");
-    assert_eq!(relinted.to_json(), text, "round trip is byte-identical");
+    metered("re-solve", &mut |sink| {
+        let mut r = area(&c, &lb, sink).resolver();
+        r.solve().expect("rdag40 sizes");
+        let before = registry_counts();
+        let trace = request(3, &mut |ctx| {
+            r.resolve_spec_traced(22.0, Some(ctx))
+                .expect("a looser deadline sizes");
+        });
+        assert_request_agrees("re-solve", &trace, &before);
+    });
 }

@@ -340,6 +340,7 @@ fn served_analyze_is_bit_identical_to_direct() {
         &Objective::Area,
         &DelaySpec::MaxMean(9.0),
         &sgs_analyze::AnalyzerOptions::default(),
+        sgs_trace::Tracer::none(),
     );
     assert_eq!(
         v.get("clean"),
