@@ -13,12 +13,17 @@ use sgs_statmath::{mc, Normal};
 /// and dominated operands in the continued-fraction tail, where more than
 /// half the maxes of an unsized circuit fall. From `|alpha|` of about 8.3
 /// on, `clark::max` can certify that the dominant operand comes through
-/// unchanged and skip the tail (`alpha_12`, `alpha_20`); `alpha_6` cannot.
-const CASES: [(&str, [f64; 4]); 4] = [
-    ("central", [5.0, 2.0, 4.5, 1.5]),   // alpha ~ 0.27
-    ("alpha_6", [15.7, 2.0, 4.5, 1.5]),  // alpha ~ 5.99
-    ("alpha_12", [27.0, 2.0, 4.5, 1.5]), // alpha ~ 12.03
-    ("alpha_20", [20.0, 1.0, 0.0, 0.0]), // alpha ~ 20.0
+/// unchanged and skip the tail (`alpha_12`, `alpha_20`). Below that
+/// (`alpha_4_5`, `alpha_6`) it certifies its moments from a half-depth
+/// bracket around the tail value instead of the full-depth fraction; the
+/// gradient and Hessian still run the full one. `alpha_4_5` sits in the
+/// deepest band of the fraction, `4 <= |alpha| < 4.5`.
+const CASES: [(&str, [f64; 4]); 5] = [
+    ("central", [5.0, 2.0, 4.5, 1.5]),     // alpha ~ 0.27
+    ("alpha_4_5", [12.45, 2.0, 4.5, 1.5]), // alpha ~ 4.25
+    ("alpha_6", [15.7, 2.0, 4.5, 1.5]),    // alpha ~ 5.99
+    ("alpha_12", [27.0, 2.0, 4.5, 1.5]),   // alpha ~ 12.03
+    ("alpha_20", [20.0, 1.0, 0.0, 0.0]),   // alpha ~ 20.0
 ];
 
 fn bench_clark(c: &mut Criterion) {

@@ -12,12 +12,16 @@
 //! significant digits (the golden-table format, `--table` writes it to a
 //! file).
 //!
+//! With `--trace FILE` every session of the sweep writes its spans,
+//! outer-iteration records and `solve_done` records to the JSONL trace,
+//! which ends with the bin's `run_report` (status `ok` or `failed`).
+//!
 //! `--lint` re-parses committed frontier tables and exits nonzero if any
 //! violates dominance (deadlines not ascending, or area increasing as the
 //! deadline relaxes) — the CI guard against committing a non-dominant
 //! frontier.
 
-use sgs_bench::BenchArgs;
+use sgs_bench::{BenchArgs, TraceArg};
 use sgs_core::{Frontier, SweepConfig, SweepEngine};
 use sgs_netlist::{blif, Library};
 use std::fmt::Write as _;
@@ -68,7 +72,7 @@ fn parse_points(args: &mut Vec<String>) -> Result<Option<usize>, ()> {
     Ok(None)
 }
 
-fn session(mut args: Vec<String>) -> ExitCode {
+fn session(mut args: Vec<String>, trace: &TraceArg) -> ExitCode {
     let path = args.remove(0);
     let points = match parse_points(&mut args) {
         Ok(p) => p,
@@ -119,22 +123,38 @@ fn session(mut args: Vec<String>) -> ExitCode {
     if let Some(n) = points {
         config.points = n.max(2);
     }
-    let engine = SweepEngine::new(&circuit, &lib).config(config);
+    let mut engine = SweepEngine::new(&circuit, &lib).config(config);
+    if let Some(sink) = trace.sink() {
+        engine = engine.sink(sink);
+    }
     let traced = match deadlines {
         Some(ds) => engine.trace(&ds),
         None => engine.deadline_frontier(),
     };
+    let report = |status: &str| {
+        trace.report(
+            circuit.name(),
+            status,
+            f64::NAN,
+            f64::NAN,
+            f64::NAN,
+            f64::NAN,
+        );
+    };
     let frontier = match traced {
         Ok(f) => f,
         Err(e) => {
+            report("failed");
             eprintln!("sweep failed: {e}");
             return ExitCode::FAILURE;
         }
     };
     if let Err(e) = frontier.check_dominance(1e-6) {
+        report("failed");
         eprintln!("frontier violates dominance: {e}");
         return ExitCode::FAILURE;
     }
+    report("ok");
     let rendered = render_table(circuit.name(), circuit.num_gates(), &frontier);
     print!("{rendered}");
     if let Some(file) = table {
@@ -237,7 +257,7 @@ fn main() -> ExitCode {
     };
     let code = match args.first().map(String::as_str) {
         Some("--lint") => lint(&args[1..]),
-        Some(_) => session(args),
+        Some(_) => session(args, bench_args.trace()),
         None => usage(),
     };
     if let Err(e) = bench_args.finish("sweep") {

@@ -57,6 +57,7 @@ use rayon::prelude::*;
 use sgs_netlist::{Circuit, GateKind, GateParams, Library};
 use sgs_nlp::EvalCounts;
 use sgs_ssta::ssta;
+use sgs_trace::TraceSink;
 use std::time::Instant;
 
 /// Knobs for [`SweepEngine`] grids and refinement.
@@ -409,6 +410,7 @@ pub struct SweepEngine<'a> {
     lib: &'a Library,
     objective: Objective,
     config: SweepConfig,
+    sink: Option<&'a dyn TraceSink>,
 }
 
 impl<'a> SweepEngine<'a> {
@@ -419,6 +421,7 @@ impl<'a> SweepEngine<'a> {
             lib,
             objective: Objective::Area,
             config: SweepConfig::default(),
+            sink: None,
         }
     }
 
@@ -434,6 +437,24 @@ impl<'a> SweepEngine<'a> {
     pub fn config(mut self, config: SweepConfig) -> Self {
         self.config = config;
         self
+    }
+
+    /// Attaches a trace sink to every session the engine runs (see
+    /// [`Sizer::trace`]): each anchor solve and warm re-solve then emits
+    /// its phase spans, outer-iteration records and `solve_done` record.
+    /// The default is no sink.
+    pub fn sink(mut self, sink: &'a dyn TraceSink) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// A [`Sizer`] on `lib` carrying the engine's sink.
+    fn sizer<'b>(&'b self, lib: &'b Library) -> Sizer<'b> {
+        let sizer = Sizer::new(self.circuit, lib);
+        match self.sink {
+            Some(sink) => sizer.trace(sink),
+            None => sizer,
+        }
     }
 
     fn spec_for(&self, d: f64) -> DelaySpec {
@@ -461,7 +482,8 @@ impl<'a> SweepEngine<'a> {
     fn grid_bounds(&self, lib: &Library) -> Result<(f64, f64), SizeError> {
         let ones = vec![1.0; self.circuit.num_gates()];
         let loose = self.capped_value(ssta(self.circuit, lib, &ones).delay);
-        let fastest = Sizer::new(self.circuit, lib)
+        let fastest = self
+            .sizer(lib)
             .objective(Objective::MeanPlusKSigma(self.config.spec_k))
             .solve()?;
         let tight = self.capped_value(fastest.delay) * (1.0 + self.config.tight_rel);
@@ -530,7 +552,8 @@ impl<'a> SweepEngine<'a> {
     /// deadline to be infeasible against).
     pub fn k_sweep(&self, ks: &[f64]) -> Result<Vec<KPoint>, SizeError> {
         assert!(!ks.is_empty(), "k_sweep needs at least one k");
-        let mut resolver = Sizer::new(self.circuit, self.lib)
+        let mut resolver = self
+            .sizer(self.lib)
             .objective(Objective::MeanPlusKSigma(ks[0]))
             .resolver();
         let mut points: Vec<KPoint> = Vec::with_capacity(ks.len());
@@ -649,7 +672,8 @@ impl<'a> SweepEngine<'a> {
         for &d in deadlines {
             assert!(d.is_finite(), "sweep deadline must be finite, got {d}");
         }
-        let mut resolver = Sizer::new(self.circuit, lib)
+        let mut resolver = self
+            .sizer(lib)
             .objective(self.objective.clone())
             .delay_spec(self.spec_for(deadlines[0]))
             .resolver();

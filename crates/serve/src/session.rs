@@ -352,13 +352,19 @@ fn run_session(spec: &SessionSpec, rx: &Receiver<Job>) {
     }
 }
 
-/// The op's span name in the request trace.
+/// The op's span name in the request trace. The `op_` prefix keeps it
+/// apart from the solver's phase spans nested inside it, so a served
+/// solve reads `op_solve > solve > reduced_space`. No `build_problem`
+/// span appears under it: that phase times building a resolver, which
+/// the worker does once when the session starts, before any request's
+/// context attaches, and a default (`ReducedSpace`) solve builds no
+/// `SizingProblem` either.
 fn op_name(op: &Op) -> &'static str {
     match op {
-        Op::Solve { .. } => "solve",
-        Op::ResolveSpec { .. } => "resolve_spec",
-        Op::ResolveSizes { .. } => "resolve_sizes",
-        Op::WhatIf { .. } => "what_if",
+        Op::Solve { .. } => "op_solve",
+        Op::ResolveSpec { .. } => "op_resolve_spec",
+        Op::ResolveSizes { .. } => "op_resolve_sizes",
+        Op::WhatIf { .. } => "op_what_if",
     }
 }
 

@@ -108,15 +108,58 @@ fn debug_trace_export_is_valid_chrome_trace_with_solver_spans() {
         "spans must cover >=95% of the request: {summary:?}"
     );
     // The solver's own phase spans propagated through the session worker
-    // into this request's tree.
-    for name in ["\"handle\"", "\"solve\"", "\"reduced_space\""] {
+    // into this request's tree, under the worker's op span.
+    let paths = span_paths(&resp.body);
+    let reduced = paths
+        .iter()
+        .find(|p| p.last().map(String::as_str) == Some("reduced_space"))
+        .unwrap_or_else(|| panic!("no reduced_space span: {}", resp.body));
+    assert_eq!(
+        reduced,
+        &["request", "handle", "op_solve", "solve", "reduced_space"],
+        "{}",
+        resp.body
+    );
+    for p in &paths {
         assert!(
-            resp.body.contains(name),
-            "export should contain a {name} span: {}",
-            resp.body
+            p.windows(2).all(|w| w[0] != w[1]),
+            "a span nests in one of its own name: {p:?}"
         );
     }
+    // The session's resolver was built before this request attached, and
+    // a default (reduced-space) solve builds no problem.
+    assert!(
+        paths
+            .iter()
+            .all(|p| p.last().map(String::as_str) != Some("build_problem")),
+        "{}",
+        resp.body
+    );
     server.shutdown();
+}
+
+/// The chain of open span names, outermost first, at each begin (`B`)
+/// event of a Chrome export, in order.
+fn span_paths(chrome: &str) -> Vec<Vec<String>> {
+    let v = parse_json(chrome.trim()).expect("export parses");
+    let Some(Json::Arr(events)) = v.get("traceEvents") else {
+        panic!("traceEvents must be an array: {chrome}");
+    };
+    let mut open: Vec<String> = Vec::new();
+    let mut paths = Vec::new();
+    for e in events {
+        let name = e.get("name").and_then(Json::as_str).unwrap_or_default();
+        match e.get("ph").and_then(Json::as_str) {
+            Some("B") => {
+                open.push(name.to_string());
+                paths.push(open.clone());
+            }
+            Some("E") => assert_eq!(open.pop().as_deref(), Some(name), "{chrome}"),
+            _ => {}
+        }
+    }
+    assert!(open.is_empty(), "unclosed spans {open:?}: {chrome}");
+    paths
 }
 
 #[test]

@@ -25,7 +25,7 @@
 
 use crate::dual::{Dual2, Real};
 use crate::normal::Normal;
-use crate::special::{normal_cdf_pair, normal_pdf, normal_pdf_cdf};
+use crate::special::{normal_cdf_pair, normal_pdf, normal_pdf_cdf, tail_bracket, TAIL_START};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default variance-smoothing floor added inside `theta^2`.
@@ -123,7 +123,8 @@ pub fn max(a: Normal, b: Normal) -> Normal {
 /// place of three: bit for bit the same `(mu_c, var_c)`, because the fused
 /// values are bitwise the separate ones and the formula text is the same.
 /// When one operand dominates, [`dominated`] certifies the result without
-/// evaluating `Phi` at all.
+/// evaluating `Phi` at all; elsewhere in the tail, [`tail_certified`]
+/// certifies it from a short bracket around `Phi`.
 #[inline]
 fn moments(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> (f64, f64) {
     let theta2 = var_a + var_b + eps * eps;
@@ -135,11 +136,84 @@ fn moments(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> (f64, f64)
             return m;
         }
     }
+    if alpha.abs() >= TAIL_START && phi != 0.0 {
+        if let Some(m) = tail_certified(mu_a, var_a, mu_b, var_b, theta, alpha, phi) {
+            return m;
+        }
+    }
     let (cdf_p, cdf_m) = normal_cdf_pair(alpha, phi);
+    formula(mu_a, var_a, mu_b, var_b, theta, phi, cdf_p, cdf_m)
+}
+
+/// The last lines of [`moments_generic`] for `f64`, given `theta`,
+/// `phi(alpha)`, `Phi(alpha)` and `Phi(-alpha)`: `(mu_c, var_c)`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn formula(
+    mu_a: f64,
+    var_a: f64,
+    mu_b: f64,
+    var_b: f64,
+    theta: f64,
+    phi: f64,
+    cdf_p: f64,
+    cdf_m: f64,
+) -> (f64, f64) {
     let mu_c = mu_a * cdf_p + mu_b * cdf_m + theta * phi;
     let e2 =
         (var_a + mu_a * mu_a) * cdf_p + (var_b + mu_b * mu_b) * cdf_m + (mu_a + mu_b) * theta * phi;
     (mu_c, e2 - mu_c * mu_c)
+}
+
+/// [`moments`]' result for `|alpha| >= 4`, certified from the two ends of
+/// [`tail_bracket`] instead of the tail value `q` itself: `Some` when it
+/// is certain, bit for bit, and `None` otherwise. `phi` is `phi(alpha)`.
+///
+/// For `|alpha| >= 4` the formula reads `Phi(+-alpha)` as `p = fl(1 - q)`
+/// and `q`, and the reference `q` lies between the bracket's ends `q_1`
+/// and `q_2`. The certificate is:
+///
+/// 1. `fl(1 - q_1) = fl(1 - q_2)`. Rounding is monotone, so the reference
+///    gives the same `p`.
+/// 2. [`formula`] with that `p` gives the same `(mu_c, var_c)` bits at
+///    `q_1` and `q_2`, and `var_c` is not NaN.
+///
+/// With `p` fixed, `mu_c` is `fl(fl(fl(mu_D p) + fl(mu_S q)) + fl(theta
+/// phi))`, with `D` the operand `p` weighs and `S` the other (the sum's
+/// order follows the operands, and floating-point addition commutes). Each
+/// rounded product, sum and difference is monotone in its one varying
+/// operand, so `mu_c` is monotone in `q`, and equal at the ends means
+/// equal at every `q` between them. Likewise `E[C^2]` is monotone in `q`,
+/// and `var_c = fl(E[C^2] - fl(mu_c mu_c))` with `mu_c` fixed. Without a
+/// NaN at either end this holds over the extended reals too: every
+/// intermediate at a `q` between the ends lies between its values at the
+/// ends, so an infinity that would meet a zero or the opposite infinity
+/// there meets it at an end as well. So the reference `q` gives the same
+/// result.
+#[inline]
+fn tail_certified(
+    mu_a: f64,
+    var_a: f64,
+    mu_b: f64,
+    var_b: f64,
+    theta: f64,
+    alpha: f64,
+    phi: f64,
+) -> Option<(f64, f64)> {
+    debug_assert!(alpha.abs() >= TAIL_START && phi != 0.0);
+    let (q_1, q_2) = tail_bracket(alpha.abs(), phi);
+    let p = 1.0 - q_1;
+    if p != 1.0 - q_2 {
+        return None;
+    }
+    let at = |q: f64| {
+        let (cdf_p, cdf_m) = if alpha > 0.0 { (p, q) } else { (q, p) };
+        formula(mu_a, var_a, mu_b, var_b, theta, phi, cdf_p, cdf_m)
+    };
+    let (m_1, m_2) = (at(q_1), at(q_2));
+    let certain =
+        m_1.0.to_bits() == m_2.0.to_bits() && m_1.1.to_bits() == m_2.1.to_bits() && !m_1.1.is_nan();
+    certain.then_some(m_1)
 }
 
 /// Below this `|alpha|`, `phi(alpha) / |alpha| >= 2^-54` (they cross at
@@ -1070,6 +1144,139 @@ mod dominated_tests {
         }
         // ... and the bound is tight at a power of two from below.
         assert_ne!(1.0 - 2.0 * quarter_ulp(1.0), 1.0);
+    }
+}
+
+#[cfg(test)]
+mod tail_bracket_tests {
+    use super::*;
+    use crate::special::BRACKET_DEPTHS;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// [`tail_certified`] on raw operands, behind the prefix and the gate
+    /// of [`moments`] (and after [`dominated`] refuses).
+    fn try_certified(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64) -> Option<(f64, f64)> {
+        let theta = (var_a + var_b + DEFAULT_EPS * DEFAULT_EPS).sqrt();
+        let alpha = (mu_a - mu_b) / theta;
+        let phi = normal_pdf(alpha);
+        let gated = alpha.abs() >= TAIL_START
+            && phi != 0.0
+            && (alpha.abs() < DOMINANT_ALPHA
+                || dominated(mu_a, var_a, mu_b, var_b, theta, alpha, phi).is_none());
+        gated
+            .then(|| tail_certified(mu_a, var_a, mu_b, var_b, theta, alpha, phi))
+            .flatten()
+    }
+
+    /// `clark::max` against the textual formula plus the clamp, bit for bit.
+    fn assert_max_matches_generic(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64) {
+        let got = max(
+            Normal::from_mean_var(mu_a, var_a),
+            Normal::from_mean_var(mu_b, var_b),
+        );
+        let want = moments_generic(mu_a, var_a, mu_b, var_b, DEFAULT_EPS);
+        let at = format!("({mu_a:e}, {var_a:e}, {mu_b:e}, {var_b:e})");
+        assert_eq!(got.mean().to_bits(), want.0.to_bits(), "mu at {at}");
+        assert_eq!(
+            got.var().to_bits(),
+            want.1.max(0.0).to_bits(),
+            "var at {at}"
+        );
+    }
+
+    /// Arrival-like operand pairs at `alpha ~ a`: an arrival `N(mu, v_s)`
+    /// and a later one `N(mu + a theta, v_d)`, in both orientations, with
+    /// means from 20 to 150 and variances from 1e-2 to 10.
+    fn arrival_pairs(a: f64) -> impl Iterator<Item = [f64; 4]> {
+        let shapes = [
+            (20.0, 1e-2, 0.04),
+            (23.5, 0.6, 0.2),
+            (41.0, 2.3, 1e-2),
+            (64.0, 0.15, 3.1),
+            (88.8, 7.5, 10.0),
+            (117.0, 10.0, 0.9),
+            (150.0, 4.4, 6.2),
+        ];
+        shapes.into_iter().flat_map(move |(mu, var_s, var_d)| {
+            let mu_d = mu + a * (var_d + var_s + DEFAULT_EPS * DEFAULT_EPS).sqrt();
+            [[mu_d, var_d, mu, var_s], [mu, var_s, mu_d, var_d]]
+        })
+    }
+
+    #[test]
+    fn dense_grid_is_bitwise_the_generic_formula_and_the_bracket_certifies() {
+        let (mut points, mut certified) = (0usize, 0usize);
+        let n = 20_000;
+        for i in 0..=n {
+            let a = TAIL_START + (DOMINANT_ALPHA - TAIL_START) * f64::from(i) / f64::from(n);
+            for [ma, va, mb, vb] in arrival_pairs(a) {
+                assert_max_matches_generic(ma, va, mb, vb);
+                points += 1;
+                certified += usize::from(try_certified(ma, va, mb, vb).is_some());
+            }
+        }
+        // Only speed depends on the bracket depths; a table too shallow to
+        // certify would fall back to the full tail on every max. Near 4 some
+        // maxes do fall back, so the grid checks the fallback too.
+        assert!(
+            certified * 100 >= points * 99 && certified < points,
+            "the bracket certified {certified} of {points} points"
+        );
+    }
+
+    #[test]
+    fn ulp_walks_at_the_tail_start_and_every_bracket_edge_are_bitwise() {
+        // theta = 1 exactly and mu_b = 0, so alpha is mu_a to the ulp.
+        let walk = |x: f64| {
+            let up = std::iter::successors(Some(x), |v| Some(v.next_up())).take(64);
+            let down = std::iter::successors(Some(x.next_down()), |v| Some(v.next_down()));
+            up.chain(down.take(64))
+        };
+        let edges = std::iter::once(TAIL_START).chain(BRACKET_DEPTHS.iter().map(|&(b, _)| b));
+        for edge in edges {
+            for x in walk(edge) {
+                assert_max_matches_generic(x, 0.5, 0.0, 0.5);
+                assert_max_matches_generic(0.0, 0.5, x, 0.5);
+                // Arrival-like means: alpha moves by 4 (base 20) or 32
+                // (base 150) of its ulps per step of mu_a near 4.
+                for base in [20.0, 150.0] {
+                    let ma = base + x;
+                    for k in 0..16 {
+                        let ma = f64::from_bits(ma.to_bits() + k);
+                        assert_max_matches_generic(ma, 0.5, base, 0.5);
+                        assert_max_matches_generic(base, 0.5, ma, 0.5);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `10^u` for `u` uniform in `[lo, hi)`.
+    fn log_uniform(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
+        10f64.powf(rng.gen_range(lo..hi))
+    }
+
+    #[test]
+    fn random_pairs_are_bitwise_the_generic_formula() {
+        let mut rng = StdRng::seed_from_u64(0x7a11_b7ac);
+        for i in 0..1_000_000u32 {
+            let (va, vb) = (
+                log_uniform(&mut rng, -4.0, 2.0),
+                log_uniform(&mut rng, -4.0, 2.0),
+            );
+            let mb = rng.gen_range(-50.0..300.0);
+            // Three in four draws aim alpha at the tail below the dominance
+            // gate, in either sign; the rest pair two unrelated means.
+            let ma = if i % 4 == 3 {
+                rng.gen_range(-50.0..300.0)
+            } else {
+                let a = rng.gen_range(TAIL_START..DOMINANT_ALPHA);
+                let a = if rng.gen_bool(0.5) { a } else { -a };
+                mb + a * (va + vb + DEFAULT_EPS * DEFAULT_EPS).sqrt()
+            };
+            assert_max_matches_generic(ma, va, mb, vb);
+        }
     }
 }
 

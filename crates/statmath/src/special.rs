@@ -12,12 +12,21 @@
 //! `normal_pdf` and then `normal_cdf_pair` for a caller that may not need
 //! the distribution); [`normal_cdf`] is the middle component of that
 //! evaluation.
+//!
+//! In the tails every value is bitwise the 120-level continued fraction,
+//! reached through a bracket: the fractions cut at depth `d` and `d + 1`
+//! enclose it. `tail_q` cuts at the depths of `TAIL_DEPTHS` and needs the
+//! two ends to give the same `Q`. `tail_bracket` cuts at about half those
+//! depths (`BRACKET_DEPTHS`) and hands both ends to the Clark moments,
+//! which need only that their own results agree at both ends (see
+//! `clark::tail_certified`). That holds for about 99 % of the tail maxes
+//! of the `whatif_stream` benchmark; the rest fall back to `tail_q`.
 
 /// `1 / sqrt(2 * pi)`.
 pub const FRAC_1_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
 
 /// Where the central series hands over to the continued-fraction tail.
-const TAIL_START: f64 = 4.0;
+pub(crate) const TAIL_START: f64 = 4.0;
 
 /// Levels of the reference continued fraction. Every tail value is bitwise
 /// the one this many levels give; the shorter depths of [`TAIL_DEPTHS`] are
@@ -49,6 +58,40 @@ const TAIL_DEPTHS: [(f64, u32); 11] = [
 
 /// Continued-fraction depth for `|x| >= 30`.
 const TAIL_DEPTH_FAR: u32 = 8;
+
+/// The depths of [`tail_bracket`], by `|x|` as in [`TAIL_DEPTHS`]: half of
+/// each of those depths, rounded up. At these depths the two ends of the
+/// bracket practically never give the same `Q`, but a Clark max needs
+/// less: in the `whatif_stream` benchmark its moments agree at both ends
+/// for about 96 % of the tail maxes with `|x| < 4.5` and all but fewer than
+/// 1 in 10,000 beyond, and it evaluates [`tail_q`] for the rest. Only speed
+/// depends on this table, never the value.
+pub(crate) const BRACKET_DEPTHS: [(f64, u32); 11] = [
+    (4.5, 22),
+    (5.0, 20),
+    (5.5, 18),
+    (6.0, 14),
+    (7.0, 13),
+    (8.0, 12),
+    (10.0, 10),
+    (12.0, 9),
+    (16.0, 7),
+    (20.0, 5),
+    (30.0, 5),
+];
+
+/// Bracket depth for `|x| >= 30`.
+const BRACKET_DEPTH_FAR: u32 = 4;
+
+/// The depth a `(bound, depth)` table gives `x`: that of the first entry
+/// with `x < bound`, else `far`.
+#[inline]
+fn table_depth(table: &[(f64, u32)], far: u32, x: f64) -> u32 {
+    table
+        .iter()
+        .find(|&&(bound, _)| x < bound)
+        .map_or(far, |&(_, d)| d)
+}
 
 /// The standard normal probability density `phi(x) = exp(-x^2/2)/sqrt(2 pi)`.
 ///
@@ -157,19 +200,35 @@ fn tail_q(x: f64, pdf: f64) -> f64 {
     if pdf == 0.0 {
         return 0.0;
     }
-    let depth = TAIL_DEPTHS
-        .iter()
-        .find(|&&(bound, _)| x < bound)
-        .map_or(TAIL_DEPTH_FAR, |&(_, d)| d);
-    let (short, long) = cut_fractions(x, depth);
-    let q = pdf / short;
-    if q == pdf / long {
+    let (q, q_long) = bracket_at(x, pdf, table_depth(&TAIL_DEPTHS, TAIL_DEPTH_FAR, x));
+    if q == q_long {
         q
     } else {
         // The longer fraction of the pair cut at `TAIL_LEVELS - 1` is the
         // reference itself.
         pdf / cut_fractions(x, TAIL_LEVELS - 1).1
     }
+}
+
+/// Two values that enclose the tail value [`tail_q`] returns for `x >= 4`
+/// and `pdf = phi(x)`: `Q` through the fractions cut at the depth
+/// [`BRACKET_DEPTHS`] gives and one level deeper, in no particular order.
+/// The proof is [`tail_q`]'s: the reference fraction lies between the two
+/// cut fractions, and dividing `pdf` by it rounds monotonically, so the
+/// reference `Q` lies between the two values returned. Each is at most the
+/// rounded Mills bound `fl(pdf / x)`, as the reference is.
+#[inline]
+pub(crate) fn tail_bracket(x: f64, pdf: f64) -> (f64, f64) {
+    debug_assert!(x >= TAIL_START);
+    bracket_at(x, pdf, table_depth(&BRACKET_DEPTHS, BRACKET_DEPTH_FAR, x))
+}
+
+/// `(fl(pdf / short), fl(pdf / long))` for the pair of [`cut_fractions`]
+/// at `depth`.
+#[inline]
+fn bracket_at(x: f64, pdf: f64, depth: u32) -> (f64, f64) {
+    let (short, long) = cut_fractions(x, depth);
+    (pdf / short, pdf / long)
 }
 
 /// The continued-fraction denominators `x + 1/(x + 2/(... x + k/x))` cut at
@@ -440,6 +499,28 @@ mod tests {
         assert_eq!(normal_cdf(-39.0), 0.0);
         assert_eq!(normal_cdf(f64::NEG_INFINITY), 0.0);
         assert_eq!(normal_cdf(f64::INFINITY), 1.0);
+    }
+
+    /// The ends of [`tail_bracket`] enclose the reference `Q` and never
+    /// exceed the rounded Mills bound, on a dense grid and at every edge of
+    /// its depth table.
+    #[test]
+    fn tail_bracket_encloses_the_reference() {
+        let grid = (0..200_000).map(|i| 4.0 + 0.000_173 * f64::from(i));
+        let edges = std::iter::once(TAIL_START)
+            .chain(BRACKET_DEPTHS.iter().map(|&(b, _)| b))
+            .flat_map(|edge| ulp_neighbourhood(edge, 64))
+            .filter(|&x| x >= TAIL_START);
+        for x in grid.chain(edges) {
+            let pdf = normal_pdf(x);
+            let (q_1, q_2) = tail_bracket(x, pdf);
+            let want = reference_tail_q(x);
+            assert!(
+                q_1.min(q_2) <= want && want <= q_1.max(q_2),
+                "x {x}: {q_1:e} {want:e} {q_2:e}"
+            );
+            assert!(q_1.max(q_2) <= pdf / x, "x {x}");
+        }
     }
 
     /// The tail certificate on its own: at depths far too shallow for the

@@ -199,8 +199,9 @@ fn variance() -> impl Strategy<Value = f64> {
 }
 
 /// `alpha` over the central series (|alpha| < 4), every depth band of the
-/// continued-fraction tail, the region past 38.6 where phi underflows, far
-/// beyond, and within a few ulps of either shortcut edge.
+/// continued-fraction tail, the bracketed band below the dominance gate
+/// (4 <= |alpha| < 8.25) on its own, the region past 38.6 where phi
+/// underflows, far beyond, and within a few ulps of either shortcut edge.
 fn alpha() -> impl Strategy<Value = f64> {
     let edge = |i: usize, neg: bool| {
         (-6i64..=6).prop_map(move |k| {
@@ -214,6 +215,8 @@ fn alpha() -> impl Strategy<Value = f64> {
     };
     prop_oneof![
         -4.0..4.0f64,
+        4.0..8.25f64,
+        -8.25..-4.0f64,
         -45.0..45.0f64,
         -1e4..1e4f64,
         edge(0, false),
