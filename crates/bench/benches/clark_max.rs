@@ -1,8 +1,10 @@
 //! Micro-benchmarks for the statistical-max kernel — the operation the
 //! whole method leans on (every SSTA arrival and every NLP constraint
-//! evaluation calls it). Compares plain moments, moments + gradient and
-//! moments + Hessian in the central and the tail region of `alpha`, and,
-//! on the central case, the hyper-dual reference path and Monte Carlo.
+//! evaluation calls it). Compares plain moments, moments + gradient,
+//! moments + Hessian and the Hessian from a recorded frame (what the
+//! reduced seed's `prepare_hess` pays per max node) in the central and the
+//! tail region of `alpha`, and, on the central case, the hyper-dual
+//! reference path and Monte Carlo.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sgs_statmath::clark::{self, DEFAULT_EPS};
@@ -15,9 +17,11 @@ use sgs_statmath::{mc, Normal};
 /// on, `clark::max` can certify that the dominant operand comes through
 /// unchanged and skip the tail (`alpha_12`, `alpha_20`). Below that
 /// (`alpha_4_5`, `alpha_6`) it certifies its moments from a half-depth
-/// bracket around the tail value instead of the full-depth fraction; the
-/// gradient and Hessian still run the full one. `alpha_4_5` sits in the
-/// deepest band of the fraction, `4 <= |alpha| < 4.5`.
+/// bracket around the tail value instead of the full-depth fraction. The
+/// gradient and Hessian certify `Phi(alpha)` from the same bracket for
+/// `alpha >= 4`, the sign every case here has; only `alpha <= -4` runs the
+/// full fraction there. `alpha_4_5` sits in the deepest band of the
+/// fraction, `4 <= |alpha| < 4.5`.
 const CASES: [(&str, [f64; 4]); 5] = [
     ("central", [5.0, 2.0, 4.5, 1.5]),     // alpha ~ 0.27
     ("alpha_4_5", [12.45, 2.0, 4.5, 1.5]), // alpha ~ 4.25
@@ -62,6 +66,12 @@ fn bench_clark(c: &mut Criterion) {
                     )
                 })
             },
+        );
+        let (_, frame) = clark::max_grad_frame(args[0], args[1], args[2], args[3], DEFAULT_EPS);
+        g.bench_with_input(
+            BenchmarkId::new("hessian_recorded_frame", case),
+            &frame,
+            |b, frame| b.iter(|| clark::hess_from_frame(black_box(frame))),
         );
     }
     let args = CASES[0].1;

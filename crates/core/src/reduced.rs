@@ -30,132 +30,194 @@ use sgs_nlp::auglag::SolveStatus;
 use sgs_nlp::newton::{self, NewtonOptions};
 use sgs_nlp::tr::SmoothFn;
 use sgs_ssta::DelayModel;
-use sgs_statmath::clark::{self, ClarkGrad};
+use sgs_statmath::clark::{self, ClarkFrame};
 use sgs_trace::{EvalReport, OuterRecord, SolveRecord, TraceEvent, Tracer};
 
-/// Reference to a stochastic value flowing through the forward tape.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OpRef {
-    /// A folded constant (primary-input arrivals).
-    Const { mu: f64, var: f64 },
-    /// Arrival of gate `g`.
-    Arr(usize),
-    /// Max-tree node `i`.
-    Node(usize),
-}
-
-/// One recorded two-operand max.
+/// The circuit's max structure as flat slot indices, compiled once per
+/// [`ReducedObjective`]: it depends on the circuit alone, not on the
+/// point. A slot holds one `(μ, var)` value. The constants come first
+/// (one per primary input, then one per max of two constants), then one
+/// arrival per gate, then one value per taped max node.
 #[derive(Debug, Clone)]
-struct MaxNode {
-    grad: ClarkGrad,
-    a: OpRef,
-    b: OpRef,
+struct Program {
+    /// Number of primary inputs: slots `0..inputs` hold their arrivals.
+    inputs: usize,
+    /// Maxes of two constants as `[a, b, out]`, all constant slots, in
+    /// dependency order. They run on every forward sweep, so their
+    /// variance clamps are counted like any other, but are not taped.
+    folds: Vec<[usize; 3]>,
+    /// Slot of gate 0's arrival; gate `g`'s is `arr0 + g`.
+    arr0: usize,
+    /// Slot of max node 0; node `i`'s is `node0 + i`.
+    node0: usize,
+    /// Operand slots `[a, b]` per max node.
+    operands: Vec<[usize; 2]>,
+    /// Per gate, the first of its fan-in max nodes, plus a sentinel: gate
+    /// `g` computes nodes `gate_nodes[g]..gate_nodes[g + 1]`, and the
+    /// nodes from `gate_nodes[n]` on fold the outputs.
+    gate_nodes: Vec<usize>,
+    /// Per gate, the slot of its fan-in max `u` (its arrival is `u + t`).
+    fanin: Vec<usize>,
+    /// Slot of the circuit delay `T_max`.
+    tmax: usize,
 }
 
-/// Replayable event for the reverse sweep.
+/// A value of the program before slot numbers are known.
 #[derive(Debug, Clone, Copy)]
-enum Event {
-    /// Max node `i` was computed.
+enum Ref {
+    Const(usize),
+    Arr(usize),
     Node(usize),
-    /// Gate `g`'s arrival was computed as `u + t` with the given max input.
-    Arr { gate: usize, u: OpRef },
 }
 
-/// Forward tape of one evaluation. Held as reusable scratch inside
-/// [`ReducedObjective`]: the Newton loop evaluates thousands of times,
-/// so the tape's vectors are cleared and refilled rather than
-/// reallocated.
-#[derive(Debug, Clone)]
+/// The maxes of a [`Program`] as they are compiled.
+#[derive(Debug, Default)]
+struct Builder {
+    /// Constants so far (the primary inputs, then the folded maxes).
+    consts: usize,
+    folds: Vec<[usize; 3]>,
+    operands: Vec<[Ref; 2]>,
+}
+
+impl Builder {
+    /// The two-operand max of `a` and `b`: a new constant when both are
+    /// constants, else a new taped node.
+    fn max(&mut self, a: Ref, b: Ref) -> Ref {
+        match (a, b) {
+            (Ref::Const(a), Ref::Const(b)) => {
+                self.folds.push([a, b, self.consts]);
+                self.consts += 1;
+                Ref::Const(self.consts - 1)
+            }
+            _ => {
+                self.operands.push([a, b]);
+                Ref::Node(self.operands.len() - 1)
+            }
+        }
+    }
+}
+
+impl Program {
+    /// Compiles the left folds of the two-operand max the SSTA applies:
+    /// over each gate's fan-ins, then over the outputs.
+    fn compile(circuit: &Circuit) -> Self {
+        let n = circuit.num_gates();
+        let inputs = circuit.num_inputs();
+        let mut b = Builder {
+            consts: inputs,
+            ..Builder::default()
+        };
+        let leaf = |sig: Signal| match sig {
+            Signal::Pi(p) => Ref::Const(p),
+            Signal::Gate(src) => Ref::Arr(src.index()),
+        };
+        let mut gate_nodes = Vec::with_capacity(n + 1);
+        let mut fanin = Vec::with_capacity(n);
+        for (_, gate) in circuit.gates() {
+            gate_nodes.push(b.operands.len());
+            let mut acc = leaf(gate.inputs[0]);
+            for &sig in &gate.inputs[1..] {
+                acc = b.max(acc, leaf(sig));
+            }
+            fanin.push(acc);
+        }
+        gate_nodes.push(b.operands.len());
+        let outputs = circuit.outputs();
+        let mut tmax = Ref::Arr(outputs[0].index());
+        for &o in &outputs[1..] {
+            tmax = b.max(tmax, Ref::Arr(o.index()));
+        }
+        let (arr0, node0) = (b.consts, b.consts + n);
+        let slot = |r: Ref| match r {
+            Ref::Const(k) => k,
+            Ref::Arr(g) => arr0 + g,
+            Ref::Node(i) => node0 + i,
+        };
+        Program {
+            inputs,
+            folds: b.folds,
+            arr0,
+            node0,
+            operands: b
+                .operands
+                .iter()
+                .map(|&[x, y]| [slot(x), slot(y)])
+                .collect(),
+            gate_nodes,
+            fanin: fanin.into_iter().map(slot).collect(),
+            tmax: slot(tmax),
+        }
+    }
+
+    /// Number of slots.
+    fn slots(&self) -> usize {
+        self.node0 + self.operands.len()
+    }
+
+    /// The max nodes of gate `g`'s fan-in fold.
+    fn nodes_of(&self, g: usize) -> std::ops::Range<usize> {
+        self.gate_nodes[g]..self.gate_nodes[g + 1]
+    }
+
+    /// The max nodes of the output fold.
+    fn output_nodes(&self) -> std::ops::Range<usize> {
+        self.gate_nodes[self.gate_nodes.len() - 1]..self.operands.len()
+    }
+}
+
+/// What the forward sweep records for one max node: its first
+/// derivatives, and the frame its Hessian is formed from.
+#[derive(Debug, Clone, Copy)]
+struct NodeRec {
+    dmu: [f64; 4],
+    dvar: [f64; 4],
+    frame: ClarkFrame,
+}
+
+/// Forward tape of one evaluation: the `(μ, var)` of every slot of the
+/// [`Program`], and what the sweeps need per gate and per max node. Held
+/// as reusable scratch inside [`ReducedObjective`]: the Newton loop
+/// evaluates thousands of times, so the tape's vectors are refilled
+/// rather than reallocated.
+#[derive(Debug, Clone, Default)]
 struct Tape {
+    mu: Vec<f64>,
+    var: Vec<f64>,
     mu_t: Vec<f64>,
     load: Vec<f64>,
-    nodes: Vec<MaxNode>,
-    events: Vec<Event>,
-    tmax: OpRef,
-    mu_tmax: f64,
-    var_tmax: f64,
-    /// Per-gate arrival moments (needed for per-output constraints).
-    arr: Vec<(f64, f64)>,
+    nodes: Vec<NodeRec>,
 }
 
-impl Tape {
-    /// The `(mu, var)` a reference reads.
-    fn value(&self, r: OpRef) -> (f64, f64) {
-        match r {
-            OpRef::Const { mu, var } => (mu, var),
-            OpRef::Arr(g) => self.arr[g],
-            OpRef::Node(i) => (self.nodes[i].grad.mu, self.nodes[i].grad.var),
-        }
-    }
-}
-
-impl Default for Tape {
-    fn default() -> Self {
-        Tape {
-            mu_t: Vec::new(),
-            load: Vec::new(),
-            nodes: Vec::new(),
-            events: Vec::new(),
-            tmax: OpRef::Const { mu: 0.0, var: 0.0 },
-            mu_tmax: 0.0,
-            var_tmax: 0.0,
-            arr: Vec::new(),
-        }
-    }
-}
-
-/// Reusable per-value buffers of a sweep: `(mu, var)` adjoints of the
-/// arrivals, max nodes and gate delays for the reverse sweep, or their
-/// tangents for the forward tangent sweep of a Hessian-vector product.
+/// Reusable per-slot buffers of a sweep: `(μ, var)` adjoints of every
+/// slot and of the gate delays for the reverse sweep, or their tangents
+/// for the forward tangent sweep of a Hessian-vector product. Constant
+/// slots take what is added to them and are never read.
 #[derive(Debug, Clone, Default)]
-struct AdjointBufs {
-    a_arr_mu: Vec<f64>,
-    a_arr_var: Vec<f64>,
-    a_node_mu: Vec<f64>,
-    a_node_var: Vec<f64>,
-    a_mt: Vec<f64>,
-    a_vt: Vec<f64>,
+struct SlotBufs {
+    mu: Vec<f64>,
+    var: Vec<f64>,
+    mt: Vec<f64>,
+    vt: Vec<f64>,
 }
 
-impl AdjointBufs {
-    fn reset(&mut self, n: usize, nodes: usize) {
-        for v in [
-            &mut self.a_arr_mu,
-            &mut self.a_arr_var,
-            &mut self.a_mt,
-            &mut self.a_vt,
+impl SlotBufs {
+    fn reset(&mut self, slots: usize, gates: usize) {
+        for (v, len) in [
+            (&mut self.mu, slots),
+            (&mut self.var, slots),
+            (&mut self.mt, gates),
+            (&mut self.vt, gates),
         ] {
             v.clear();
-            v.resize(n, 0.0);
-        }
-        for v in [&mut self.a_node_mu, &mut self.a_node_var] {
-            v.clear();
-            v.resize(nodes, 0.0);
+            v.resize(len, 0.0);
         }
     }
 
-    /// The `(mu, var)` pair of reference `r`, or `(0, 0)` for a constant.
-    fn get(&self, r: OpRef) -> (f64, f64) {
-        match r {
-            OpRef::Const { .. } => (0.0, 0.0),
-            OpRef::Arr(g) => (self.a_arr_mu[g], self.a_arr_var[g]),
-            OpRef::Node(i) => (self.a_node_mu[i], self.a_node_var[i]),
-        }
-    }
-
-    /// Adds `(mu, var)` into reference `r`'s slot (constants absorb it).
-    fn add(&mut self, r: OpRef, mu: f64, var: f64) {
-        match r {
-            OpRef::Const { .. } => {}
-            OpRef::Arr(g) => {
-                self.a_arr_mu[g] += mu;
-                self.a_arr_var[g] += var;
-            }
-            OpRef::Node(i) => {
-                self.a_node_mu[i] += mu;
-                self.a_node_var[i] += var;
-            }
-        }
+    /// Adds `(mu, var)` into slot `k`.
+    #[inline]
+    fn add(&mut self, k: usize, mu: f64, var: f64) {
+        self.mu[k] += mu;
+        self.var[k] += var;
     }
 }
 
@@ -177,14 +239,14 @@ struct HessCache {
     a_mt: Vec<f64>,
     a_vt: Vec<f64>,
     /// Second derivatives `[∂²/∂μ², ∂²/∂μ∂v, ∂²/∂v²]` of the objective
-    /// and of each active penalty in the moments of the value they read.
-    seeds: Vec<(OpRef, [f64; 3])>,
+    /// and of each active penalty in the moments of the slot they read.
+    seeds: Vec<(usize, [f64; 3])>,
     /// Per gate, `L̇ = Σ_j C_in,j v_j` over its fanouts.
     load_dot: Vec<f64>,
     /// Tangents of every value along the product's direction.
-    tan: AdjointBufs,
+    tan: SlotBufs,
     /// Tangents of every adjoint along the product's direction.
-    adt: AdjointBufs,
+    adt: SlotBufs,
     /// Gradient scratch for the adjoint sweep.
     g: Vec<f64>,
 }
@@ -196,6 +258,7 @@ struct HessCache {
 pub struct ReducedObjective<'a> {
     circuit: &'a Circuit,
     model: DelayModel,
+    program: Program,
     objective: Objective,
     spec: DelaySpec,
     /// Quadratic-penalty weight for the delay constraint.
@@ -211,7 +274,10 @@ pub struct ReducedObjective<'a> {
     /// The point `scratch` was recorded at (empty before the first
     /// sweep). The tape depends on neither `penalty_weight` nor `theta`.
     taped_at: Vec<f64>,
-    adj: AdjointBufs,
+    adj: SlotBufs,
+    /// The penalty weight and shifts `adj` was computed under, when it
+    /// is the adjoint of the `scratch` tape (`None` otherwise).
+    adj_key: Option<(f64, Vec<f64>)>,
     hess: HessCache,
 }
 
@@ -226,6 +292,7 @@ impl<'a> ReducedObjective<'a> {
         ReducedObjective {
             circuit,
             model: DelayModel::new(circuit, lib),
+            program: Program::compile(circuit),
             objective,
             spec,
             penalty_weight: 10.0,
@@ -235,7 +302,8 @@ impl<'a> ReducedObjective<'a> {
             input_arrivals: None,
             scratch: Tape::default(),
             taped_at: Vec::new(),
-            adj: AdjointBufs::default(),
+            adj: SlotBufs::default(),
+            adj_key: None,
             hess: HessCache::default(),
         }
     }
@@ -254,17 +322,8 @@ impl<'a> ReducedObjective<'a> {
         );
         self.input_arrivals = Some(arrivals);
         self.taped_at.clear();
+        self.adj_key = None;
         self
-    }
-
-    fn pi_ref(&self, p: usize) -> OpRef {
-        match &self.input_arrivals {
-            None => OpRef::Const { mu: 0.0, var: 0.0 },
-            Some(a) => OpRef::Const {
-                mu: a[p].mean(),
-                var: a[p].var(),
-            },
-        }
     }
 
     /// Forward sweep: SSTA with a gradient tape. Allocates a fresh tape —
@@ -292,104 +351,81 @@ impl<'a> ReducedObjective<'a> {
             self.forward_into(x, &mut tape);
             self.taped_at.clear();
             self.taped_at.extend_from_slice(x);
+            self.adj_key = None;
         }
         tape
     }
 
     /// Forward sweep into a caller-provided tape, reusing its buffers.
     fn forward_into(&self, s: &[f64], tape: &mut Tape) {
+        let p = &self.program;
         let n = self.circuit.num_gates();
-        tape.mu_t.clear();
-        tape.mu_t.resize(n, 0.0);
-        tape.load.clear();
-        tape.load.resize(n, 0.0);
-        tape.arr.clear();
-        tape.arr.resize(n, (0.0, 0.0));
-        tape.nodes.clear();
-        tape.events.clear();
-        let mu_t = &mut tape.mu_t;
-        let load = &mut tape.load;
-        let arr = &mut tape.arr;
-        let nodes = &mut tape.nodes;
-        let events = &mut tape.events;
+        let Tape {
+            mu,
+            var,
+            mu_t,
+            load,
+            nodes,
+        } = tape;
+        // Every slot is written before it is read.
+        mu.resize(p.slots(), 0.0);
+        var.resize(p.slots(), 0.0);
+        mu_t.resize(n, 0.0);
+        load.resize(n, 0.0);
+        nodes.clear();
 
-        let value_of = |r: OpRef, arr: &[(f64, f64)], nodes: &[MaxNode]| -> (f64, f64) {
-            match r {
-                OpRef::Const { mu, var } => (mu, var),
-                OpRef::Arr(g) => arr[g],
-                OpRef::Node(i) => (nodes[i].grad.mu, nodes[i].grad.var),
-            }
-        };
-
-        for (id, gate) in self.circuit.gates() {
+        for k in 0..p.inputs {
+            (mu[k], var[k]) = match &self.input_arrivals {
+                None => (0.0, 0.0),
+                Some(a) => (a[k].mean(), a[k].var()),
+            };
+        }
+        for &[a, b, out] in &p.folds {
+            let gr = clark::max_grad(mu[a], var[a], mu[b], var[b], self.eps);
+            (mu[out], var[out]) = (gr.mu, gr.var);
+        }
+        for (id, _) in self.circuit.gates() {
             let g = id.index();
             load[g] = self.model.load_cap(id, s);
             mu_t[g] = self.model.t_int(id) + self.model.c() * load[g] / s[g];
-
-            // Fold the fan-in max.
-            let mut acc = match gate.inputs[0] {
-                Signal::Pi(p) => self.pi_ref(p),
-                Signal::Gate(src) => OpRef::Arr(src.index()),
-            };
-            for &sig in &gate.inputs[1..] {
-                let op = match sig {
-                    Signal::Pi(p) => self.pi_ref(p),
-                    Signal::Gate(src) => OpRef::Arr(src.index()),
-                };
-                let (ma, va) = value_of(acc, arr, nodes);
-                let (mb, vb) = value_of(op, arr, nodes);
-                if matches!(acc, OpRef::Const { .. }) && matches!(op, OpRef::Const { .. }) {
-                    let gr = clark::max_grad(ma, va, mb, vb, self.eps);
-                    acc = OpRef::Const {
-                        mu: gr.mu,
-                        var: gr.var,
-                    };
-                } else {
-                    let gr = clark::max_grad(ma, va, mb, vb, self.eps);
-                    nodes.push(MaxNode {
-                        grad: gr,
-                        a: acc,
-                        b: op,
-                    });
-                    events.push(Event::Node(nodes.len() - 1));
-                    acc = OpRef::Node(nodes.len() - 1);
-                }
-            }
-            let (umu, uvar) = value_of(acc, arr, nodes);
-            let vt = self.kappa2 * mu_t[g] * mu_t[g];
-            arr[g] = (umu + mu_t[g], uvar + vt);
-            events.push(Event::Arr { gate: g, u: acc });
         }
-
-        // Output chain.
-        let mut acc = OpRef::Arr(self.circuit.outputs()[0].index());
-        for &o in &self.circuit.outputs()[1..] {
-            let op = OpRef::Arr(o.index());
-            let (ma, va) = value_of(acc, arr, nodes);
-            let (mb, vb) = value_of(op, arr, nodes);
-            let gr = clark::max_grad(ma, va, mb, vb, self.eps);
-            nodes.push(MaxNode {
-                grad: gr,
-                a: acc,
-                b: op,
+        let mut node = |i: usize, mu: &mut [f64], var: &mut [f64]| {
+            let [a, b] = p.operands[i];
+            let (gr, frame) = clark::max_grad_frame(mu[a], var[a], mu[b], var[b], self.eps);
+            (mu[p.node0 + i], var[p.node0 + i]) = (gr.mu, gr.var);
+            nodes.push(NodeRec {
+                dmu: gr.dmu,
+                dvar: gr.dvar,
+                frame,
             });
-            events.push(Event::Node(nodes.len() - 1));
-            acc = OpRef::Node(nodes.len() - 1);
+        };
+        for g in 0..n {
+            for i in p.nodes_of(g) {
+                node(i, mu, var);
+            }
+            let u = p.fanin[g];
+            let vt = self.kappa2 * mu_t[g] * mu_t[g];
+            (mu[p.arr0 + g], var[p.arr0 + g]) = (mu[u] + mu_t[g], var[u] + vt);
         }
-        let (mu_tmax, var_tmax) = value_of(acc, arr, nodes);
-        tape.tmax = acc;
-        tape.mu_tmax = mu_tmax;
-        tape.var_tmax = var_tmax;
+        for i in p.output_nodes() {
+            node(i, mu, var);
+        }
+    }
+
+    /// The circuit delay moments `(μ, var)` on a tape.
+    fn tmax(&self, tape: &Tape) -> (f64, f64) {
+        (tape.mu[self.program.tmax], tape.var[self.program.tmax])
     }
 
     /// The objective (without penalty terms) from tape results.
     fn objective_from(&self, s: &[f64], tape: &Tape) -> f64 {
-        let sigma = tape.var_tmax.max(1e-18).sqrt();
+        let (mu_tmax, var_tmax) = self.tmax(tape);
+        let sigma = var_tmax.max(1e-18).sqrt();
         match &self.objective {
             Objective::Area => s.iter().sum(),
             Objective::WeightedArea(w) => s.iter().zip(w).map(|(a, b)| a * b).sum(),
-            Objective::MeanDelay => tape.mu_tmax,
-            Objective::MeanPlusKSigma(k) => tape.mu_tmax + k * sigma,
+            Objective::MeanDelay => mu_tmax,
+            Objective::MeanPlusKSigma(k) => mu_tmax + k * sigma,
             Objective::Sigma => sigma,
             Objective::NegSigma => -sigma,
         }
@@ -397,8 +433,8 @@ impl<'a> ReducedObjective<'a> {
 
     /// Calls `f(i, g, dc_dvar, at)` for each delay constraint `i`: its
     /// signed value `g = c − d` at the true deadline, `∂c/∂var` (`∂c/∂μ`
-    /// is 1) and the gate whose arrival it reads (`None`: the circuit
-    /// delay).
+    /// is 1) and the slot of the output arrival it reads (`None`: the
+    /// circuit delay).
     fn each_constraint(&self, tape: &Tape, mut f: impl FnMut(usize, f64, f64, Option<usize>)) {
         let (k, d): (f64, &[f64]) = match &self.spec {
             DelaySpec::None => return,
@@ -408,8 +444,9 @@ impl<'a> ReducedObjective<'a> {
         };
         let per_output = matches!(self.spec, DelaySpec::PerOutput { .. });
         for (i, &d_i) in d.iter().enumerate() {
-            let at = per_output.then(|| self.circuit.outputs()[i].index());
-            let (m, v) = at.map_or((tape.mu_tmax, tape.var_tmax), |g| tape.arr[g]);
+            let at = per_output.then(|| self.program.arr0 + self.circuit.outputs()[i].index());
+            let k_at = at.unwrap_or(self.program.tmax);
+            let (m, v) = (tape.mu[k_at], tape.var[k_at]);
             let sigma = v.max(1e-18).sqrt();
             f(i, m + k * sigma - d_i, k / (2.0 * sigma), at);
         }
@@ -434,7 +471,7 @@ impl<'a> ReducedObjective<'a> {
     /// `(dF/d mu_Tmax, dF/d var_Tmax, direct dF/dS)` seeds of the
     /// objective; the penalty is seeded in `grad`.
     fn objective_seeds(&self, tape: &Tape, ds: &mut [f64]) -> (f64, f64) {
-        let dsigma_dvar = 1.0 / (2.0 * tape.var_tmax.max(1e-18).sqrt());
+        let dsigma_dvar = 1.0 / (2.0 * self.tmax(tape).1.max(1e-18).sqrt());
         match &self.objective {
             Objective::Area => {
                 for d in ds.iter_mut() {
@@ -488,18 +525,31 @@ impl<'a> ReducedObjective<'a> {
 
     /// The circuit delay moments at `s` (forward sweep only).
     pub fn delay_moments(&self, s: &[f64]) -> (f64, f64) {
-        let tape = self.forward(s);
-        (tape.mu_tmax, tape.var_tmax)
+        self.tmax(&self.forward(s))
+    }
+
+    /// Whether `adj` is the adjoint of the scratch tape under the current
+    /// penalty weight and shifts.
+    fn adjoint_is_current(&self) -> bool {
+        self.adj_key.as_ref().is_some_and(|(w, theta)| {
+            w.to_bits() == self.penalty_weight.to_bits()
+                && theta.len() == self.theta.len()
+                && theta
+                    .iter()
+                    .zip(&self.theta)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        })
     }
 }
 
 impl ReducedObjective<'_> {
     /// First-order reverse sweep over `tape` (recorded at `x`): fills the
     /// adjoints in `adj` and writes `dF/dS` into `g`.
-    fn adjoint(&self, x: &[f64], tape: &Tape, adj: &mut AdjointBufs, g: &mut [f64]) {
+    fn adjoint(&self, x: &[f64], tape: &Tape, adj: &mut SlotBufs, g: &mut [f64]) {
+        let p = &self.program;
         let n = self.circuit.num_gates();
         g.fill(0.0);
-        adj.reset(n, tape.nodes.len());
+        adj.reset(p.slots(), n);
 
         let (mut dmu, mut dvar) = self.objective_seeds(tape, g);
         // Penalty seeds: on the circuit delay's moments, or directly on a
@@ -509,39 +559,39 @@ impl ReducedObjective<'_> {
             let a = 2.0 * w * self.residual(i, c);
             match at {
                 _ if a == 0.0 => {}
-                Some(o) => adj.add(OpRef::Arr(o), a, a * dc_dvar),
+                Some(k) => adj.add(k, a, a * dc_dvar),
                 None => {
                     dmu += a;
                     dvar += a * dc_dvar;
                 }
             }
         });
-        debug_assert!(
-            !matches!(tape.tmax, OpRef::Const { .. }),
-            "tmax is never constant"
-        );
-        adj.add(tape.tmax, dmu, dvar);
+        debug_assert!(p.tmax >= p.arr0, "tmax is never constant");
+        adj.add(p.tmax, dmu, dvar);
 
-        // Reverse event sweep.
-        for ev in tape.events.iter().rev() {
-            match *ev {
-                Event::Node(i) => {
-                    let node = &tape.nodes[i];
-                    let (amu, avar) = (adj.a_node_mu[i], adj.a_node_var[i]);
-                    if amu == 0.0 && avar == 0.0 {
-                        continue;
-                    }
-                    let (dm, dv) = (&node.grad.dmu, &node.grad.dvar);
-                    let part = |k: usize| amu * dm[k] + avar * dv[k];
-                    adj.add(node.a, part(0), part(1));
-                    adj.add(node.b, part(2), part(3));
-                }
-                Event::Arr { gate, u } => {
-                    let (amu, avar) = (adj.a_arr_mu[gate], adj.a_arr_var[gate]);
-                    adj.a_mt[gate] += amu;
-                    adj.a_vt[gate] += avar;
-                    adj.add(u, amu, avar);
-                }
+        // Reverse sweep: the output fold, then each gate from the last,
+        // its arrival before its fan-in fold.
+        let node = |i: usize, adj: &mut SlotBufs| {
+            let (amu, avar) = (adj.mu[p.node0 + i], adj.var[p.node0 + i]);
+            if amu == 0.0 && avar == 0.0 {
+                return;
+            }
+            let (dm, dv) = (&tape.nodes[i].dmu, &tape.nodes[i].dvar);
+            let part = |k: usize| amu * dm[k] + avar * dv[k];
+            let [a, b] = p.operands[i];
+            adj.add(a, part(0), part(1));
+            adj.add(b, part(2), part(3));
+        };
+        for i in p.output_nodes().rev() {
+            node(i, adj);
+        }
+        for gi in (0..n).rev() {
+            let (amu, avar) = (adj.mu[p.arr0 + gi], adj.var[p.arr0 + gi]);
+            adj.mt[gi] += amu;
+            adj.vt[gi] += avar;
+            adj.add(p.fanin[gi], amu, avar);
+            for i in p.nodes_of(gi).rev() {
+                node(i, adj);
             }
         }
 
@@ -551,7 +601,7 @@ impl ReducedObjective<'_> {
         let c = self.model.c();
         for (id, _) in self.circuit.gates() {
             let gi = id.index();
-            let amt = adj.a_mt[gi] + adj.a_vt[gi] * 2.0 * self.kappa2 * tape.mu_t[gi];
+            let amt = adj.mt[gi] + adj.vt[gi] * 2.0 * self.kappa2 * tape.mu_t[gi];
             if amt == 0.0 {
                 continue;
             }
@@ -563,19 +613,20 @@ impl ReducedObjective<'_> {
     }
 
     /// Second derivatives of the objective and of each active penalty in
-    /// the `(mu, var)` of the value they read, pushed onto `seeds`.
-    fn seed_hessians(&self, tape: &Tape, seeds: &mut Vec<(OpRef, [f64; 3])>) {
+    /// the `(mu, var)` of the slot they read, pushed onto `seeds`.
+    fn seed_hessians(&self, tape: &Tape, seeds: &mut Vec<(usize, [f64; 3])>) {
         seeds.clear();
+        let var_tmax = self.tmax(tape).1;
         // d²σ/dv² = −1/(4σ³), with σ² the floored variance.
         let d2sigma = |v: f64| -0.25 / v.max(1e-18).powf(1.5);
         let hvv = match &self.objective {
-            Objective::MeanPlusKSigma(k) => k * d2sigma(tape.var_tmax),
-            Objective::Sigma => d2sigma(tape.var_tmax),
-            Objective::NegSigma => -d2sigma(tape.var_tmax),
+            Objective::MeanPlusKSigma(k) => k * d2sigma(var_tmax),
+            Objective::Sigma => d2sigma(var_tmax),
+            Objective::NegSigma => -d2sigma(var_tmax),
             _ => 0.0,
         };
         if hvv != 0.0 {
-            seeds.push((tape.tmax, [0.0, 0.0, hvv]));
+            seeds.push((self.program.tmax, [0.0, 0.0, hvv]));
         }
         // w r² with r = μ + kσ − d + θ: 2w∇r∇rᵀ + 2w r∇²r while active.
         let w = self.penalty_weight;
@@ -585,11 +636,10 @@ impl ReducedObjective<'_> {
             if !eq && r <= 0.0 {
                 return;
             }
-            let v = at.map_or(tape.var_tmax, |o| tape.arr[o].1);
-            let c_vv = -dc_dvar / (2.0 * v.max(1e-18));
-            let op = at.map_or(tape.tmax, OpRef::Arr);
+            let at = at.unwrap_or(self.program.tmax);
+            let c_vv = -dc_dvar / (2.0 * tape.var[at].max(1e-18));
             seeds.push((
-                op,
+                at,
                 [
                     2.0 * w,
                     2.0 * w * dc_dvar,
@@ -620,28 +670,36 @@ impl SmoothFn for ReducedObjective<'_> {
         self.adjoint(x, &tape, &mut adj, g);
         self.scratch = tape;
         self.adj = adj;
+        let mut key = self.adj_key.take().unwrap_or_default();
+        key.0 = self.penalty_weight;
+        key.1.clone_from(&self.theta);
+        self.adj_key = Some(key);
     }
 
-    /// Runs the taped forward sweep and the first-order adjoint at `x`,
-    /// then weights each max node's Clark Hessians by its adjoints.
+    /// Weights each max node's Clark Hessians, formed from the frames the
+    /// forward sweep recorded, by its adjoints at `x`. The tape and the
+    /// adjoint are the ones [`SmoothFn::grad`] left at `x` when it ran
+    /// there last under the same penalty weight and shifts; otherwise
+    /// they are computed here.
     fn prepare_hess(&mut self, x: &[f64]) {
         let n = self.circuit.num_gates();
         let mut tape = self.take_tape(x);
         let mut adj = std::mem::take(&mut self.adj);
         let mut h = std::mem::take(&mut self.hess);
-        h.g.resize(n, 0.0);
-        self.adjoint(x, &tape, &mut adj, &mut h.g);
+        if !self.adjoint_is_current() {
+            h.g.resize(n, 0.0);
+            self.adjoint(x, &tape, &mut adj, &mut h.g);
+        }
 
+        let p = &self.program;
         h.w.clear();
         h.live.clear();
-        for (i, node) in tape.nodes.iter().enumerate() {
-            let (amu, avar) = (adj.a_node_mu[i], adj.a_node_var[i]);
+        for (i, rec) in tape.nodes.iter().enumerate() {
+            let (amu, avar) = (adj.mu[p.node0 + i], adj.var[p.node0 + i]);
             let live = amu != 0.0 || avar != 0.0;
             let mut w = [[0.0; 4]; 4];
             if live {
-                let (ma, va) = tape.value(node.a);
-                let (mb, vb) = tape.value(node.b);
-                let hs = clark::max_hess(ma, va, mb, vb, self.eps);
+                let hs = clark::hess_from_frame(&rec.frame);
                 for (r, row) in w.iter_mut().enumerate() {
                     for (k, e) in row.iter_mut().enumerate() {
                         *e = amu * hs.hmu[r][k] + avar * hs.hvar[r][k];
@@ -651,20 +709,19 @@ impl SmoothFn for ReducedObjective<'_> {
             h.w.push(w);
             h.live.push(live);
         }
-        h.a_mt.clone_from(&adj.a_mt);
-        h.a_vt.clone_from(&adj.a_vt);
+        h.a_mt.clone_from(&adj.mt);
+        h.a_vt.clone_from(&adj.vt);
         self.seed_hessians(&tape, &mut h.seeds);
         h.s.clear();
         h.s.extend_from_slice(x);
         h.load_dot.resize(n, 0.0);
-        h.tan.reset(n, tape.nodes.len());
-        h.adt.reset(n, tape.nodes.len());
 
         // The products read the tape at `x`: keep it in the cache, and
         // let the next evaluation re-record the scratch buffers.
         std::mem::swap(&mut h.tape, &mut tape);
         self.scratch = tape;
         self.taped_at.clear();
+        self.adj_key = None;
         self.adj = adj;
         self.hess = h;
     }
@@ -685,12 +742,13 @@ impl SmoothFn for ReducedObjective<'_> {
             adt,
             ..
         } = &mut self.hess;
+        let p = &self.program;
         let n = self.circuit.num_gates();
         let c = self.model.c();
         let k2 = 2.0 * self.kappa2;
 
         // Gate-delay tangents: mu_t = t_int + c L / S, v_t = kappa2 mu_t².
-        tan.reset(n, tape.nodes.len());
+        tan.reset(p.slots(), n);
         for (id, _) in self.circuit.gates() {
             let gi = id.index();
             let mut ld = 0.0;
@@ -699,66 +757,66 @@ impl SmoothFn for ReducedObjective<'_> {
             }
             load_dot[gi] = ld;
             let dm = c * ld / s[gi] - c * tape.load[gi] / (s[gi] * s[gi]) * v[gi];
-            tan.a_mt[gi] = dm;
-            tan.a_vt[gi] = k2 * tape.mu_t[gi] * dm;
+            tan.mt[gi] = dm;
+            tan.vt[gi] = k2 * tape.mu_t[gi] * dm;
         }
-        // Forward tangent sweep over the recorded events.
-        for ev in &tape.events {
-            match *ev {
-                Event::Node(i) => {
-                    let node = &tape.nodes[i];
-                    let (am, av) = tan.get(node.a);
-                    let (bm, bv) = tan.get(node.b);
-                    let x = [am, av, bm, bv];
-                    let (dm, dv) = (&node.grad.dmu, &node.grad.dvar);
-                    tan.a_node_mu[i] = (0..4).map(|k| dm[k] * x[k]).sum();
-                    tan.a_node_var[i] = (0..4).map(|k| dv[k] * x[k]).sum();
-                }
-                Event::Arr { gate, u } => {
-                    let (um, uv) = tan.get(u);
-                    tan.a_arr_mu[gate] = um + tan.a_mt[gate];
-                    tan.a_arr_var[gate] = uv + tan.a_vt[gate];
-                }
+        // Forward tangent sweep, in the forward sweep's order.
+        let node = |i: usize, tan: &mut SlotBufs| {
+            let [a, b] = p.operands[i];
+            let x = [tan.mu[a], tan.var[a], tan.mu[b], tan.var[b]];
+            let (dm, dv) = (&tape.nodes[i].dmu, &tape.nodes[i].dvar);
+            tan.mu[p.node0 + i] = (0..4).map(|k| dm[k] * x[k]).sum();
+            tan.var[p.node0 + i] = (0..4).map(|k| dv[k] * x[k]).sum();
+        };
+        for gi in 0..n {
+            for i in p.nodes_of(gi) {
+                node(i, tan);
             }
+            let u = p.fanin[gi];
+            tan.mu[p.arr0 + gi] = tan.mu[u] + tan.mt[gi];
+            tan.var[p.arr0 + gi] = tan.var[u] + tan.vt[gi];
+        }
+        for i in p.output_nodes() {
+            node(i, tan);
         }
 
         // Reverse sweep of the adjoint tangents, seeded by the objective's
         // and the penalties' second derivatives.
-        adt.reset(n, tape.nodes.len());
-        for &(op, [hmm, hmv, hvv]) in seeds.iter() {
-            let (tm, tv) = tan.get(op);
-            adt.add(op, hmm * tm + hmv * tv, hmv * tm + hvv * tv);
+        adt.reset(p.slots(), n);
+        for &(k, [hmm, hmv, hvv]) in seeds.iter() {
+            let (tm, tv) = (tan.mu[k], tan.var[k]);
+            adt.add(k, hmm * tm + hmv * tv, hmv * tm + hvv * tv);
         }
-        for ev in tape.events.iter().rev() {
-            match *ev {
-                Event::Node(i) => {
-                    let (bm, bv) = (adt.a_node_mu[i], adt.a_node_var[i]);
-                    if !live[i] && bm == 0.0 && bv == 0.0 {
-                        continue;
-                    }
-                    let node = &tape.nodes[i];
-                    let (am, av) = tan.get(node.a);
-                    let (cm, cv) = tan.get(node.b);
-                    let x = [am, av, cm, cv];
-                    let (dm, dv) = (&node.grad.dmu, &node.grad.dvar);
-                    let wi = &w[i];
-                    let part = |k: usize| {
-                        bm * dm[k]
-                            + bv * dv[k]
-                            + wi[k][0] * x[0]
-                            + wi[k][1] * x[1]
-                            + wi[k][2] * x[2]
-                            + wi[k][3] * x[3]
-                    };
-                    adt.add(node.a, part(0), part(1));
-                    adt.add(node.b, part(2), part(3));
-                }
-                Event::Arr { gate, u } => {
-                    let (bm, bv) = (adt.a_arr_mu[gate], adt.a_arr_var[gate]);
-                    adt.a_mt[gate] += bm;
-                    adt.a_vt[gate] += bv;
-                    adt.add(u, bm, bv);
-                }
+        let node = |i: usize, adt: &mut SlotBufs| {
+            let (bm, bv) = (adt.mu[p.node0 + i], adt.var[p.node0 + i]);
+            if !live[i] && bm == 0.0 && bv == 0.0 {
+                return;
+            }
+            let [a, b] = p.operands[i];
+            let x = [tan.mu[a], tan.var[a], tan.mu[b], tan.var[b]];
+            let (dm, dv) = (&tape.nodes[i].dmu, &tape.nodes[i].dvar);
+            let wi = &w[i];
+            let part = |k: usize| {
+                bm * dm[k]
+                    + bv * dv[k]
+                    + wi[k][0] * x[0]
+                    + wi[k][1] * x[1]
+                    + wi[k][2] * x[2]
+                    + wi[k][3] * x[3]
+            };
+            adt.add(a, part(0), part(1));
+            adt.add(b, part(2), part(3));
+        };
+        for i in p.output_nodes().rev() {
+            node(i, adt);
+        }
+        for gi in (0..n).rev() {
+            let (bm, bv) = (adt.mu[p.arr0 + gi], adt.var[p.arr0 + gi]);
+            adt.mt[gi] += bm;
+            adt.vt[gi] += bv;
+            adt.add(p.fanin[gi], bm, bv);
+            for i in p.nodes_of(gi).rev() {
+                node(i, adt);
             }
         }
 
@@ -769,7 +827,7 @@ impl SmoothFn for ReducedObjective<'_> {
             let gi = id.index();
             let mu_t = tape.mu_t[gi];
             let a = a_mt[gi] + a_vt[gi] * k2 * mu_t;
-            let a_dot = adt.a_mt[gi] + adt.a_vt[gi] * k2 * mu_t + a_vt[gi] * k2 * tan.a_mt[gi];
+            let a_dot = adt.mt[gi] + adt.vt[gi] * k2 * mu_t + a_vt[gi] * k2 * tan.mt[gi];
             if a == 0.0 && a_dot == 0.0 {
                 continue;
             }
@@ -1216,16 +1274,16 @@ mod tests {
             for (obj, spec, theta) in hessian_cases(&c, &s) {
                 let mut red = evaluator(&c, &obj, &spec, theta);
                 red.prepare_hess(&s);
-                let h = &red.hess;
-                let mut adj = AdjointBufs::default();
+                let (h, p) = (&red.hess, &red.program);
+                let mut adj = SlotBufs::default();
                 let mut g = vec![0.0; c.num_gates()];
                 red.adjoint(&s, &h.tape, &mut adj, &mut g);
                 assert_eq!(h.w.len(), h.tape.nodes.len());
-                for (i, node) in h.tape.nodes.iter().enumerate() {
-                    let (ma, va) = h.tape.value(node.a);
-                    let (mb, vb) = h.tape.value(node.b);
+                for (i, &[a, b]) in p.operands.iter().enumerate() {
+                    let (ma, va) = (h.tape.mu[a], h.tape.var[a]);
+                    let (mb, vb) = (h.tape.mu[b], h.tape.var[b]);
                     let d = clark::max_hess_dual(ma, va, mb, vb, red.eps);
-                    let (amu, avar) = (adj.a_node_mu[i], adj.a_node_var[i]);
+                    let (amu, avar) = (adj.mu[p.node0 + i], adj.var[p.node0 + i]);
                     for r in 0..4 {
                         for k in 0..4 {
                             let want = amu * d.hmu[r][k] + avar * d.hvar[r][k];

@@ -244,8 +244,11 @@ fn parse_instance(rest: &str, kind_name: &str) -> Result<(String, Vec<Connection
             "instance of `{kind_name}` has no name"
         )));
     }
+    // The last `)` must close the list the first `(` opens: on a garbled
+    // line such as `u0 a0), .B(b0` it comes first.
     let close = rest
         .rfind(')')
+        .filter(|&close| close > open)
         .ok_or_else(|| NetlistError::Parse(format!("unterminated port list on `{name}`")))?;
     let body = &rest[open + 1..close];
     let mut conns = Vec::new();

@@ -227,3 +227,13 @@ fn verilog_truncated_instance_reports_line() {
     let msg = parse_error_at_line(verilog::parse(text), 4);
     assert!(!msg.is_empty());
 }
+
+#[test]
+fn verilog_close_before_open_reports_line() {
+    // The last `)` of the port list comes before its first `(`: a
+    // garbled instance, not a slice to take.
+    let text =
+        "module bad (a0, b0, y);\n  input a0, b0;\n  output y;\n  XOR2 u0 a0), .B(b0;\nendmodule\n";
+    let msg = parse_error_at_line(verilog::parse(text), 4);
+    assert!(msg.contains("unterminated port list"), "{msg}");
+}

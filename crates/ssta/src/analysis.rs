@@ -1,7 +1,7 @@
 //! Forward statistical (and deterministic) static timing analysis.
 
 use crate::delay::DelayModel;
-use crate::soa::{ArrivalRead, ArrivalSoa};
+use crate::soa::{ArrivalPush, ArrivalRead};
 use sgs_netlist::{Circuit, GateId, Library, Signal};
 use sgs_statmath::{clark, Normal};
 
@@ -50,10 +50,11 @@ pub fn ssta_with_arrivals(
     ssta_with_model_and_arrivals(circuit, &model, s, input_arrivals)
 }
 
-/// Statistical STA reusing a prebuilt [`DelayModel`] — the entry point
-/// for callers that evaluate many speed vectors on one circuit (greedy
-/// sizing, discretization repair, Monte Carlo sweeps), where rebuilding
-/// the model per evaluation dominates.
+/// Statistical STA reusing a prebuilt [`DelayModel`]: bitwise the report
+/// of [`ssta`], which builds a fresh model on every call. For callers that
+/// evaluate many speed vectors on one circuit (greedy sizing,
+/// discretization repair, Monte Carlo sweeps) or already hold the model
+/// for their own use.
 ///
 /// # Panics
 ///
@@ -74,6 +75,23 @@ pub fn ssta_with_model_and_arrivals(
     s: &[f64],
     input_arrivals: Option<&[Normal]>,
 ) -> SstaReport {
+    check_inputs(circuit, s, input_arrivals);
+    sgs_metrics::incr(sgs_metrics::Counter::SstaFullPasses);
+    let _timer = sgs_metrics::time_hist(sgs_metrics::HistId::SstaFullSeconds);
+    let arrivals = full_pass(
+        circuit,
+        model,
+        s,
+        input_arrivals,
+        Vec::with_capacity(circuit.num_gates()),
+    );
+    let delay = delay_from_arrivals(circuit, &arrivals);
+    SstaReport { arrivals, delay }
+}
+
+/// Panics unless `s` holds one speed factor per gate and `input_arrivals`
+/// (if any) one arrival per primary input.
+pub(crate) fn check_inputs(circuit: &Circuit, s: &[f64], input_arrivals: Option<&[Normal]>) {
     assert_eq!(s.len(), circuit.num_gates(), "speed vector length mismatch");
     if let Some(ia) = input_arrivals {
         assert_eq!(
@@ -82,10 +100,6 @@ pub fn ssta_with_model_and_arrivals(
             "input arrival length mismatch"
         );
     }
-    sgs_metrics::incr(sgs_metrics::Counter::SstaFullPasses);
-    let _timer = sgs_metrics::time_hist(sgs_metrics::HistId::SstaFullSeconds);
-    let arrivals = arrivals_sequential(circuit, model, s, input_arrivals);
-    report_from_arrivals(circuit, arrivals)
 }
 
 /// Arrival of `sig` given already-computed gate arrivals (in either
@@ -125,16 +139,20 @@ pub(crate) fn gate_arrival<A: ArrivalRead + ?Sized>(
     u + model.gate_delay(id, s)
 }
 
-pub(crate) fn arrivals_sequential(
+/// The one full pass behind every `ssta*` entry point and
+/// [`crate::IncrementalSsta`]'s start: [`gate_arrival`] per gate in id
+/// order, appended to the (empty) `arrivals` in whichever layout the
+/// caller keeps.
+pub(crate) fn full_pass<A: ArrivalPush>(
     circuit: &Circuit,
     model: &DelayModel,
     s: &[f64],
     input_arrivals: Option<&[Normal]>,
-) -> ArrivalSoa {
-    let mut arrivals = ArrivalSoa::with_capacity(circuit.num_gates());
+    mut arrivals: A,
+) -> A {
     for idx in 0..circuit.num_gates() {
         let a = gate_arrival(circuit, model, s, &arrivals, input_arrivals, idx);
-        arrivals.push(a);
+        arrivals.push_arrival(a);
     }
     arrivals
 }
@@ -154,14 +172,6 @@ pub(crate) fn delay_from_arrivals<A: ArrivalRead + ?Sized>(
             .map(|&o| arrivals.arrival(o.index())),
     )
     .expect("validated circuits have outputs")
-}
-
-fn report_from_arrivals(circuit: &Circuit, arrivals: ArrivalSoa) -> SstaReport {
-    let delay = delay_from_arrivals(circuit, &arrivals);
-    SstaReport {
-        arrivals: arrivals.to_normals(),
-        delay,
-    }
 }
 
 /// Traditional deterministic STA: every gate contributes `mu_t + margin_k *
@@ -395,6 +405,51 @@ mod tests {
             "{} vs {v}",
             earliest.var()
         );
+    }
+
+    /// Every arrival and the delay of a report, as bits.
+    fn report_bits(r: &SstaReport) -> Vec<u64> {
+        r.arrivals
+            .iter()
+            .chain([&r.delay])
+            .flat_map(|a| [a.mean().to_bits(), a.var().to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn ssta_is_bitwise_ssta_with_model() {
+        let circuits = [
+            generate::tree7(),
+            generate::fig2(),
+            generate::ripple_carry_adder(6),
+            generate::random_dag(&generate::RandomDagSpec {
+                name: "held_model".to_string(),
+                cells: 120,
+                inputs: 12,
+                depth: 9,
+                seed: 5,
+                ..Default::default()
+            }),
+        ];
+        for c in &circuits {
+            let n = c.num_gates();
+            let model = DelayModel::new(c, &lib());
+            let s: Vec<f64> = (0..n).map(|i| 1.0 + 0.137 * (i % 15) as f64).collect();
+            let late: Vec<Normal> = (0..c.num_inputs())
+                .map(|p| Normal::new(0.3 * p as f64, 0.1 + 0.05 * p as f64))
+                .collect();
+            for ia in [None, Some(late.as_slice())] {
+                let fresh = ssta_with_arrivals(c, &lib(), &s, ia);
+                let held = ssta_with_model_and_arrivals(c, &model, &s, ia);
+                assert_eq!(report_bits(&fresh), report_bits(&held), "{}", c.name());
+            }
+            assert_eq!(
+                report_bits(&ssta(c, &lib(), &s)),
+                report_bits(&ssta_with_model(c, &model, &s)),
+                "{}",
+                c.name()
+            );
+        }
     }
 
     #[test]

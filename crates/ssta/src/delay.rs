@@ -10,7 +10,8 @@ use sgs_statmath::Normal;
 /// Building one is linear in the circuit size: the fan-out lists are laid
 /// out in CSR form (two flat arrays, no per-gate allocation), each in the
 /// order of [`Circuit::fanouts`], so load sums add the same terms in the
-/// same order.
+/// same order. Every gate delay of the crate (full pass, incremental
+/// engine) is this model's [`DelayModel::gate_delay`].
 #[derive(Debug, Clone)]
 pub struct DelayModel {
     t_int: Vec<f64>,

@@ -32,7 +32,7 @@
 //! differential oracle battery in `tests/oracle_incremental.rs` pins this
 //! contract with `to_bits()` equality against fresh [`crate::ssta`] runs.
 
-use crate::analysis::{arrivals_sequential, delay_from_arrivals, gate_arrival, SstaReport};
+use crate::analysis::{check_inputs, delay_from_arrivals, full_pass, gate_arrival, SstaReport};
 use crate::delay::DelayModel;
 use crate::levels::LevelSchedule;
 use crate::soa::ArrivalSoa;
@@ -136,17 +136,16 @@ impl<'a> IncrementalSsta<'a> {
         s: &[f64],
         input_arrivals: Option<&[Normal]>,
     ) -> Self {
-        assert_eq!(s.len(), circuit.num_gates(), "speed vector length mismatch");
-        if let Some(ia) = input_arrivals {
-            assert_eq!(
-                ia.len(),
-                circuit.num_inputs(),
-                "input arrival length mismatch"
-            );
-        }
+        check_inputs(circuit, s, input_arrivals);
         let model = DelayModel::new(circuit, lib);
-        let arrivals = arrivals_sequential(circuit, &model, s, input_arrivals);
         let n = circuit.num_gates();
+        let arrivals = full_pass(
+            circuit,
+            &model,
+            s,
+            input_arrivals,
+            ArrivalSoa::with_capacity(n),
+        );
         let mut out_pos = vec![usize::MAX; n];
         let mut out_prefix = Vec::with_capacity(circuit.outputs().len());
         for (p, &o) in circuit.outputs().iter().enumerate() {

@@ -2,9 +2,11 @@
 //!
 //! [`ArrivalSoa`] holds the circuit-wide arrival state as two contiguous
 //! `(mu, var)` arrays instead of per-gate [`Normal`] structs. It backs the
-//! full pass and the incremental engine's dirty-cone updates, which read
-//! it — and the array-of-structs form held in an [`crate::SstaReport`] —
-//! through the [`ArrivalRead`] abstraction.
+//! incremental engine: its initial full pass fills it and its dirty-cone
+//! updates overwrite it. The propagation functions read it, and the
+//! array-of-structs form held in an [`crate::SstaReport`], through the
+//! [`ArrivalRead`] abstraction; the full pass appends to either through
+//! `ArrivalPush`.
 
 use sgs_statmath::Normal;
 
@@ -13,7 +15,7 @@ use sgs_statmath::Normal;
 /// Lets the pure propagation functions (`analysis::gate_arrival`
 /// and friends) run unchanged over both the legacy array-of-structs form
 /// (`[Normal]`, as held in an [`crate::SstaReport`]) and the contiguous
-/// [`ArrivalSoa`] the full pass and the incremental engine use internally.
+/// [`ArrivalSoa`] the incremental engine uses internally.
 pub trait ArrivalRead {
     /// Arrival distribution at gate `idx`.
     fn arrival(&self, idx: usize) -> Normal;
@@ -30,6 +32,27 @@ impl ArrivalRead for Vec<Normal> {
     #[inline]
     fn arrival(&self, idx: usize) -> Normal {
         self[idx]
+    }
+}
+
+/// Arrival storage the full pass appends to in gate order, so it fills a
+/// report's `Vec<Normal>` or an [`ArrivalSoa`] directly.
+pub(crate) trait ArrivalPush: ArrivalRead {
+    /// Appends the arrival of the next gate.
+    fn push_arrival(&mut self, a: Normal);
+}
+
+impl ArrivalPush for Vec<Normal> {
+    #[inline]
+    fn push_arrival(&mut self, a: Normal) {
+        self.push(a);
+    }
+}
+
+impl ArrivalPush for ArrivalSoa {
+    #[inline]
+    fn push_arrival(&mut self, a: Normal) {
+        self.push(a);
     }
 }
 

@@ -25,7 +25,9 @@
 
 use crate::dual::{Dual2, Real};
 use crate::normal::Normal;
-use crate::special::{normal_cdf_pair, normal_pdf, normal_pdf_cdf, tail_bracket, TAIL_START};
+use crate::special::{
+    normal_cdf_given_pdf, normal_cdf_pair, normal_pdf, normal_pdf_cdf, tail_bracket, TAIL_START,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default variance-smoothing floor added inside `theta^2`.
@@ -359,8 +361,18 @@ pub struct ClarkHess {
     pub hvar: [[f64; 4]; 4],
 }
 
-/// Shared intermediates of the closed-form derivative expressions.
-struct Frame {
+/// One max's operands and the intermediates its closed-form derivatives
+/// read: `theta`, `alpha`, `phi(alpha)`, `Phi(alpha)`, `1 - Phi(alpha)`,
+/// `mu_c` and `E[C^2]`. [`max_grad_frame`] returns it beside the gradient,
+/// so a caller that records it can form the Hessian later with
+/// [`hess_from_frame`] and no special-function call. The operands travel
+/// with the intermediates, so a frame cannot be paired with the wrong ones.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClarkFrame {
+    mu_a: f64,
+    var_a: f64,
+    mu_b: f64,
+    var_b: f64,
     theta: f64,
     alpha: f64,
     phi: f64,
@@ -370,17 +382,22 @@ struct Frame {
     e2: f64,
 }
 
-fn frame(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> Frame {
+fn frame(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> ClarkFrame {
     let theta = (var_a + var_b + eps * eps).sqrt();
     let alpha = (mu_a - mu_b) / theta;
-    let (phi, cdf_p, _) = normal_pdf_cdf(alpha);
+    let phi = normal_pdf(alpha);
+    let cdf_p = normal_cdf_given_pdf(alpha, phi);
     // The complement, not the fused Phi(-alpha): the derivative formulas
     // were pinned (golden transcripts) with `1 - Phi(alpha)`.
     let cdf_m = 1.0 - cdf_p;
     let mu_c = mu_a * cdf_p + mu_b * cdf_m + theta * phi;
     let e2 =
         (var_a + mu_a * mu_a) * cdf_p + (var_b + mu_b * mu_b) * cdf_m + (mu_a + mu_b) * theta * phi;
-    Frame {
+    ClarkFrame {
+        mu_a,
+        var_a,
+        mu_b,
+        var_b,
         theta,
         alpha,
         phi,
@@ -396,8 +413,20 @@ fn frame(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> Frame {
 /// Cheaper than [`max_hess`]; used on hot paths (adjoint/reduced-space
 /// gradients) where second derivatives are not needed.
 pub fn max_grad(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> ClarkGrad {
+    max_grad_frame(mu_a, var_a, mu_b, var_b, eps).0
+}
+
+/// [`max_grad`] and the frame it was computed from, for a caller that
+/// wants the Hessian at the same operands later ([`hess_from_frame`]).
+pub fn max_grad_frame(
+    mu_a: f64,
+    var_a: f64,
+    mu_b: f64,
+    var_b: f64,
+    eps: f64,
+) -> (ClarkGrad, ClarkFrame) {
     let f = frame(mu_a, var_a, mu_b, var_b, eps);
-    let Frame {
+    let ClarkFrame {
         theta,
         alpha,
         phi,
@@ -405,6 +434,7 @@ pub fn max_grad(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> Clark
         cdf_m,
         mu_c,
         e2,
+        ..
     } = f;
     let w = var_a - var_b;
     let s = mu_a + mu_b;
@@ -428,12 +458,13 @@ pub fn max_grad(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> Clark
     for i in 0..4 {
         dvar[i] = de2[i] - 2.0 * mu_c * dmu[i];
     }
-    ClarkGrad {
+    let grad = ClarkGrad {
         mu: mu_c,
         var: clamp_var(e2 - mu_c * mu_c),
         dmu,
         dvar,
-    }
+    };
+    (grad, f)
 }
 
 /// Clark moments plus exact gradient and Hessian, in closed form.
@@ -441,10 +472,22 @@ pub fn max_grad(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> Clark
 /// This is the workhorse used by the gate-sizing NLP assembly: both the
 /// `max`-equality constraints and the Lagrangian Hessian are built from it.
 /// Every entry is validated in tests against hyper-dual evaluation of
-/// [`moments_generic`] and against finite differences.
+/// [`moments_generic`] and against finite differences. It computes the
+/// frame [`max_grad_frame`] records and then calls [`hess_from_frame`],
+/// so the Hessian formula is written once.
 pub fn max_hess(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> ClarkHess {
-    let f = frame(mu_a, var_a, mu_b, var_b, eps);
-    let Frame {
+    hess_from_frame(&frame(mu_a, var_a, mu_b, var_b, eps))
+}
+
+/// [`max_hess`] at the operands of a frame recorded by
+/// [`max_grad_frame`]: bit for bit the same result, with no
+/// special-function call. Like [`max_hess`], it counts its variance clamp.
+pub fn hess_from_frame(f: &ClarkFrame) -> ClarkHess {
+    let ClarkFrame {
+        mu_a,
+        var_a,
+        mu_b,
+        var_b,
         theta,
         alpha,
         phi,
@@ -452,7 +495,7 @@ pub fn max_hess(mu_a: f64, var_a: f64, mu_b: f64, var_b: f64, eps: f64) -> Clark
         cdf_m,
         mu_c,
         e2,
-    } = f;
+    } = *f;
     let w = var_a - var_b;
     let s = mu_a + mu_b;
     let d = mu_a - mu_b;
@@ -672,6 +715,39 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Every field of a [`ClarkHess`], as bits.
+    fn hess_bits(h: &ClarkHess) -> Vec<u64> {
+        let rows = h.hmu.iter().chain(&h.hvar).flatten();
+        [h.mu, h.var]
+            .iter()
+            .chain(&h.dmu)
+            .chain(&h.dvar)
+            .chain(rows)
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn recorded_frame_hessian_is_bitwise_max_hess() {
+        // The hyper-dual battery's operands, plus the tail on both sides
+        // (the certified and the full Phi) and a clamp-prone dominated pair.
+        let extra = [
+            [12.45, 2.0, 4.5, 1.5],
+            [4.5, 1.5, 12.45, 2.0],
+            [27.0, 2.0, 4.5, 1.5],
+            [2.0, 1e-12, 30.0, 1e-12],
+        ];
+        for &[ma, va, mb, vb] in CASES.iter().chain(&extra) {
+            let want = max_hess(ma, va, mb, vb, DEFAULT_EPS);
+            let (g, f) = max_grad_frame(ma, va, mb, vb, DEFAULT_EPS);
+            let got = hess_from_frame(&f);
+            let at = format!("({ma}, {va}, {mb}, {vb})");
+            assert_eq!(hess_bits(&got), hess_bits(&want), "at {at}");
+            assert_eq!(g.mu.to_bits(), want.mu.to_bits(), "mu at {at}");
+            assert_eq!(g.var.to_bits(), want.var.to_bits(), "var at {at}");
         }
     }
 

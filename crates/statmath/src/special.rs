@@ -20,7 +20,10 @@
 //! depths (`BRACKET_DEPTHS`) and hands both ends to the Clark moments,
 //! which need only that their own results agree at both ends (see
 //! `clark::tail_certified`). That holds for about 99 % of the tail maxes
-//! of the `whatif_stream` benchmark; the rest fall back to `tail_q`.
+//! of the `whatif_stream` benchmark; the rest fall back to `tail_q`. The
+//! derivative kernels read `Phi(x)` itself through `normal_cdf_given_pdf`,
+//! which for `x >= 4` pins `fl(1 - q)` from the same bracket (or from the
+//! Mills bound, far out) and calls `tail_q` only when that fails.
 
 /// `1 / sqrt(2 * pi)`.
 pub const FRAC_1_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
@@ -173,6 +176,41 @@ pub(crate) fn normal_cdf_pair(x: f64, pdf: f64) -> (f64, f64) {
     }
     let s = pdf * sum;
     (0.5 + s, 0.5 - s)
+}
+
+/// `Phi(x)` given `pdf = phi(x)`: bitwise the middle component of
+/// [`normal_pdf_cdf`], reached without the full tail fraction where that
+/// is certain (see [`upper_cdf_certified`]). Only `x <= -4`, where
+/// `Phi(x)` is the tail value `q` itself, still needs [`tail_q`] whole.
+#[inline]
+pub(crate) fn normal_cdf_given_pdf(x: f64, pdf: f64) -> f64 {
+    if x >= TAIL_START {
+        upper_cdf_certified(x, pdf).unwrap_or_else(|| 1.0 - tail_q(x, pdf))
+    } else {
+        normal_cdf_pair(x, pdf).0
+    }
+}
+
+/// `Phi(x) = fl(1 - q)` for `x >= 4` and `pdf = phi(x)`, with `q` the
+/// tail value [`tail_q`] returns: `Some` when it is certain without `q`,
+/// bit for bit, and `None` otherwise. The certificate is:
+///
+/// 1. `fl(pdf / x) < 2^-54`, which covers `pdf = 0`. Then `q < 2^-54`,
+///    because `q` never exceeds that rounded Mills bound, so the exact
+///    `1 - q` lies above `1 - 2^-54`, the midpoint between 1 and the
+///    double below it, and rounds to 1.
+/// 2. Else `fl(1 - q_1) = fl(1 - q_2)` for the two ends of
+///    [`tail_bracket`]. The reference `q` lies between them and rounding
+///    is monotone, so `fl(1 - q)` equals both.
+#[inline]
+pub(crate) fn upper_cdf_certified(x: f64, pdf: f64) -> Option<f64> {
+    debug_assert!(x >= TAIL_START);
+    if pdf / x < f64::EPSILON / 4.0 {
+        return Some(1.0);
+    }
+    let (q_1, q_2) = tail_bracket(x, pdf);
+    let p = 1.0 - q_1;
+    (p == 1.0 - q_2).then_some(p)
 }
 
 /// Upper-tail probability `Q(x) = 1 - Phi(x)` for `x >= 4`, given
@@ -520,6 +558,69 @@ mod tests {
                 "x {x}: {q_1:e} {want:e} {q_2:e}"
             );
             assert!(q_1.max(q_2) <= pdf / x, "x {x}");
+        }
+    }
+
+    /// `Phi(x)` through [`normal_cdf_given_pdf`] against the fused kernel,
+    /// bit for bit; returns whether the certificate answered.
+    fn assert_certified_cdf_matches(x: f64) -> bool {
+        let pdf = normal_pdf(x);
+        let want = normal_pdf_cdf(x).1;
+        let got = normal_cdf_given_pdf(x, pdf);
+        assert_eq!(got.to_bits(), want.to_bits(), "Phi({x:e})");
+        x >= TAIL_START && upper_cdf_certified(x, pdf).is_some()
+    }
+
+    #[test]
+    fn certified_cdf_is_bitwise_the_fused_kernel_and_certifies() {
+        // A dense grid over [4, 40], offset off round numbers, counting the
+        // certificate's answers in the deepest band and beyond it.
+        let n = 1_000_000;
+        let step = 36.0 / f64::from(n);
+        let (mut near, mut near_ok, mut far, mut far_ok) = (0u32, 0u32, 0u32, 0u32);
+        for i in 0..n {
+            let x = 4.0 + step * (f64::from(i) + 0.381_966_011);
+            let ok = u32::from(assert_certified_cdf_matches(x));
+            if x < 4.5 {
+                (near, near_ok) = (near + 1, near_ok + ok);
+            } else {
+                (far, far_ok) = (far + 1, far_ok + ok);
+            }
+        }
+        // Only speed depends on the bracket depths, so a mistuned table
+        // shows only here: it would fall back to the full tail.
+        assert!(
+            f64::from(near_ok) >= 0.98 * f64::from(near),
+            "certified {near_ok} of {near} in [4, 4.5)"
+        );
+        assert!(
+            f64::from(far_ok) >= 0.999 * f64::from(far),
+            "certified {far_ok} of {far} in [4.5, 40)"
+        );
+        // The hand-over, every bracket depth edge and the 2^-54 crossing,
+        // from both sides and in both signs.
+        let edges = std::iter::once(TAIL_START)
+            .chain(BRACKET_DEPTHS.iter().map(|&(b, _)| b))
+            .chain([8.294_030_762_685_44, 38.6, 40.0]);
+        for edge in edges {
+            for x in ulp_neighbourhood(edge, 256) {
+                assert_certified_cdf_matches(x);
+                assert_certified_cdf_matches(-x);
+            }
+        }
+        for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, -1e300] {
+            assert_certified_cdf_matches(x);
+        }
+    }
+
+    #[test]
+    fn certified_cdf_matches_the_fused_kernel_at_random_points() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0c0f_fee5);
+        for _ in 0..1_000_000 {
+            let x: f64 = rng.gen_range(0.0..40.0);
+            assert_certified_cdf_matches(if rng.gen_bool(0.5) { x } else { -x });
         }
     }
 

@@ -51,4 +51,17 @@ fn counter_counts_actual_clamps_only() {
     let folded = clark::max_n([a, b]).expect("two operands fold to one");
     assert!(clark::var_clamp_count() > mid);
     assert!(folded.mean() > 549.0);
+
+    // The derivative kernels count the same clamp, each call once: the
+    // Hessian formed from a recorded frame counts it as `max_hess` does.
+    let (ma, va, mb, vb) = (a.mean(), a.var(), b.mean(), b.var());
+    let eps = clark::DEFAULT_EPS;
+    let start = clark::var_clamp_count();
+    let (g, frame) = clark::max_grad_frame(ma, va, mb, vb, eps);
+    assert_eq!(clark::var_clamp_count(), start + 1);
+    let h = clark::hess_from_frame(&frame);
+    assert_eq!(clark::var_clamp_count(), start + 2);
+    assert_eq!((g.var, h.var), (0.0, 0.0));
+    let _ = clark::max_hess(ma, va, mb, vb, eps);
+    assert_eq!(clark::var_clamp_count(), start + 3);
 }
