@@ -16,18 +16,21 @@ use sgs_statmath::{mc, Normal};
 /// half the maxes of an unsized circuit fall. From `|alpha|` of about 8.3
 /// on, `clark::max` can certify that the dominant operand comes through
 /// unchanged and skip the tail (`alpha_12`, `alpha_20`). Below that
-/// (`alpha_4_5`, `alpha_6`) it certifies its moments from a half-depth
-/// bracket around the tail value instead of the full-depth fraction. The
-/// gradient and Hessian certify `Phi(alpha)` from the same bracket for
-/// `alpha >= 4`, the sign every case here has; only `alpha <= -4` runs the
-/// full fraction there. `alpha_4_5` sits in the deepest band of the
-/// fraction, `4 <= |alpha| < 4.5`.
-const CASES: [(&str, [f64; 4]); 5] = [
-    ("central", [5.0, 2.0, 4.5, 1.5]),     // alpha ~ 0.27
-    ("alpha_4_5", [12.45, 2.0, 4.5, 1.5]), // alpha ~ 4.25
-    ("alpha_6", [15.7, 2.0, 4.5, 1.5]),    // alpha ~ 5.99
-    ("alpha_12", [27.0, 2.0, 4.5, 1.5]),   // alpha ~ 12.03
-    ("alpha_20", [20.0, 1.0, 0.0, 0.0]),   // alpha ~ 20.0
+/// (`alpha_4_5`, `alpha_6`, `alpha_8`, `alpha_neg_4_5`) it certifies its
+/// moments from an enclosure of the tail value read off a Taylor table of
+/// the Mills ratio instead of the full-depth fraction; `alpha_8` sits in
+/// the table's last cells. The gradient and Hessian certify `Phi(alpha)`
+/// from the same enclosure for `alpha >= 4`; for `alpha <= -4`
+/// (`alpha_neg_4_5`) `Phi(alpha)` is the tail value itself, so they run the
+/// full fraction, 44 levels deep below 4.5.
+const CASES: [(&str, [f64; 4]); 7] = [
+    ("central", [5.0, 2.0, 4.5, 1.5]),         // alpha ~ 0.27
+    ("alpha_4_5", [12.45, 2.0, 4.5, 1.5]),     // alpha ~ 4.25
+    ("alpha_6", [15.7, 2.0, 4.5, 1.5]),        // alpha ~ 5.99
+    ("alpha_8", [19.65, 2.0, 4.5, 1.5]),       // alpha ~ 8.10
+    ("alpha_neg_4_5", [-3.45, 2.0, 4.5, 1.5]), // alpha ~ -4.25
+    ("alpha_12", [27.0, 2.0, 4.5, 1.5]),       // alpha ~ 12.03
+    ("alpha_20", [20.0, 1.0, 0.0, 0.0]),       // alpha ~ 20.0
 ];
 
 fn bench_clark(c: &mut Criterion) {

@@ -1226,7 +1226,7 @@ mod dominated_tests {
 #[cfg(test)]
 mod tail_bracket_tests {
     use super::*;
-    use crate::special::BRACKET_DEPTHS;
+    use crate::special::bracket_edges;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1309,8 +1309,7 @@ mod tail_bracket_tests {
             let down = std::iter::successors(Some(x.next_down()), |v| Some(v.next_down()));
             up.chain(down.take(64))
         };
-        let edges = std::iter::once(TAIL_START).chain(BRACKET_DEPTHS.iter().map(|&(b, _)| b));
-        for edge in edges {
+        for edge in bracket_edges() {
             for x in walk(edge) {
                 assert_max_matches_generic(x, 0.5, 0.0, 0.5);
                 assert_max_matches_generic(0.0, 0.5, x, 0.5);
