@@ -397,7 +397,6 @@ pub fn circuit_lints(circuit: &Circuit, lib: &Library) -> Vec<Diagnostic> {
     }
 
     // Observability (SGS-S007) and zero fan-out (SGS-S008).
-    let fanouts = circuit.fanouts();
     let mut observable = vec![false; n];
     let mut work: Vec<usize> = circuit.outputs().iter().map(|o| o.index()).collect();
     for &i in &work {
@@ -417,7 +416,7 @@ pub fn circuit_lints(circuit: &Circuit, lib: &Library) -> Vec<Diagnostic> {
         if circuit.is_output(id) {
             continue;
         }
-        if fanouts[id.index()].is_empty() {
+        if circuit.fanout(id).len() == 0 {
             out.push(diag(
                 Severity::Warning,
                 "SGS-S008",

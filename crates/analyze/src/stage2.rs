@@ -63,7 +63,7 @@ impl IntervalSsta {
         let mut r = mu_t_iv * self.s[g]
             - self.s[g] * model.t_int(id)
             - Interval::point(model.c() * model.static_load(id));
-        for &j in model.fanouts(id) {
+        for j in model.circuit().fanout(id) {
             r = r - self.s[j.index()] * (model.c() * model.c_in(j));
         }
         r
@@ -97,7 +97,7 @@ pub fn interval_ssta(circuit: &Circuit, lib: &Library, opts: &AnalyzerOptions) -
     for g in 0..n {
         let id = sgs_netlist::GateId(g);
         let mut cap = Interval::point(model.static_load(id));
-        for &j in model.fanouts(id) {
+        for j in circuit.fanout(id) {
             cap = cap + s[j.index()] * model.c_in(j);
         }
         load.push(cap);
@@ -491,7 +491,7 @@ mod tests {
                 let mu_pert = iv.mu_t[g].lo() + 0.25 * iv.mu_t[g].width();
                 let mut want =
                     mu_pert * s[g] - model.t_int(id) * s[g] - model.c() * model.static_load(id);
-                for &j in model.fanouts(id) {
+                for j in c.fanout(id) {
                     want -= model.c() * model.c_in(j) * s[j.index()];
                 }
                 let enc = iv.delay_residual(&model, g, iv.mu_t[g]);

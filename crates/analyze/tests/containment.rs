@@ -75,7 +75,7 @@ fn check_containment(circuit: &Circuit, lib: &Library, s: &[f64], enc: &Interval
         let concrete_mid = {
             let mut r =
                 mid.lo() * s[g] - model.t_int(id) * s[g] - model.c() * model.static_load(id);
-            for &j in model.fanouts(id) {
+            for j in circuit.fanout(id) {
                 r -= model.c() * model.c_in(j) * s[j.index()];
             }
             r

@@ -272,10 +272,9 @@ impl SizingProblem {
         for (id, gate) in circuit.gates() {
             let g = id.index();
             let first_con = cons.len();
-            let fanout: Vec<(usize, f64)> = model
-                .fanouts(id)
-                .iter()
-                .map(|&j| (idx_s[j.index()], model.c() * model.c_in(j)))
+            let fanout: Vec<(usize, f64)> = circuit
+                .fanout(id)
+                .map(|j| (idx_s[j.index()], model.c() * model.c_in(j)))
                 .collect();
             cons.push(Con::Delay {
                 imt: idx_mt[g],

@@ -257,7 +257,7 @@ struct HessCache {
 #[derive(Debug)]
 pub struct ReducedObjective<'a> {
     circuit: &'a Circuit,
-    model: DelayModel,
+    model: DelayModel<'a>,
     program: Program,
     objective: Objective,
     spec: DelaySpec,
@@ -606,7 +606,7 @@ impl ReducedObjective<'_> {
                 continue;
             }
             g[gi] += amt * (-c * tape.load[gi] / (x[gi] * x[gi]));
-            for &j in self.model.fanouts(id) {
+            for j in self.circuit.fanout(id) {
                 g[j.index()] += amt * c * self.model.c_in(j) / x[gi];
             }
         }
@@ -752,7 +752,7 @@ impl SmoothFn for ReducedObjective<'_> {
         for (id, _) in self.circuit.gates() {
             let gi = id.index();
             let mut ld = 0.0;
-            for &j in self.model.fanouts(id) {
+            for j in self.circuit.fanout(id) {
                 ld += self.model.c_in(j) * v[j.index()];
             }
             load_dot[gi] = ld;
@@ -834,7 +834,7 @@ impl SmoothFn for ReducedObjective<'_> {
             let (si, load) = (s[gi], tape.load[gi]);
             out[gi] += a_dot * (-c * load / (si * si))
                 + a * (2.0 * c * load * v[gi] / (si * si * si) - c * load_dot[gi] / (si * si));
-            for &j in self.model.fanouts(id) {
+            for j in self.circuit.fanout(id) {
                 let cj = c * self.model.c_in(j) / si;
                 out[j.index()] += a_dot * cj - a * cj * v[gi] / si;
             }

@@ -110,6 +110,10 @@ impl Error for NetlistError {}
 /// Gates are stored in topological order: every gate's fan-ins are primary
 /// inputs or gates with a smaller [`GateId`]. Construct one with
 /// [`CircuitBuilder`] or the constructors in [`crate::generate`].
+///
+/// Construction also lays out every gate's fan-out list once, so
+/// [`Circuit::fanout`] costs no graph traversal and delay models built
+/// over the circuit need not rebuild the topology.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     name: String,
@@ -119,6 +123,10 @@ pub struct Circuit {
     /// `output_mask[g]` is whether gate `g` appears in `outputs`, so
     /// [`Circuit::is_output`] is one load instead of a scan of the list.
     output_mask: Vec<bool>,
+    /// CSR starts into `fanout_ids`, one per gate plus the end sentinel:
+    /// gate `g` drives `fanout_ids[fanout_ptr[g]..fanout_ptr[g + 1]]`.
+    fanout_ptr: Vec<u32>,
+    fanout_ids: Vec<u32>,
 }
 
 impl Circuit {
@@ -170,21 +178,19 @@ impl Circuit {
         self.output_mask[id.0]
     }
 
-    /// For each gate, the list of gates it drives (fan-out), computed fresh
-    /// with one `Vec` per gate. Each list is in ascending reader id, and a
-    /// gate that reads one signal on several pins appears once per pin.
-    /// Repeated queries should use `sgs_ssta::DelayModel::fanouts`, which
-    /// holds the same lists, in the same order, in two flat arrays.
-    pub fn fanouts(&self) -> Vec<Vec<GateId>> {
-        let mut out = vec![Vec::new(); self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            for &s in &g.inputs {
-                if let Signal::Gate(src) = s {
-                    out[src.0].push(GateId(i));
-                }
-            }
-        }
-        out
+    /// The gates driven by `g` (its fan-out), in ascending reader id; a
+    /// gate that reads `g` on several pins appears once per pin. The lists
+    /// are laid out once at construction, so this allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    #[inline]
+    pub fn fanout(&self, g: GateId) -> impl ExactSizeIterator<Item = GateId> + '_ {
+        let (lo, hi) = (self.fanout_ptr[g.0], self.fanout_ptr[g.0 + 1]);
+        self.fanout_ids[lo as usize..hi as usize]
+            .iter()
+            .map(|&j| GateId(j as usize))
     }
 
     /// Logic level of each gate: primary inputs are level 0, a gate is one
@@ -268,14 +274,57 @@ impl Circuit {
             gates,
             outputs,
             output_mask: Vec::new(),
+            fanout_ptr: Vec::new(),
+            fanout_ids: Vec::new(),
         };
         c.validate()?;
         c.output_mask = vec![false; c.gates.len()];
         for &o in &c.outputs {
             c.output_mask[o.0] = true;
         }
+        (c.fanout_ptr, c.fanout_ids) = fanout_csr(&c.gates);
         Ok(c)
     }
+}
+
+/// The fan-out lists of validated, topologically ordered `gates` in CSR
+/// form `(ptr, ids)`: a counting pass sizes each list, then readers are
+/// placed in ascending gate id and pin order.
+///
+/// # Panics
+///
+/// Panics if the gate count or the total pin count exceeds `u32::MAX`.
+fn fanout_csr(gates: &[Gate]) -> (Vec<u32>, Vec<u32>) {
+    fn sources(gate: &Gate) -> impl Iterator<Item = usize> + '_ {
+        gate.inputs.iter().filter_map(|&sig| match sig {
+            Signal::Gate(src) => Some(src.0),
+            Signal::Pi(_) => None,
+        })
+    }
+    let n = gates.len();
+    let pins: usize = gates.iter().map(|g| g.inputs.len()).sum();
+    assert!(
+        u32::try_from(n.max(pins)).is_ok(),
+        "circuit exceeds u32 fan-out indexing"
+    );
+    let mut ptr = vec![0u32; n + 1];
+    for gate in gates {
+        for src in sources(gate) {
+            ptr[src + 1] += 1;
+        }
+    }
+    for g in 0..n {
+        ptr[g + 1] += ptr[g];
+    }
+    let mut next = ptr[..n].to_vec();
+    let mut ids = vec![0u32; ptr[n] as usize];
+    for (id, gate) in gates.iter().enumerate() {
+        for src in sources(gate) {
+            ids[next[src] as usize] = id as u32;
+            next[src] += 1;
+        }
+    }
+    (ptr, ids)
 }
 
 impl fmt::Display for Circuit {
@@ -463,9 +512,8 @@ mod tests {
     #[test]
     fn fanouts() {
         let c = two_gate();
-        let f = c.fanouts();
-        assert_eq!(f[0], vec![GateId(1)]);
-        assert!(f[1].is_empty());
+        assert_eq!(c.fanout(GateId(0)).collect::<Vec<_>>(), vec![GateId(1)]);
+        assert_eq!(c.fanout(GateId(1)).len(), 0);
     }
 
     #[test]

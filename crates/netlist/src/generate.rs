@@ -9,7 +9,7 @@
 //! relative behaviour of objectives) actually depend on. Real BLIF
 //! netlists can be used instead via [`crate::blif`].
 
-use crate::circuit::{Circuit, CircuitBuilder, Signal};
+use crate::circuit::{Circuit, CircuitBuilder, GateId, Signal};
 use crate::library::GateKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -320,6 +320,18 @@ impl Default for RandomDagSpec {
 ///
 /// Panics if `cells < depth`, `depth == 0`, or `inputs == 0`.
 pub fn random_dag(spec: &RandomDagSpec) -> Circuit {
+    let (mut b, has_reader) = wire_random_dag(spec);
+    // Every gate with no fan-out becomes a primary output, in id order.
+    for (i, _) in has_reader.iter().enumerate().filter(|&(_, &read)| !read) {
+        b.mark_output(Signal::Gate(GateId(i)))
+            .expect("gate signals are valid outputs");
+    }
+    b.build().expect("generator produces valid circuits")
+}
+
+/// The gates and wiring of [`random_dag`], before any output is marked,
+/// plus whether each gate (by id) is read by a later gate.
+fn wire_random_dag(spec: &RandomDagSpec) -> (CircuitBuilder, Vec<bool>) {
     assert!(spec.depth > 0, "depth must be positive");
     assert!(spec.inputs > 0, "need at least one input");
     assert!(spec.cells >= spec.depth, "cells must be >= depth");
@@ -341,6 +353,7 @@ pub fn random_dag(spec: &RandomDagSpec) -> Circuit {
     }
 
     let mut levels: Vec<Vec<Signal>> = Vec::with_capacity(spec.depth);
+    let mut has_reader: Vec<bool> = Vec::with_capacity(spec.cells);
     let mut gate_idx = 0usize;
     for (lvl, &count) in per_level.iter().enumerate() {
         let mut this_level = Vec::with_capacity(count);
@@ -417,6 +430,12 @@ pub fn random_dag(spec: &RandomDagSpec) -> Circuit {
             let g = b
                 .add_gate(kind, format!("g{gate_idx}"), &fanins)
                 .expect("generator invariants uphold builder rules");
+            for &src in &fanins {
+                if let Signal::Gate(src) = src {
+                    has_reader[src.index()] = true;
+                }
+            }
+            has_reader.push(false);
             if on_spine {
                 b.set_extra_load(g, spec.spine_extra_load);
             }
@@ -426,34 +445,20 @@ pub fn random_dag(spec: &RandomDagSpec) -> Circuit {
         levels.push(this_level);
     }
 
-    // Every gate with no fan-out becomes a primary output: build once with
-    // all gates marked, then restrict the output list to the sinks.
-    let all_gates: Vec<Signal> = levels.into_iter().flatten().collect();
-    for &g in &all_gates {
-        b.mark_output(g).expect("gate signals are valid outputs");
-    }
-    let circuit = b.build().expect("generator produces valid circuits");
-    let fanouts = circuit.fanouts();
-    let sinks: Vec<crate::circuit::GateId> = circuit
-        .gates()
-        .map(|(id, _)| id)
-        .filter(|id| fanouts[id.index()].is_empty())
-        .collect();
-    Circuit::from_parts(
-        circuit.name().to_string(),
-        circuit.input_names().to_vec(),
-        circuit.gates().map(|(_, g)| g.clone()).collect(),
-        sinks,
-    )
-    .expect("sink outputs keep the circuit valid")
+    (b, has_reader)
 }
 
 /// The three synthetic stand-ins for the paper's Table 1 benchmarks,
 /// matched in cell count and approximate depth: `apex1` (982 cells),
 /// `apex2` (117 cells), `k2` (1692 cells).
 pub fn benchmark_suite() -> Vec<Circuit> {
-    vec![
-        random_dag(&RandomDagSpec {
+    benchmark_specs().iter().map(random_dag).collect()
+}
+
+/// The specs [`benchmark_suite`] generates.
+fn benchmark_specs() -> [RandomDagSpec; 3] {
+    [
+        RandomDagSpec {
             name: "apex1".into(),
             cells: 982,
             inputs: 45,
@@ -461,8 +466,8 @@ pub fn benchmark_suite() -> Vec<Circuit> {
             seed: 0xA9E71,
             back_jump_pct: 92,
             spine_extra_load: 0.25,
-        }),
-        random_dag(&RandomDagSpec {
+        },
+        RandomDagSpec {
             name: "apex2".into(),
             cells: 117,
             inputs: 39,
@@ -470,8 +475,8 @@ pub fn benchmark_suite() -> Vec<Circuit> {
             seed: 0xA9E72,
             back_jump_pct: 92,
             spine_extra_load: 0.15,
-        }),
-        random_dag(&RandomDagSpec {
+        },
+        RandomDagSpec {
             name: "k2".into(),
             cells: 1692,
             inputs: 46,
@@ -479,7 +484,7 @@ pub fn benchmark_suite() -> Vec<Circuit> {
             seed: 0x0042,
             back_jump_pct: 92,
             spine_extra_load: 0.25,
-        }),
+        },
     ]
 }
 
@@ -600,15 +605,72 @@ mod tests {
             seed: 3,
             ..Default::default()
         });
-        let fanouts = c.fanouts();
         for &o in c.outputs() {
-            assert!(fanouts[o.index()].is_empty(), "output {o} has fan-out");
+            assert_eq!(c.fanout(o).len(), 0, "output {o} has fan-out");
         }
         // Conversely every sink is an output.
         for (id, _) in c.gates() {
-            if fanouts[id.index()].is_empty() {
+            if c.fanout(id).len() == 0 {
                 assert!(c.is_output(id));
             }
+        }
+    }
+
+    /// The two-pass construction `random_dag` used to make: build with
+    /// every gate marked as an output, then rebuild from cloned gates
+    /// with the outputs cut to the sinks (gates no gate reads).
+    fn random_dag_two_pass(spec: &RandomDagSpec) -> Circuit {
+        let (mut b, _) = wire_random_dag(spec);
+        for i in 0..spec.cells {
+            b.mark_output(Signal::Gate(GateId(i))).unwrap();
+        }
+        let circuit = b.build().unwrap();
+        let mut read = vec![false; circuit.num_gates()];
+        for (_, g) in circuit.gates() {
+            for &s in &g.inputs {
+                if let Signal::Gate(src) = s {
+                    read[src.index()] = true;
+                }
+            }
+        }
+        let sinks: Vec<GateId> = circuit
+            .gates()
+            .map(|(id, _)| id)
+            .filter(|id| !read[id.index()])
+            .collect();
+        Circuit::from_parts(
+            circuit.name().to_string(),
+            circuit.input_names().to_vec(),
+            circuit.gates().map(|(_, g)| g.clone()).collect(),
+            sinks,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn random_dag_matches_two_pass_construction() {
+        let mut specs = benchmark_specs().to_vec();
+        for (seed, cells, depth) in [(0, 100, 10), (7, 40, 40), (3, 300, 15), (11, 12, 3)] {
+            specs.push(RandomDagSpec {
+                name: format!("r{seed}"),
+                cells,
+                inputs: 16,
+                depth,
+                seed,
+                ..Default::default()
+            });
+        }
+        specs.push(RandomDagSpec {
+            name: "dag2600".into(),
+            cells: 2600,
+            inputs: 64,
+            depth: 40,
+            seed: 0xB16,
+            back_jump_pct: 92,
+            spine_extra_load: 0.25,
+        });
+        for spec in &specs {
+            assert_eq!(random_dag(spec), random_dag_two_pass(spec), "{}", spec.name);
         }
     }
 

@@ -266,11 +266,10 @@ OUTPUT(23)
         // Gate 11 fans out to 16 and 19, and 16 to both outputs — the
         // structure the statistical analyses care about survives import.
         let c = parse(C17).unwrap();
-        let fanouts = c.fanouts();
         let g11 = c.gates().find(|(_, g)| g.name == "11").unwrap().0;
         let g16 = c.gates().find(|(_, g)| g.name == "16").unwrap().0;
-        assert_eq!(fanouts[g11.index()].len(), 2);
-        assert_eq!(fanouts[g16.index()].len(), 2);
+        assert_eq!(c.fanout(g11).len(), 2);
+        assert_eq!(c.fanout(g16).len(), 2);
     }
 
     #[test]

@@ -16,6 +16,9 @@
 
 use std::fmt;
 
+/// Number of [`GateKind`] variants.
+const NUM_KINDS: usize = 10;
+
 /// The logic function / footprint of a gate, fixing its electrical
 /// parameters in a [`Library`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,9 +57,9 @@ impl GateKind {
         }
     }
 
-    /// All kinds, in a stable order.
+    /// All kinds, in declaration order.
     pub fn all() -> &'static [GateKind] {
-        &[
+        const ALL: [GateKind; NUM_KINDS] = [
             GateKind::Inv,
             GateKind::Buf,
             GateKind::Nand2,
@@ -67,7 +70,8 @@ impl GateKind {
             GateKind::And2,
             GateKind::Or2,
             GateKind::Xor2,
-        ]
+        ];
+        &ALL
     }
 
     /// A NAND kind of the given arity (1 maps to [`GateKind::Inv`]).
@@ -131,7 +135,9 @@ pub struct Library {
     pub wire_load: f64,
     /// Additional capacitance on primary outputs (pads / next stage).
     pub po_load: f64,
-    params: Vec<(GateKind, GateParams)>,
+    /// Parameters per kind, indexed by the kind's declaration order (the
+    /// order of [`GateKind::all`]).
+    params: [GateParams; NUM_KINDS],
 }
 
 impl Library {
@@ -144,42 +150,30 @@ impl Library {
             s_limit: 3.0,
             wire_load: 0.55,
             po_load: 1.15,
-            params: vec![
-                (GateKind::Inv, p(0.65, 0.45)),
-                (GateKind::Buf, p(0.8, 0.45)),
-                (GateKind::Nand2, p(0.9, 0.6)),
-                (GateKind::Nand3, p(1.1, 0.7)),
-                (GateKind::Nand4, p(1.25, 0.8)),
-                (GateKind::Nor2, p(1.0, 0.65)),
-                (GateKind::Nor3, p(1.25, 0.75)),
-                (GateKind::And2, p(1.15, 0.6)),
-                (GateKind::Or2, p(1.25, 0.65)),
-                (GateKind::Xor2, p(1.55, 0.85)),
+            params: [
+                p(0.65, 0.45), // Inv
+                p(0.8, 0.45),  // Buf
+                p(0.9, 0.6),   // Nand2
+                p(1.1, 0.7),   // Nand3
+                p(1.25, 0.8),  // Nand4
+                p(1.0, 0.65),  // Nor2
+                p(1.25, 0.75), // Nor3
+                p(1.15, 0.6),  // And2
+                p(1.25, 0.65), // Or2
+                p(1.55, 0.85), // Xor2
             ],
         }
     }
 
-    /// Parameters for a gate kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kind is not in the library (the default library covers
-    /// all kinds).
+    /// Parameters for a gate kind (every library covers all kinds).
+    #[inline]
     pub fn params(&self, kind: GateKind) -> GateParams {
-        self.params
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, p)| *p)
-            .unwrap_or_else(|| panic!("gate kind {kind} not in library"))
+        self.params[kind as usize]
     }
 
     /// Overrides the parameters for one gate kind (builder-style).
     pub fn with_params(mut self, kind: GateKind, params: GateParams) -> Self {
-        if let Some(slot) = self.params.iter_mut().find(|(k, _)| *k == kind) {
-            slot.1 = params;
-        } else {
-            self.params.push((kind, params));
-        }
+        self.params[kind as usize] = params;
         self
     }
 
@@ -248,6 +242,16 @@ mod tests {
         );
         assert_eq!(lib.params(GateKind::Inv).t_int, 9.0);
         assert_eq!(lib.params(GateKind::Nand2).t_int, 0.9);
+    }
+
+    #[test]
+    fn params_follow_kind_order() {
+        let lib = Library::default();
+        for (i, &k) in GateKind::all().iter().enumerate() {
+            assert_eq!(k as usize, i, "{k}");
+        }
+        assert_eq!(lib.params(GateKind::Inv).t_int, 0.65);
+        assert_eq!(lib.params(GateKind::Xor2).c_in, 0.85);
     }
 
     #[test]

@@ -1,37 +1,32 @@
 //! The sizable-gate delay model evaluated for concrete speed factors.
 
-use sgs_netlist::{Circuit, Gate, GateId, Library, Signal};
+use sgs_netlist::{Circuit, GateId, Library};
 use sgs_statmath::Normal;
 
-/// Precomputed per-circuit delay-model data: fan-out lists, static loads and
-/// per-gate electrical parameters, so repeated delay evaluation (sizing
-/// inner loops, Monte Carlo) costs no graph traversal.
+/// Precomputed per-gate delay-model data over a borrowed circuit: static
+/// loads and per-gate electrical parameters, so repeated delay evaluation
+/// (sizing inner loops, Monte Carlo) costs no graph traversal.
 ///
-/// Building one is linear in the circuit size: the fan-out lists are laid
-/// out in CSR form (two flat arrays, no per-gate allocation), each in the
-/// order of [`Circuit::fanouts`], so load sums add the same terms in the
-/// same order. Every gate delay of the crate (full pass, incremental
-/// engine) is this model's [`DelayModel::gate_delay`].
+/// Building one is linear in the gate count and reads no fan-in list: the
+/// fan-out lists belong to the circuit, laid out once when it was built,
+/// and load sums walk [`Circuit::fanout`] in its order (ascending reader
+/// id, once per reading pin). Every gate delay of the crate (full pass,
+/// incremental engine) is this model's [`DelayModel::gate_delay`].
 #[derive(Debug, Clone)]
-pub struct DelayModel {
+pub struct DelayModel<'a> {
+    circuit: &'a Circuit,
     t_int: Vec<f64>,
     c_in: Vec<f64>,
     static_load: Vec<f64>,
-    /// CSR starts into `fanout_ids`, one per gate plus the end sentinel:
-    /// gate `g` drives `fanout_ids[fanout_ptr[g]..fanout_ptr[g + 1]]`.
-    fanout_ptr: Vec<usize>,
-    fanout_ids: Vec<GateId>,
     c: f64,
     sigma_factor: f64,
     s_limit: f64,
-    num_gates: usize,
 }
 
-impl DelayModel {
+impl<'a> DelayModel<'a> {
     /// Builds the model for a circuit under a library.
-    pub fn new(circuit: &Circuit, lib: &Library) -> Self {
+    pub fn new(circuit: &'a Circuit, lib: &Library) -> Self {
         let n = circuit.num_gates();
-        let (fanout_ptr, fanout_ids) = fanout_csr(circuit);
         let mut t_int = Vec::with_capacity(n);
         let mut c_in = Vec::with_capacity(n);
         let mut static_load = Vec::with_capacity(n);
@@ -46,21 +41,19 @@ impl DelayModel {
             static_load.push(load);
         }
         DelayModel {
+            circuit,
             t_int,
             c_in,
             static_load,
-            fanout_ptr,
-            fanout_ids,
             c: lib.c,
             sigma_factor: lib.sigma_factor,
             s_limit: lib.s_limit,
-            num_gates: n,
         }
     }
 
     /// Number of gates.
     pub fn num_gates(&self) -> usize {
-        self.num_gates
+        self.circuit.num_gates()
     }
 
     /// The library's speed-factor upper bound.
@@ -94,11 +87,9 @@ impl DelayModel {
         self.static_load[g.index()]
     }
 
-    /// Gates driven by `g`: bitwise the list `Circuit::fanouts()[g]`
-    /// (ascending reader id, one entry per reading pin).
-    #[inline]
-    pub fn fanouts(&self, g: GateId) -> &[GateId] {
-        &self.fanout_ids[self.fanout_ptr[g.index()]..self.fanout_ptr[g.index() + 1]]
+    /// The circuit the model was built over.
+    pub fn circuit(&self) -> &'a Circuit {
+        self.circuit
     }
 
     /// Total capacitive load seen by gate `g` under speed factors `s`:
@@ -108,9 +99,9 @@ impl DelayModel {
     ///
     /// Panics if `s.len()` differs from the gate count.
     pub fn load_cap(&self, g: GateId, s: &[f64]) -> f64 {
-        assert_eq!(s.len(), self.num_gates, "speed vector length mismatch");
+        assert_eq!(s.len(), self.num_gates(), "speed vector length mismatch");
         let mut cap = self.static_load[g.index()];
-        for &j in self.fanouts(g) {
+        for j in self.circuit.fanout(g) {
             cap += self.c_in[j.index()] * s[j.index()];
         }
         cap
@@ -134,40 +125,9 @@ impl DelayModel {
     ///
     /// Panics if `s.len()` differs from the gate count.
     pub fn area(&self, s: &[f64]) -> f64 {
-        assert_eq!(s.len(), self.num_gates, "speed vector length mismatch");
+        assert_eq!(s.len(), self.num_gates(), "speed vector length mismatch");
         s.iter().sum()
     }
-}
-
-/// The fan-out lists of `circuit` in CSR form `(ptr, ids)`: a counting
-/// pass sizes each list, then readers are placed in ascending gate id and
-/// pin order — the order [`Circuit::fanouts`] pushes them in.
-fn fanout_csr(circuit: &Circuit) -> (Vec<usize>, Vec<GateId>) {
-    fn sources(gate: &Gate) -> impl Iterator<Item = usize> + '_ {
-        gate.inputs.iter().filter_map(|&sig| match sig {
-            Signal::Gate(src) => Some(src.index()),
-            Signal::Pi(_) => None,
-        })
-    }
-    let n = circuit.num_gates();
-    let mut ptr = vec![0usize; n + 1];
-    for (_, gate) in circuit.gates() {
-        for src in sources(gate) {
-            ptr[src + 1] += 1;
-        }
-    }
-    for g in 0..n {
-        ptr[g + 1] += ptr[g];
-    }
-    let mut next = ptr[..n].to_vec();
-    let mut ids = vec![GateId(0); ptr[n]];
-    for (id, gate) in circuit.gates() {
-        for src in sources(gate) {
-            ids[next[src]] = id;
-            next[src] += 1;
-        }
-    }
-    (ptr, ids)
 }
 
 #[cfg(test)]

@@ -79,7 +79,7 @@ pub struct UpdateStats {
 /// ```
 pub struct IncrementalSsta<'a> {
     circuit: &'a Circuit,
-    model: DelayModel,
+    model: DelayModel<'a>,
     input_arrivals: Option<Vec<Normal>>,
     s: Vec<f64>,
     /// Per-gate arrival moments in the shared structure-of-arrays layout.
@@ -257,7 +257,7 @@ impl<'a> IncrementalSsta<'a> {
                 }
                 self.arrivals.set(idx, a);
                 first_changed_out = first_changed_out.min(self.out_pos[idx]);
-                for &f in self.model.fanouts(GateId(idx)) {
+                for f in self.circuit.fanout(GateId(idx)) {
                     let fi = f.index();
                     if !self.dirty[fi] {
                         self.dirty[fi] = true;

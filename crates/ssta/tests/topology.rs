@@ -1,26 +1,41 @@
-//! The delay model's CSR fan-out lists and the circuit's output mask must
-//! answer exactly as the plain definitions do: `DelayModel::fanouts(g)` is
-//! `Circuit::fanouts()[g]` element for element (order and repeated readers
-//! included, since load sums add in that order), and `Circuit::is_output`
-//! is `outputs().contains`.
+//! The circuit's CSR fan-out lists and output mask must answer exactly as
+//! the plain definitions do: `Circuit::fanout(g)` is, element for element,
+//! every gate that reads `g`, in ascending id and once per reading pin
+//! (order and repeated readers included, since load sums add in that
+//! order), and `Circuit::is_output` is `outputs().contains`.
 
 use sgs_netlist::generate::{self, RandomDagSpec};
 use sgs_netlist::{
-    blif, iscas, verilog, Circuit, CircuitBuilder, Gate, GateId, GateKind, Library, Signal,
+    blif, iscas, verilog, Circuit, CircuitBuilder, Gate, GateId, GateKind, Library, NetlistError,
+    Signal,
 };
 use sgs_ssta::DelayModel;
 
+/// The plain fan-out definition: for each gate, every reader in ascending
+/// id, once per pin that reads it.
+fn plain_fanouts(c: &Circuit) -> Vec<Vec<GateId>> {
+    let mut out = vec![Vec::new(); c.num_gates()];
+    for (reader, gate) in c.gates() {
+        for &s in &gate.inputs {
+            if let Signal::Gate(src) = s {
+                out[src.index()].push(reader);
+            }
+        }
+    }
+    out
+}
+
 fn assert_topology_matches(c: &Circuit) {
-    let model = DelayModel::new(c, &Library::paper_default());
-    let fanouts = c.fanouts();
+    let fanouts = plain_fanouts(c);
     assert_eq!(fanouts.len(), c.num_gates());
     for (id, _) in c.gates() {
         assert_eq!(
-            model.fanouts(id),
-            fanouts[id.index()].as_slice(),
+            c.fanout(id).collect::<Vec<_>>(),
+            fanouts[id.index()],
             "{}: fan-outs of {id}",
             c.name()
         );
+        assert_eq!(c.fanout(id).len(), fanouts[id.index()].len());
         assert_eq!(
             c.is_output(id),
             c.outputs().contains(&id),
@@ -86,9 +101,51 @@ fn gate_reading_one_signal_twice_is_listed_twice() {
     b.mark_output(z).unwrap();
     let c = b.build().unwrap();
     assert_topology_matches(&c);
-    let model = DelayModel::new(&c, &Library::paper_default());
-    assert_eq!(model.fanouts(GateId(0)), &[GateId(1), GateId(1), GateId(2)]);
-    assert!(model.fanouts(GateId(1)).is_empty());
+    assert_eq!(
+        c.fanout(GateId(0)).collect::<Vec<_>>(),
+        [GateId(1), GateId(1), GateId(2)]
+    );
+    assert_eq!(c.fanout(GateId(1)).len(), 0);
+}
+
+#[test]
+fn cloned_circuit_keeps_its_fan_outs() {
+    for c in [generate::fig2(), random_dag(5)] {
+        let copy = c.clone();
+        assert_eq!(copy, c);
+        assert_topology_matches(&copy);
+        for (id, _) in c.gates() {
+            assert!(copy.fanout(id).eq(c.fanout(id)), "fan-outs of {id}");
+        }
+    }
+}
+
+#[test]
+fn gate_reading_a_later_gate_is_rejected() {
+    let gates = vec![
+        Gate {
+            name: "g0".to_string(),
+            kind: GateKind::Inv,
+            inputs: vec![Signal::Gate(GateId(1))],
+            extra_load: 0.0,
+        },
+        Gate {
+            name: "g1".to_string(),
+            kind: GateKind::Inv,
+            inputs: vec![Signal::Pi(0)],
+            extra_load: 0.0,
+        },
+    ];
+    let res = std::panic::catch_unwind(|| {
+        Circuit::from_parts(
+            "forward_read".to_string(),
+            vec!["a".to_string()],
+            gates,
+            vec![GateId(0)],
+        )
+    });
+    let err = res.expect("from_parts must not panic").unwrap_err();
+    assert!(matches!(err, NetlistError::UnknownSignal { .. }), "{err:?}");
 }
 
 #[test]
